@@ -387,7 +387,7 @@ fn run_smoke(quick: bool) {
     // Store gauges surface through STATS.
     let stats = c.roundtrip("STATS");
     assert!(
-        stats.contains(&format!("streams_total={}", streams - page_size)),
+        stats.contains(&format!(" registry_streams={} ", streams - page_size)),
         "{stats}"
     );
     assert!(stats.contains("store_bytes="), "{stats}");

@@ -18,7 +18,7 @@
 //! every verdict from the cache.
 //!
 //! With `--connections` the binary instead runs the **connection-count
-//! sweep**: the event front end is loaded with 1k/10k/50k *idle*
+//! sweep**: the server's event loop is loaded with 1k/10k/50k *idle*
 //! connections (held open by re-exec'd holder subprocesses, since one
 //! process would exhaust its own fd budget racing the server for
 //! descriptors) while 4 active clients replay cache-warm `CHECK`s. The
@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use ringrt_bench::{banner, ExpOptions};
 use ringrt_breakdown::table::{cell, Table};
 use ringrt_des::stats::DurationHistogram;
-use ringrt_service::{spawn, Frontend, ServiceConfig};
+use ringrt_service::{spawn, ServiceConfig};
 use ringrt_units::SimDuration;
 
 /// Builds one request line; `unique` differentiates the payload so the
@@ -295,7 +295,7 @@ struct SweepRow {
 fn connection_sweep(opts: &ExpOptions) {
     banner(
         "SERVICE-LOAD/CONNECTIONS",
-        "active-request tail latency vs idle connection count (event front end)",
+        "active-request tail latency vs idle connection count",
         opts,
     );
 
@@ -328,7 +328,6 @@ fn connection_sweep(opts: &ExpOptions) {
             workers,
             queue_depth: 4 * warm_lines.len().max(16),
             default_deadline_ms: 60_000,
-            frontend: Frontend::Event,
             ..ServiceConfig::default()
         })
         .expect("spawn service");

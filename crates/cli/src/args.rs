@@ -3,8 +3,6 @@
 
 use core::fmt;
 
-use ringrt_service::Frontend;
-
 /// Which protocol a command targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProtocolChoice {
@@ -150,15 +148,11 @@ pub enum Command {
         /// Auto-promote after the primary has been silent this long
         /// (`None` = promote only on an explicit `PROMOTE`).
         promote_timeout_ms: Option<u64>,
-        /// Connection front end: blocking thread-per-connection, or epoll
-        /// readiness loops (`--frontend threads|event`).
-        frontend: Frontend,
-        /// Open-connection cap; accepts beyond it answer `BUSY` (0 = off).
+        /// Open-connection cap; accepts beyond it answer `BUSY` (0 = the
+        /// event loop's own table bound).
         max_conns: usize,
-        /// Readiness loops for the event front end.
-        event_loops: usize,
-        /// Event front end: close connections idle this long (`None` keeps
-        /// idle clients forever).
+        /// Close connections idle this long (`None` keeps idle clients
+        /// forever).
         idle_timeout_ms: Option<u64>,
         /// Close connections stalled mid-line this long (slow-loris guard;
         /// `None` = service default, 0 disables).
@@ -254,8 +248,7 @@ USAGE:
   ringrt serve    [--addr HOST:PORT] [--workers N] [--queue-depth N] [--deadline-ms N]
                   [--state-dir DIR] [--cache-entries N] [--slow-ms N] [--trace on|off]
                   [--segment-bytes N] [--follow HOST:PORT] [--promote-timeout-ms N]
-                  [--frontend threads|event] [--event-loops N] [--max-conns N]
-                  [--idle-timeout-ms N] [--read-deadline-ms N]
+                  [--max-conns N] [--idle-timeout-ms N] [--read-deadline-ms N]
   ringrt trace    [--addr HOST:PORT] [--events N]
   ringrt promote     [--addr HOST:PORT]
   ringrt replication [--addr HOST:PORT]
@@ -342,18 +335,11 @@ impl Cli {
             }
             "serve" => {
                 let flags = flags_only(&mut it)?;
+                known_flags(&flags, SERVE_FLAGS)?;
                 let workers = optional_usize(&flags, "--workers")?.unwrap_or(4);
                 let queue_depth = optional_usize(&flags, "--queue-depth")?.unwrap_or(64);
                 if workers == 0 || queue_depth == 0 {
                     return Err("--workers and --queue-depth must be at least 1".into());
-                }
-                let frontend = match flag_value(&flags, "--frontend") {
-                    Some(raw) => raw.parse::<Frontend>()?,
-                    None => Frontend::default(),
-                };
-                let event_loops = optional_usize(&flags, "--event-loops")?.unwrap_or(1);
-                if event_loops == 0 {
-                    return Err("--event-loops must be at least 1".into());
                 }
                 Ok(Cli {
                     command: Command::Serve {
@@ -370,9 +356,7 @@ impl Cli {
                         follow: flag_value(&flags, "--follow").map(str::to_owned),
                         segment_bytes: optional_u64(&flags, "--segment-bytes")?,
                         promote_timeout_ms: optional_u64(&flags, "--promote-timeout-ms")?,
-                        frontend,
                         max_conns: optional_usize(&flags, "--max-conns")?.unwrap_or(0),
-                        event_loops,
                         idle_timeout_ms: optional_u64(&flags, "--idle-timeout-ms")?,
                         read_deadline_ms: optional_u64(&flags, "--read-deadline-ms")?,
                     },
@@ -523,6 +507,36 @@ fn positionals_and_flags<I: Iterator<Item = String>>(
 }
 
 /// Collects `(--flag value)*` for subcommands without a positional file.
+/// The flags `serve` understands.
+const SERVE_FLAGS: &[&str] = &[
+    "--addr",
+    "--workers",
+    "--queue-depth",
+    "--deadline-ms",
+    "--state-dir",
+    "--cache-entries",
+    "--slow-ms",
+    "--trace",
+    "--follow",
+    "--segment-bytes",
+    "--promote-timeout-ms",
+    "--max-conns",
+    "--idle-timeout-ms",
+    "--read-deadline-ms",
+];
+
+/// Rejects any flag outside `known`, so a removed or misspelled flag is an
+/// error instead of being silently ignored.
+fn known_flags(flags: &Flags, known: &[&str]) -> Result<(), String> {
+    match flags
+        .iter()
+        .find(|(flag, _)| !known.contains(&flag.as_str()))
+    {
+        Some((flag, _)) => Err(format!("unknown flag `{flag}`")),
+        None => Ok(()),
+    }
+}
+
 fn flags_only<I: Iterator<Item = String>>(it: &mut I) -> Result<Flags, String> {
     let mut flags = Vec::new();
     while let Some(flag) = it.next() {
@@ -672,9 +686,7 @@ mod tests {
                 follow: None,
                 segment_bytes: None,
                 promote_timeout_ms: None,
-                frontend: Frontend::Threads,
                 max_conns: 0,
-                event_loops: 1,
                 idle_timeout_ms: None,
                 read_deadline_ms: None,
             }
@@ -703,12 +715,8 @@ mod tests {
             "65536",
             "--promote-timeout-ms",
             "3000",
-            "--frontend",
-            "event",
             "--max-conns",
             "20000",
-            "--event-loops",
-            "2",
             "--idle-timeout-ms",
             "60000",
             "--read-deadline-ms",
@@ -729,9 +737,7 @@ mod tests {
                 follow: Some("10.0.0.9:7400".into()),
                 segment_bytes: Some(65536),
                 promote_timeout_ms: Some(3000),
-                frontend: Frontend::Event,
                 max_conns: 20000,
-                event_loops: 2,
                 idle_timeout_ms: Some(60000),
                 read_deadline_ms: Some(5000),
             }
@@ -739,8 +745,12 @@ mod tests {
         assert!(parse(&["serve", "--workers", "0"]).is_err());
         assert!(parse(&["serve", "stray"]).is_err());
         assert!(parse(&["serve", "--trace", "maybe"]).is_err());
-        assert!(parse(&["serve", "--frontend", "uring"]).is_err());
-        assert!(parse(&["serve", "--event-loops", "0"]).is_err());
+        // The event loop is the only front end: the flags that picked
+        // another, or several loops, are gone.
+        for removed in [["--frontend", "event"], ["--event-loops", "1"]] {
+            let err = parse(&["serve", removed[0], removed[1]]).unwrap_err();
+            assert_eq!(err, format!("unknown flag `{}`", removed[0]));
+        }
     }
 
     #[test]

@@ -73,9 +73,7 @@ pub fn run<W: Write>(cli: &Cli, out: &mut W) -> ExitCode {
             follow,
             segment_bytes,
             promote_timeout_ms,
-            frontend,
             max_conns,
-            event_loops,
             idle_timeout_ms,
             read_deadline_ms,
         } => serve(
@@ -91,9 +89,7 @@ pub fn run<W: Write>(cli: &Cli, out: &mut W) -> ExitCode {
                 follow: follow.as_deref(),
                 segment_bytes: *segment_bytes,
                 promote_timeout_ms: *promote_timeout_ms,
-                frontend: *frontend,
                 max_conns: *max_conns,
-                event_loops: *event_loops,
                 idle_timeout_ms: *idle_timeout_ms,
                 read_deadline_ms: *read_deadline_ms,
             },
@@ -120,9 +116,7 @@ struct ServeOptions<'a> {
     follow: Option<&'a str>,
     segment_bytes: Option<u64>,
     promote_timeout_ms: Option<u64>,
-    frontend: ringrt_service::Frontend,
     max_conns: usize,
-    event_loops: usize,
     idle_timeout_ms: Option<u64>,
     read_deadline_ms: Option<u64>,
 }
@@ -140,9 +134,7 @@ fn serve<W: Write>(opts: ServeOptions<'_>, out: &mut W) -> ExitCode {
         follow,
         segment_bytes,
         promote_timeout_ms,
-        frontend,
         max_conns,
-        event_loops,
         idle_timeout_ms,
         read_deadline_ms,
     } = opts;
@@ -159,9 +151,7 @@ fn serve<W: Write>(opts: ServeOptions<'_>, out: &mut W) -> ExitCode {
         follow: follow.map(str::to_owned),
         segment_bytes,
         promote_timeout_ms,
-        frontend,
         max_conns,
-        event_loops,
         idle_timeout_ms,
         read_deadline_ms: read_deadline_ms.unwrap_or(defaults.read_deadline_ms),
         ..defaults
@@ -182,10 +172,8 @@ fn serve<W: Write>(opts: ServeOptions<'_>, out: &mut W) -> ExitCode {
         ),
         None => writeln!(
             out,
-            "listening on {} ({} front end, {workers} workers, queue depth {queue_depth}); \
-             send SHUTDOWN to stop",
+            "listening on {} ({workers} workers, queue depth {queue_depth}); send SHUTDOWN to stop",
             server.addr(),
-            frontend.token()
         ),
     };
     let _ = out.flush();

@@ -8,7 +8,8 @@
 //! holds response bytes that did not fit in the socket's send buffer and
 //! flushes them as writable readiness arrives.
 
-use std::io::{self, Write};
+use std::borrow::Cow;
+use std::io::{self, BufRead, Write};
 
 /// Raised when a peer exceeds the configured line-length cap without
 /// sending a terminating newline.
@@ -59,30 +60,45 @@ impl LineBuffer {
     }
 
     /// Pops the next complete line, stripped of `\n` (and a preceding
-    /// `\r`, for telnet-style clients).
+    /// `\r`, for telnet-style clients). Invalid UTF-8 is replaced, not
+    /// rejected; a valid line is borrowed from the buffer, not copied.
     ///
     /// Returns `Ok(None)` when no full line is buffered yet and
     /// `Err(LineTooLong)` once the unterminated tail exceeds the cap —
     /// at which point the connection should be answered with an error
     /// and closed, since resynchronizing mid-line is impossible.
-    pub fn next_line(&mut self) -> Result<Option<String>, LineTooLong> {
+    pub fn next_line(&mut self) -> Result<Option<Cow<'_, str>>, LineTooLong> {
         let tail = &self.buf[self.start..];
-        match tail.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if pos > self.max_line {
-                    return Err(LineTooLong { max: self.max_line });
-                }
-                let mut end = pos;
-                if end > 0 && tail[end - 1] == b'\r' {
-                    end -= 1;
-                }
-                let line = String::from_utf8_lossy(&tail[..end]).into_owned();
-                self.start += pos + 1;
-                Ok(Some(line))
+        // `BufRead` on a byte slice finds the newline with the platform
+        // `memchr`: several times faster than a byte-at-a-time scan on
+        // the kilobyte-long lines a large message set makes.
+        let mut rest = tail;
+        let taken = rest
+            .skip_until(b'\n')
+            .expect("reading from a byte slice cannot fail");
+        if taken == 0 || tail[taken - 1] != b'\n' {
+            if tail.len() > self.max_line {
+                return Err(LineTooLong { max: self.max_line });
             }
-            None if tail.len() > self.max_line => Err(LineTooLong { max: self.max_line }),
-            None => Ok(None),
+            return Ok(None);
         }
+        let pos = taken - 1;
+        if pos > self.max_line {
+            return Err(LineTooLong { max: self.max_line });
+        }
+        let end = if pos > 0 && tail[pos - 1] == b'\r' {
+            pos - 1
+        } else {
+            pos
+        };
+        self.start += taken;
+        let line = &tail[..end];
+        // Strict validation first: it is several times faster than the
+        // lossy scan on the valid lines every well-behaved client sends.
+        Ok(Some(match std::str::from_utf8(line) {
+            Ok(text) => Cow::Borrowed(text),
+            Err(_) => String::from_utf8_lossy(line),
+        }))
     }
 
     /// True when bytes of an unterminated line are pending — the state

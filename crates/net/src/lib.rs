@@ -1,11 +1,11 @@
 //! Std-only readiness event-loop primitives for the ringrt service.
 //!
-//! The admission service historically ran one blocking thread per
-//! connection, which caps the client population a node can hold at
-//! thread-spawn scale. This crate supplies the pieces of a classic
-//! readiness loop — the shape that holds 10⁵ connections per node —
-//! without adding any external dependency, in keeping with the
-//! workspace's offline vendoring discipline:
+//! A thread per connection caps the client population a node can hold
+//! at thread-spawn scale, so the admission service serves every
+//! connection from one readiness loop. This crate supplies the pieces of
+//! that loop — the shape that holds 10⁵ connections per node — without
+//! adding any external dependency, in keeping with the workspace's
+//! offline vendoring discipline:
 //!
 //! - [`Poller`] — a level-triggered epoll instance behind a safe API
 //!   ([`Poller::register`] / [`Poller::wait`]); the only `unsafe` in the
@@ -24,8 +24,8 @@
 //!   size themselves to what the host allows.
 //!
 //! Only [`Poller`] and [`Waker`] require Linux; on other targets their
-//! constructors return [`std::io::ErrorKind::Unsupported`] and the
-//! service falls back to its blocking thread-per-connection front end.
+//! constructors return [`std::io::ErrorKind::Unsupported`], and so does
+//! the service's `spawn`.
 //! The framing buffers, wheel, and table are pure data structures and
 //! work (and are tested) everywhere.
 //!
@@ -36,7 +36,7 @@
 //! use std::sync::Arc;
 //! use std::time::Duration;
 //!
-//! let poller = Poller::new(1024)?;
+//! let mut poller = Poller::new(1024)?;
 //! let waker = Arc::new(Waker::new()?);
 //! waker.register(&poller, Token(u64::MAX))?;
 //!

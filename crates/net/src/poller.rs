@@ -37,10 +37,13 @@ impl Interest {
         writable: true,
     };
 
+    /// Peer half-close is requested only alongside readability: a
+    /// connection that stopped reading must not be re-woken, level-
+    /// triggered, by a half-close it will not act on until it reads again.
     fn bits(self) -> u32 {
         let mut bits = 0;
         if self.readable {
-            bits |= sys::READABLE;
+            bits |= sys::READABLE | sys::PEER_CLOSED;
         }
         if self.writable {
             bits |= sys::WRITABLE;
@@ -58,8 +61,9 @@ pub struct Event {
     pub readable: bool,
     /// The fd is writable.
     pub writable: bool,
-    /// The peer hung up or the fd errored; the connection should be torn
-    /// down after draining whatever `read` still returns.
+    /// The peer hung up (either direction) or the fd errored; the
+    /// connection should be torn down after draining whatever `read`
+    /// still returns.
     pub hangup: bool,
 }
 
@@ -69,10 +73,13 @@ pub struct Event {
 /// framing buffers it means a registration never needs the "read until
 /// EAGAIN or lose the wakeup" discipline of edge-triggered loops, and a
 /// partially consumed buffer simply re-reports on the next wait.
+///
+/// The kernel-facing event array is allocated once, at construction, and
+/// reused by every [`Poller::wait`].
 #[derive(Debug)]
 pub struct Poller {
     epfd: i32,
-    capacity: usize,
+    raw: Vec<sys::EpollEvent>,
 }
 
 impl Poller {
@@ -83,7 +90,7 @@ impl Poller {
         let epfd = sys::epoll_create()?;
         Ok(Poller {
             epfd,
-            capacity: capacity.clamp(1, 4096),
+            raw: vec![sys::EpollEvent::default(); capacity.clamp(1, 4096)],
         })
     }
 
@@ -106,11 +113,16 @@ impl Poller {
         sys::epoll_del(self.epfd, fd)
     }
 
-    /// Blocks until readiness or `timeout`, appending events to `events`.
+    /// Blocks until readiness or `timeout`, replacing the contents of
+    /// `events`.
     ///
     /// Returns the number of events delivered. A timeout (or EINTR)
     /// delivers zero events and is not an error.
-    pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
+    pub fn wait(
+        &mut self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         let timeout_ms: i32 = match timeout {
             None => -1,
             Some(t) => {
@@ -123,18 +135,20 @@ impl Poller {
                 i32::try_from(ms).unwrap_or(i32::MAX)
             }
         };
-        let mut raw = Vec::new();
-        sys::epoll_wait_into(self.epfd, &mut raw, self.capacity, timeout_ms)?;
+        let n = sys::epoll_wait_into(self.epfd, &mut self.raw, timeout_ms)?;
         events.clear();
-        for (data, bits) in raw {
-            events.push(Event {
+        events.extend(self.raw[..n].iter().map(|ev| {
+            // Copy out of the (possibly packed) struct before use.
+            let (data, bits) = (ev.data, ev.events);
+            let hangup = sys::HANGUP | sys::PEER_CLOSED | sys::ERROR;
+            Event {
                 token: Token(data),
-                readable: bits & (sys::READABLE | sys::HANGUP | sys::ERROR) != 0,
+                readable: bits & (sys::READABLE | hangup) != 0,
                 writable: bits & sys::WRITABLE != 0,
-                hangup: bits & (sys::HANGUP | sys::ERROR) != 0,
-            });
-        }
-        Ok(events.len())
+                hangup: bits & hangup != 0,
+            }
+        }));
+        Ok(n)
     }
 }
 
@@ -159,7 +173,7 @@ mod tests {
         let (server, _) = listener.accept().unwrap();
         server.set_nonblocking(true).unwrap();
 
-        let poller = Poller::new(16).unwrap();
+        let mut poller = Poller::new(16).unwrap();
         poller
             .register(server.as_raw_fd(), Token(7), Interest::READ)
             .unwrap();
@@ -207,7 +221,7 @@ mod tests {
         let (server, _) = listener.accept().unwrap();
         server.set_nonblocking(true).unwrap();
 
-        let poller = Poller::new(16).unwrap();
+        let mut poller = Poller::new(16).unwrap();
         poller
             .register(server.as_raw_fd(), Token(1), Interest::READ)
             .unwrap();

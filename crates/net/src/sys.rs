@@ -11,8 +11,8 @@
 //! carries `#![forbid(unsafe_code)]`) sees only those wrappers.
 //!
 //! On non-Linux targets the entry points exist but return
-//! [`std::io::ErrorKind::Unsupported`], so the crate compiles everywhere
-//! and callers can fall back to the blocking front end.
+//! [`std::io::ErrorKind::Unsupported`], so the crate compiles everywhere;
+//! the service then refuses to start.
 
 use std::io;
 
@@ -26,12 +26,25 @@ pub const READABLE: u32 = 0x001;
 pub const WRITABLE: u32 = 0x004;
 /// Error condition (maps to `EPOLLERR`; always reported, never requested).
 pub const ERROR: u32 = 0x008;
-/// Peer hangup (maps to `EPOLLHUP | EPOLLRDHUP`).
-pub const HANGUP: u32 = 0x010 | 0x2000;
+/// Full hangup (maps to `EPOLLHUP`; always reported, never requested).
+pub const HANGUP: u32 = 0x010;
+/// Peer closed its write side (maps to `EPOLLRDHUP`; reported only when
+/// requested).
+pub const PEER_CLOSED: u32 = 0x2000;
+
+/// Kernel `struct epoll_event`: packed on x86-64, naturally aligned on
+/// the other architectures (mirrors the C headers).
+#[repr(C)]
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EpollEvent {
+    pub events: u32,
+    pub data: u64,
+}
 
 #[cfg(target_os = "linux")]
 mod imp {
-    use super::{io, RawFd, HANGUP};
+    use super::{io, EpollEvent, RawFd};
     use std::os::raw::{c_int, c_void};
 
     const EPOLL_CTL_ADD: c_int = 1;
@@ -41,16 +54,6 @@ mod imp {
     const EPOLL_CLOEXEC: c_int = 0o2_000_000;
     const O_NONBLOCK: c_int = 0o4_000;
     const RLIMIT_NOFILE: c_int = 7;
-
-    /// Kernel `struct epoll_event`: packed on x86-64, naturally aligned on
-    /// the other architectures (mirrors the C headers).
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
 
     #[repr(C)]
     struct Rlimit {
@@ -96,41 +99,32 @@ mod imp {
     }
 
     pub fn epoll_add(epfd: RawFd, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
-        epoll_update(epfd, EPOLL_CTL_ADD, fd, events | HANGUP, data)
+        epoll_update(epfd, EPOLL_CTL_ADD, fd, events, data)
     }
 
     pub fn epoll_mod(epfd: RawFd, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
-        epoll_update(epfd, EPOLL_CTL_MOD, fd, events | HANGUP, data)
+        epoll_update(epfd, EPOLL_CTL_MOD, fd, events, data)
     }
 
     pub fn epoll_del(epfd: RawFd, fd: RawFd) -> io::Result<()> {
         epoll_update(epfd, EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Waits for readiness, filling `out` with `(data, event-bits)` pairs.
+    /// Waits for readiness, filling the front of `out`; returns how many
+    /// entries the kernel wrote.
     pub fn epoll_wait_into(
         epfd: RawFd,
-        out: &mut Vec<(u64, u32)>,
-        capacity: usize,
+        out: &mut [EpollEvent],
         timeout_ms: i32,
-    ) -> io::Result<()> {
-        out.clear();
-        let mut raw: Vec<EpollEvent> = vec![EpollEvent { events: 0, data: 0 }; capacity.max(1)];
-        // SAFETY: `raw` is a live, writable buffer of `raw.len()` events;
-        // the kernel writes at most `maxevents` entries.
-        let n = match cvt(unsafe {
-            epoll_wait(epfd, raw.as_mut_ptr(), raw.len() as c_int, timeout_ms)
-        }) {
-            Ok(n) => n as usize,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-            Err(e) => return Err(e),
-        };
-        for ev in &raw[..n] {
-            // Copy out of the (possibly packed) struct before use.
-            let (data, events) = (ev.data, ev.events);
-            out.push((data, events));
+    ) -> io::Result<usize> {
+        let max = c_int::try_from(out.len()).unwrap_or(c_int::MAX);
+        // SAFETY: `out` is a live, writable buffer of at least `max`
+        // events; the kernel writes at most `max` entries.
+        match cvt(unsafe { epoll_wait(epfd, out.as_mut_ptr(), max, timeout_ms) }) {
+            Ok(n) => Ok(n as usize),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
+            Err(e) => Err(e),
         }
-        Ok(())
     }
 
     /// Creates a nonblocking close-on-exec pipe, returning `(read, write)`.
@@ -187,7 +181,7 @@ mod imp {
 
 #[cfg(not(target_os = "linux"))]
 mod imp {
-    use super::{io, RawFd};
+    use super::{io, EpollEvent, RawFd};
 
     fn unsupported<T>() -> io::Result<T> {
         Err(io::Error::new(
@@ -208,7 +202,7 @@ mod imp {
     pub fn epoll_del(_: RawFd, _: RawFd) -> io::Result<()> {
         unsupported()
     }
-    pub fn epoll_wait_into(_: RawFd, _: &mut Vec<(u64, u32)>, _: usize, _: i32) -> io::Result<()> {
+    pub fn epoll_wait_into(_: RawFd, _: &mut [EpollEvent], _: i32) -> io::Result<usize> {
         unsupported()
     }
     pub fn nonblocking_pipe() -> io::Result<(RawFd, RawFd)> {

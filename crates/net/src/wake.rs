@@ -71,7 +71,7 @@ mod tests {
 
     #[test]
     fn wake_unblocks_wait_and_drain_quiesces() {
-        let poller = Poller::new(8).unwrap();
+        let mut poller = Poller::new(8).unwrap();
         let waker = Arc::new(Waker::new().unwrap());
         waker.register(&poller, Token(u64::MAX)).unwrap();
 

@@ -8,8 +8,8 @@
 //! order hit the same entry.
 //!
 //! The map is split into [`SHARDS`] independently locked shards (hash of
-//! the key picks the shard) so concurrent workers and connection threads
-//! rarely contend on the same mutex. Each shard holds at most
+//! the key picks the shard) so the workers and the event loop rarely
+//! contend on the same mutex. Each shard holds at most
 //! `capacity / SHARDS` entries; inserting into a full shard evicts its
 //! least-recently-used entry (recency is a global atomic tick stamped on
 //! every hit), so a long-running server's memory stays bounded no matter

@@ -1,96 +1,131 @@
-//! The epoll event-loop connection front end (`--frontend=event`).
+//! The connection front end: one epoll readiness loop that owns the
+//! listener and every client socket.
 //!
-//! Each loop owns a [`Poller`], a wakeup pipe, a bounded [`ConnTable`] of
-//! nonblocking sockets, and a coarse [`IdleWheel`]; the acceptor
-//! round-robins new sockets to the loops over an injection channel. The
-//! loop parses newline-framed requests out of whatever byte fragments
-//! arrive, answers cheap requests inline (same [`handle_request`] path as
-//! the blocking front end), and submits analysis work to the shared worker
-//! queue with [`SubmitMode::Queue`]; workers push the finished text back
-//! over the loop's completion channel and wake it through the pipe.
+//! The loop accepts connections, parses newline-framed requests out of
+//! whatever byte fragments arrive, answers cheap requests inline
+//! ([`handle_request`]), and submits analysis work to the shared worker
+//! queue; workers push the finished text onto the server's completion
+//! queue and wake the loop through a pipe.
 //!
 //! # fd ownership
 //!
-//! A socket is owned by exactly one party at a time: the acceptor (between
-//! `accept` and injection), then the loop's connection table, and — for a
-//! connection that issues `SYNC` — a dedicated ship thread after the loop
-//! deregisters the fd and flips it back to blocking. Closing is always by
-//! drop of the owning [`TcpStream`]; the loop deregisters from epoll first
-//! so a recycled fd number cannot surface stale readiness (and the
-//! generation-stamped [`ConnTable`] tokens make any already-drained stale
-//! event miss).
+//! A socket is owned by exactly one party at a time: the loop's connection
+//! table from `accept` on, and — for a connection that issues `SYNC` — a
+//! dedicated ship thread after the loop deregisters the fd and flips it
+//! back to blocking. Closing is always by drop of the owning
+//! [`TcpStream`]; the loop deregisters from epoll first so a recycled fd
+//! number cannot surface stale readiness (and the generation-stamped
+//! [`ConnTable`] tokens make any already-drained stale event miss).
 //!
 //! # Ordering
 //!
 //! Pipelined requests on one connection are answered in arrival order: the
 //! per-connection reply queue holds one entry per request (a `BATCH`
-//! collapses to one entry), and only the *front* entry may flush. A slow
-//! analysis therefore delays later replies on its own connection — exactly
-//! the contract the blocking front end provides — while other connections
-//! proceed.
+//! collapses to one entry, written in one go), and only the *front* entry
+//! may flush. A slow analysis therefore delays later replies on its own
+//! connection while other connections proceed.
+//!
+//! # Backpressure
+//!
+//! A client that pipelines requests without reading the replies would make
+//! the loop buffer replies without bound. Once a connection's unflushed
+//! reply bytes reach [`OUT_CAP`], the loop stops reading and parsing its
+//! input (`read_paused` counts each pause) until the replies have drained.
+//! A `BATCH` is the one exception: it is read to its last line, since its
+//! replies leave only together; `MAX_BATCH` bounds what it can hold.
 //!
 //! # Shutdown
 //!
-//! On shutdown the acceptor stops injecting; the loop keeps pumping until
-//! every connection has no reply in flight and no unflushed bytes, closing
-//! each as it drains (workers drain the queue fully, so every awaited
-//! completion arrives). Connections still waiting after
+//! On shutdown the loop closes the listener and stops reading; it keeps
+//! pumping until every connection has no reply in flight and no unflushed
+//! bytes, closing each as it drains (workers drain the queue fully, so
+//! every awaited completion arrives). Connections still waiting after
 //! [`EXECUTION_GRACE`] are force-closed. The loop thread exits once its
-//! table is empty; [`ServerHandle::wait`](crate::server::ServerHandle)
-//! joins loops before workers so completions keep flowing during the
-//! drain.
+//! table is empty, after joining the ship threads it detached.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ringrt_net::{
-    ConnTable, Event, IdleWheel, Interest, LineBuffer, Poller, Token, Waker, WriteBuffer,
-};
+use ringrt_net::{ConnTable, Event, IdleWheel, Interest, LineBuffer, Poller, Token, WriteBuffer};
 use ringrt_registry::ShipSubscription;
 
 use crate::metrics::Stage;
 use crate::protocol::{CommandKind, MAX_LINE_BYTES};
 use crate::server::{
-    handle_request, record_completed, serve_ship, Completion, Handled, QueueTicket, Response,
-    Shared, SubmitMode, EXECUTION_GRACE, POLL_INTERVAL,
+    handle_request, record_completed, serve_ship, Completion, Handled, ReplyTo, Response, Shared,
+    EXECUTION_GRACE, POLL_INTERVAL,
 };
 
-/// Reserved token for the wakeup pipe; connection tokens are
-/// `(generation << 32) | index` and can never collide with it.
+/// Reserved tokens for the wakeup pipe and the listener; connection tokens
+/// are `(generation << 32) | index` and can never collide with them.
 const WAKE_TOKEN: Token = Token(u64::MAX);
+const LISTEN_TOKEN: Token = Token(u64::MAX - 1);
+/// Readiness events collected per `epoll_wait`.
+const EVENTS_PER_WAIT: usize = 1024;
 /// Read granularity per readiness event.
 const READ_CHUNK: usize = 16 * 1024;
 /// Reads taken per readable event before yielding to other connections;
 /// level-triggered epoll re-reports anything left unread.
 const MAX_READS_PER_EVENT: usize = 4;
+/// Accepts taken per listener event before serving other connections.
+const MAX_ACCEPTS_PER_EVENT: usize = 64;
+/// Unflushed reply bytes at which a connection stops being read: far above
+/// what a client that reads its replies leaves between two flushes, and
+/// small enough that thousands of stalled clients stay affordable.
+pub(crate) const OUT_CAP: usize = 64 * 1024;
 /// Timer-wheel shape: 64 slots × 100 ms ≈ 6.4 s horizon; longer deadlines
 /// surface early and re-arm (lazy revalidation).
 const WHEEL_SLOTS: usize = 64;
 const WHEEL_GRANULARITY: Duration = Duration::from_millis(100);
-/// How far out a connection with no armed deadline is rescheduled for a
-/// routine revalidation pass.
-const RECHECK: Duration = Duration::from_secs(30);
-/// Per-loop connection-table bound when `--max-conns` is unlimited.
+/// Connection-table bound when `--max-conns` is unlimited.
 const DEFAULT_TABLE_CAP: usize = 65_536;
 
-/// One reply position: already renderable, or awaiting a worker.
+/// One reply position: already rendered, or awaiting a worker.
 enum Part {
     Ready(String),
     Waiting {
         slot: u64,
         command: CommandKind,
         started: Instant,
+        /// The request line, kept only while the `--slow-ms` log is on.
+        request: Option<Box<str>>,
     },
 }
 
+/// A request line's arrival and text, taken only while the `--slow-ms` log
+/// is on.
+type SlowProbe = Option<(Instant, Box<str>)>;
+
+/// The `--slow-ms` log: one stderr line per request slower than the limit.
+fn log_if_slow(shared: &Shared, started: Instant, request: &str) {
+    if let Some(limit_ms) = shared.config.slow_ms {
+        let elapsed = started.elapsed();
+        if elapsed >= Duration::from_millis(limit_ms) {
+            eprintln!(
+                "ringrt-service: slow request ({} ms >= {limit_ms} ms): {request}",
+                elapsed.as_millis()
+            );
+        }
+    }
+}
+
+impl Part {
+    /// Reply bytes this position holds (the text and its newline).
+    fn held(&self) -> usize {
+        match self {
+            Part::Ready(text) => text.len() + 1,
+            Part::Waiting { .. } => 0,
+        }
+    }
+}
+
 /// One entry in a connection's in-order reply queue. A `BATCH` is a single
-/// entry so its replies leave in one write, like the blocking front end.
+/// entry so its replies leave in one write.
 enum Entry {
     Single(Part),
     Batch { parts: Vec<Part>, waiting: usize },
@@ -103,11 +138,18 @@ struct BatchInProgress {
     waiting: usize,
 }
 
-/// Per-connection state owned by one event loop.
+/// Per-connection state owned by the loop.
 struct Conn {
     stream: TcpStream,
     input: LineBuffer,
     out: WriteBuffer,
+    /// Whether `out` holds a reply the `respond` stage times. A cache hit
+    /// does not count: its one sampled `hit` span already covers the
+    /// whole reply (the zero-span fast path).
+    out_timed: bool,
+    /// Rendered reply bytes parked in `queue` or `batch` behind a reply a
+    /// worker still owes.
+    held: usize,
     queue: VecDeque<Entry>,
     batch: Option<BatchInProgress>,
     /// Next reply-slot id; completions match on `(token, slot)`.
@@ -115,10 +157,16 @@ struct Conn {
     last_activity: Instant,
     /// When the currently buffered partial line started (slow-loris clock).
     partial_since: Option<Instant>,
-    /// Whether the fd is currently registered for writable readiness.
-    writable_interest: bool,
+    /// The interest currently registered with the poller.
+    interest: Interest,
+    /// Unflushed replies reached [`OUT_CAP`]: input is neither read nor
+    /// parsed until they drain.
+    paused: bool,
+    /// The peer finished sending: lines already buffered are still
+    /// served, then the connection closes once its replies are written.
+    eof: bool,
     /// Close once the queue and write buffer drain (`SHUTDOWN` reply,
-    /// oversized line, pipelined-`SYNC` refusal).
+    /// oversized line, refused `SYNC`, peer EOF, server shutdown).
     closing: bool,
 }
 
@@ -128,14 +176,31 @@ impl Conn {
             stream,
             input: LineBuffer::new(MAX_LINE_BYTES),
             out: WriteBuffer::new(),
+            out_timed: false,
+            held: 0,
             queue: VecDeque::new(),
             batch: None,
             next_slot: 0,
             last_activity: now,
             partial_since: None,
-            writable_interest: false,
+            interest: Interest::READ,
+            paused: false,
+            eof: false,
             closing: false,
         }
+    }
+
+    fn reading(&self) -> bool {
+        !self.paused && !self.eof && !self.closing
+    }
+
+    fn unflushed(&self) -> usize {
+        self.out.pending_bytes() + self.held
+    }
+
+    /// Everything owed has been written.
+    fn drained(&self) -> bool {
+        self.queue.is_empty() && self.batch.is_none() && self.out.is_empty()
     }
 
     /// Replies still owed by workers (queue entries plus the open batch).
@@ -151,124 +216,265 @@ impl Conn {
             .sum();
         queued + self.batch.as_ref().map_or(0, |b| b.waiting)
     }
+
+    /// Stops serving input for good: an unfinished batch and a partial
+    /// line are dropped, and the connection closes once drained.
+    fn finish(&mut self) {
+        self.closing = true;
+        self.partial_since = None;
+        if let Some(batch) = self.batch.take() {
+            self.held -= batch.parts.iter().map(Part::held).sum::<usize>();
+        }
+    }
+
+    /// Counts a reply and appends it to the write buffer.
+    fn emit(&mut self, shared: &Shared, text: &str, timed: bool) {
+        shared.metrics.count_response(text);
+        self.out.push(text.as_bytes());
+        self.out.push(b"\n");
+        self.out_timed |= timed;
+    }
+
+    /// Appends a rendered reply: straight into the write buffer when
+    /// nothing is owed ahead of it, else in order behind the queue.
+    fn push_ready(&mut self, shared: &Shared, text: String, timed: bool) {
+        if self.batch.is_none() && self.queue.is_empty() {
+            self.emit(shared, &text, timed);
+        } else {
+            self.held += text.len() + 1;
+            self.push_part(Part::Ready(text));
+        }
+    }
+
+    /// Queues a reply position: into the open batch (which becomes one
+    /// queue entry once its last line has arrived), or as its own entry.
+    fn push_part(&mut self, part: Part) {
+        let Some(batch) = self.batch.as_mut() else {
+            self.queue.push_back(Entry::Single(part));
+            return;
+        };
+        if matches!(part, Part::Waiting { .. }) {
+            batch.waiting += 1;
+        }
+        batch.parts.push(part);
+        if batch.parts.len() >= batch.expected {
+            let done = self.batch.take().expect("batch checked above");
+            self.queue.push_back(Entry::Batch {
+                parts: done.parts,
+                waiting: done.waiting,
+            });
+        }
+    }
+
+    /// Files one handled request line's outcome in reply order. A `SYNC`
+    /// subscription outside a batch is handed back for the caller to
+    /// detach.
+    fn place(
+        &mut self,
+        shared: &Shared,
+        handled: Handled,
+        slot: u64,
+        slow: SlowProbe,
+    ) -> Option<Box<ShipSubscription>> {
+        let (text, timed) = match handled {
+            Handled::Queued { command, started } => {
+                self.next_slot += 1;
+                self.push_part(Part::Waiting {
+                    slot,
+                    command,
+                    started,
+                    request: slow.map(|(_, request)| request),
+                });
+                return None;
+            }
+            Handled::Ready(Response::Batch(expected)) if self.batch.is_none() => {
+                self.batch = Some(BatchInProgress {
+                    expected: expected.max(1),
+                    parts: Vec::with_capacity(expected.max(1)),
+                    waiting: 0,
+                });
+                return None;
+            }
+            Handled::Ready(Response::Ship(sub)) if self.batch.is_none() => return Some(sub),
+            // One framing level is enough; nesting would let a client
+            // demand unbounded buffering.
+            Handled::Ready(Response::Batch(_)) => {
+                ("ERR nested BATCH is not allowed".to_owned(), true)
+            }
+            // A ship stream takes over the whole connection; it cannot
+            // share one with framed batch replies.
+            Handled::Ready(Response::Ship(_)) => {
+                ("ERR SYNC is not allowed inside BATCH".to_owned(), true)
+            }
+            Handled::Ready(Response::Close) => {
+                self.closing = true;
+                (Response::Close.into_text(), true)
+            }
+            Handled::Ready(Response::Line(text)) => (text, true),
+            Handled::Ready(Response::Hit(text)) => (text, false),
+        };
+        if let Some((started, request)) = slow {
+            log_if_slow(shared, started, &request);
+        }
+        self.push_ready(shared, text, timed);
+        None
+    }
+
+    /// Fills the reply position waiting on `slot`, recording the request's
+    /// latency. `false` means no position waits on it (a stale completion
+    /// for a recycled connection slot — dropped).
+    fn fill(&mut self, shared: &Arc<Shared>, slot: u64, text: String) -> bool {
+        let waits = |p: &Part| matches!(p, Part::Waiting { slot: s, .. } if *s == slot);
+        let mut found: Option<(&mut Part, Option<&mut usize>)> = None;
+        for entry in &mut self.queue {
+            match entry {
+                Entry::Single(part) if waits(part) => {
+                    found = Some((part, None));
+                    break;
+                }
+                Entry::Batch { parts, waiting } => {
+                    if let Some(part) = parts.iter_mut().find(|p| waits(p)) {
+                        found = Some((part, Some(waiting)));
+                        break;
+                    }
+                }
+                Entry::Single(_) => {}
+            }
+        }
+        if found.is_none() {
+            if let Some(batch) = self.batch.as_mut() {
+                if let Some(part) = batch.parts.iter_mut().find(|p| waits(p)) {
+                    found = Some((part, Some(&mut batch.waiting)));
+                }
+            }
+        }
+        let Some((part, waiting)) = found else {
+            return false;
+        };
+        if let Part::Waiting {
+            command,
+            started,
+            request,
+            ..
+        } = part
+        {
+            record_completed(shared, *command, *started, &text);
+            if let Some(request) = request {
+                log_if_slow(shared, *started, request);
+            }
+        }
+        if let Some(waiting) = waiting {
+            *waiting -= 1;
+        }
+        self.held += text.len() + 1;
+        *part = Part::Ready(text);
+        true
+    }
+
+    /// Moves every fully ready front-of-queue entry into the write buffer.
+    fn pump(&mut self, shared: &Shared) {
+        while let Some(front) = self.queue.front() {
+            let ready = matches!(
+                front,
+                Entry::Single(Part::Ready(_)) | Entry::Batch { waiting: 0, .. }
+            );
+            if !ready {
+                break;
+            }
+            match self.queue.pop_front() {
+                Some(Entry::Single(part)) => self.emit_part(shared, part),
+                Some(Entry::Batch { parts, .. }) => {
+                    for part in parts {
+                        self.emit_part(shared, part);
+                    }
+                }
+                None => unreachable!("front checked above"),
+            }
+        }
+    }
+
+    /// Moves one parked reply into the write buffer.
+    fn emit_part(&mut self, shared: &Shared, part: Part) {
+        self.held -= part.held();
+        let Part::Ready(text) = part else {
+            unreachable!("a ready entry has no waiting part")
+        };
+        self.emit(shared, &text, true);
+    }
 }
 
 #[cfg(unix)]
-fn raw_fd(stream: &TcpStream) -> i32 {
-    std::os::unix::io::AsRawFd::as_raw_fd(stream)
+fn raw_fd(fd: &impl std::os::unix::io::AsRawFd) -> i32 {
+    fd.as_raw_fd()
 }
 
 #[cfg(not(unix))]
-fn raw_fd(_stream: &TcpStream) -> i32 {
-    // Unreachable in practice: Poller::new already failed with
-    // `Unsupported` on non-unix targets, so no loop ever runs.
+fn raw_fd<T>(_fd: &T) -> i32 {
+    // Unreachable in practice: `Waker::new` already failed with
+    // `Unsupported` on non-unix targets, so no loop is ever built.
     -1
 }
 
-/// Handle for the acceptor to push a fresh socket to a loop.
-pub(crate) struct Injector {
-    tx: mpsc::Sender<TcpStream>,
-    waker: Arc<Waker>,
-}
-
-impl Injector {
-    /// Transfers the socket; `false` means the loop is gone (shutdown
-    /// race) and the caller keeps ownership implicitly by the drop.
-    pub(crate) fn send(&self, stream: TcpStream) -> bool {
-        if self.tx.send(stream).is_err() {
-            return false;
-        }
-        self.waker.wake();
-        true
-    }
-}
-
-/// One spawned event loop, joinable at shutdown.
-pub(crate) struct LoopHandle {
-    tx: mpsc::Sender<TcpStream>,
-    waker: Arc<Waker>,
-    thread: JoinHandle<()>,
-}
-
-impl LoopHandle {
-    pub(crate) fn injector(&self) -> Injector {
-        Injector {
-            tx: self.tx.clone(),
-            waker: Arc::clone(&self.waker),
-        }
-    }
-
-    /// Nudges the loop (it may be parked in `epoll_wait`) and waits for it
-    /// to drain its connections and exit.
-    pub(crate) fn join(self) {
-        self.waker.wake();
-        let _ = self.thread.join();
-    }
-}
-
-/// Creates `count` event loops. The epoll instance and wakeup pipe are
-/// created on the caller's thread so an unsupported platform or fd
-/// exhaustion surfaces as a bind-time error, not a dead loop.
-pub(crate) fn spawn_loops(
-    shared: &Arc<Shared>,
-    count: usize,
-    connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) -> std::io::Result<Vec<LoopHandle>> {
-    // Best effort: the whole point of this front end is holding more
-    // sockets than the default soft fd limit allows.
-    let _ = ringrt_net::rlimit::raise_nofile_to_hard();
-    let capacity = if shared.config.max_conns > 0 {
-        shared.config.max_conns
-    } else {
-        DEFAULT_TABLE_CAP
-    };
-    let mut loops = Vec::with_capacity(count);
-    for i in 0..count {
-        let poller = Poller::new(1024)?;
-        let waker = Arc::new(Waker::new()?);
-        waker.register(&poller, WAKE_TOKEN)?;
-        let (tx, inject_rx) = mpsc::channel();
-        let (completion_tx, completion_rx) = mpsc::channel();
-        let event_loop = EventLoop {
-            shared: Arc::clone(shared),
-            poller,
-            waker: Arc::clone(&waker),
-            inject_rx,
-            completion_tx,
-            completion_rx,
-            table: ConnTable::new(capacity),
-            wheel: IdleWheel::new(WHEEL_SLOTS, WHEEL_GRANULARITY, Instant::now()),
-            connections: Arc::clone(connections),
-        };
-        let thread = std::thread::Builder::new()
-            .name(format!("ringrt-loop-{i}"))
-            .spawn(move || event_loop.run())?;
-        loops.push(LoopHandle { tx, waker, thread });
-    }
-    Ok(loops)
-}
-
-struct EventLoop {
+/// The server's one event loop.
+pub(crate) struct EventLoop {
     shared: Arc<Shared>,
     poller: Poller,
-    waker: Arc<Waker>,
-    inject_rx: mpsc::Receiver<TcpStream>,
-    completion_tx: mpsc::Sender<Completion>,
-    completion_rx: mpsc::Receiver<Completion>,
+    /// `None` once shutdown began.
+    listener: Option<TcpListener>,
+    /// Set after `accept` failed hard (fd exhaustion): the listener is out
+    /// of the poller until then, so its readiness cannot spin the loop.
+    accept_paused_until: Option<Instant>,
     table: ConnTable<Conn>,
     wheel: IdleWheel,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// The one read buffer every connection reads into, allocated once.
+    read_buf: Vec<u8>,
+    /// Completions taken from the server, reused across wakeups.
+    completed: Vec<Completion>,
+    /// Detached `SYNC` ship threads, joined when the loop exits.
+    ships: Vec<JoinHandle<()>>,
 }
 
 impl EventLoop {
-    fn run(mut self) {
-        let mut events: Vec<Event> = Vec::new();
+    /// Builds the loop around `listener`. Runs on the spawning thread, so
+    /// fd exhaustion is a spawn-time error, not a dead loop.
+    pub(crate) fn new(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<EventLoop> {
+        // Best effort: the loop exists to hold more sockets than the
+        // default soft fd limit allows.
+        let _ = ringrt_net::rlimit::raise_nofile_to_hard();
+        let poller = Poller::new(EVENTS_PER_WAIT)?;
+        shared.waker.register(&poller, WAKE_TOKEN)?;
+        poller.register(raw_fd(&listener), LISTEN_TOKEN, Interest::READ)?;
+        let capacity = match shared.config.max_conns {
+            0 => DEFAULT_TABLE_CAP,
+            cap => cap,
+        };
+        Ok(EventLoop {
+            shared,
+            poller,
+            listener: Some(listener),
+            accept_paused_until: None,
+            table: ConnTable::new(capacity),
+            wheel: IdleWheel::new(WHEEL_SLOTS, WHEEL_GRANULARITY, Instant::now()),
+            read_buf: vec![0; READ_CHUNK],
+            completed: Vec::new(),
+            ships: Vec::new(),
+        })
+    }
+
+    pub(crate) fn run(mut self) {
+        let mut events: Vec<Event> = Vec::with_capacity(EVENTS_PER_WAIT);
         let mut due: Vec<u64> = Vec::new();
         let mut shutdown_since: Option<Instant> = None;
         loop {
+            // With no deadline armed the loop sleeps until an event: shutdown
+            // and completions arrive through the waker. Leaving the wait
+            // untimed also spares the kernel a timer per wakeup.
+            let timed = !self.wheel.is_empty()
+                || self.accept_paused_until.is_some()
+                || shutdown_since.is_some();
             let n = self
                 .poller
-                .wait(&mut events, Some(POLL_INTERVAL))
+                .wait(&mut events, timed.then_some(POLL_INTERVAL))
                 .unwrap_or(0);
             if n > 0 {
                 let conns = &self.shared.metrics.conns;
@@ -277,241 +483,302 @@ impl EventLoop {
                     .loop_ready_events
                     .fetch_add(n as u64, Ordering::Relaxed);
             }
+            let mut woken = false;
             for event in &events {
-                if event.token == WAKE_TOKEN {
-                    self.waker.drain();
-                } else {
-                    self.handle_event(event);
+                match event.token {
+                    WAKE_TOKEN => woken = true,
+                    LISTEN_TOKEN => self.accept_ready(),
+                    token => self.handle_event(token, event),
                 }
             }
-            self.drain_completions();
-            self.drain_injections();
+            if woken {
+                // Pipe first, then queue: a completion pushed after the
+                // drain re-arms the pipe, so none is stranded.
+                self.shared.waker.drain();
+                self.drain_completions();
+            }
             self.sweep_timers(&mut due);
+            if self
+                .accept_paused_until
+                .is_some_and(|t| Instant::now() >= t)
+            {
+                self.accept_paused_until = None;
+                if let Some(listener) = &self.listener {
+                    let _ = self
+                        .poller
+                        .register(raw_fd(listener), LISTEN_TOKEN, Interest::READ);
+                }
+            }
             if self.shared.shutting_down() {
-                let since = *shutdown_since.get_or_insert_with(Instant::now);
+                let since = match shutdown_since {
+                    Some(since) => since,
+                    None => {
+                        self.stop_accepting();
+                        *shutdown_since.insert(Instant::now())
+                    }
+                };
                 self.drain_shutdown(since);
                 if self.table.is_empty() {
-                    // Late-race injections (acceptor mid-accept when the
-                    // flag flipped) are dropped, not served.
-                    while let Ok(stream) = self.inject_rx.try_recv() {
-                        drop(stream);
-                        self.shared
-                            .metrics
-                            .conns
-                            .open
-                            .fetch_sub(1, Ordering::Relaxed);
-                    }
                     break;
                 }
             }
         }
-    }
-
-    fn handle_event(&mut self, event: &Event) {
-        let token = event.token;
-        if event.readable || event.hangup {
-            // A hangup still lets `read` drain buffered bytes and then
-            // return 0/error, which is the close path.
-            if !self.read_ready(token) {
-                return;
-            }
-        }
-        if event.writable {
-            self.flush_out(token);
+        for ship in self.ships.drain(..) {
+            let _ = ship.join();
         }
     }
 
-    /// Reads whatever is available (bounded per event), parses complete
-    /// lines, and pumps replies. Returns `false` when the connection was
-    /// closed.
-    fn read_ready(&mut self, token: Token) -> bool {
-        let mut buf = [0u8; READ_CHUNK];
-        let now = Instant::now();
-        let mut dead = false;
-        {
-            let Some(conn) = self.table.get_mut(token) else {
-                return false;
-            };
-            for _ in 0..MAX_READS_PER_EVENT {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.last_activity = now;
-                        conn.input.extend(&buf[..n]);
-                        if n < READ_CHUNK {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if dead {
-            self.close(token);
-            return false;
-        }
-        self.process_input(token)
-    }
-
-    /// Drains complete lines out of the input buffer, dispatching each.
-    /// Returns `false` when the connection was closed.
-    fn process_input(&mut self, token: Token) -> bool {
-        loop {
-            let line = {
-                let Some(conn) = self.table.get_mut(token) else {
-                    return false;
-                };
-                if conn.closing {
-                    // A closing connection's remaining input is dead; we
-                    // only wait for the reply queue to flush.
-                    break;
-                }
-                match conn.input.next_line() {
-                    Ok(Some(line)) => {
-                        conn.partial_since = None;
-                        line
-                    }
-                    Ok(None) => {
-                        if conn.input.has_partial() {
-                            // The slow-loris clock starts when a partial
-                            // line appears and resets on completion. Arm
-                            // the wheel at the real deadline on the
-                            // None→Some transition: the entry placed at
-                            // accept time sits at the re-check horizon,
-                            // far too late for a tight read deadline.
-                            if conn.partial_since.is_none() {
-                                let now = Instant::now();
-                                conn.partial_since = Some(now);
-                                let deadline = next_deadline(&self.shared, conn, now);
-                                self.wheel.schedule(token.0, deadline);
-                            }
-                        } else {
-                            conn.partial_since = None;
-                        }
-                        break;
-                    }
-                    Err(err) => {
-                        self.shared
-                            .metrics
-                            .conns
-                            .oversized_rejected
-                            .fetch_add(1, Ordering::Relaxed);
-                        conn.queue.push_back(Entry::Single(Part::Ready(format!(
-                            "ERR line exceeds {} bytes",
-                            err.max
-                        ))));
-                        conn.closing = true;
-                        break;
-                    }
-                }
-            };
-            self.process_line(token, &line);
-        }
-        self.pump(token)
-    }
-
-    /// Handles one complete request line for `token`.
-    fn process_line(&mut self, token: Token, line: &str) {
-        let line = line.trim_end();
-        let (slot, in_batch) = {
-            let Some(conn) = self.table.get_mut(token) else {
-                return;
-            };
-            (conn.next_slot, conn.batch.is_some())
-        };
-        let ticket = QueueTicket {
-            tx: self.completion_tx.clone(),
-            waker: Arc::clone(&self.waker),
-            conn: token,
-            slot,
-        };
-        let handled = handle_request(line, &self.shared, SubmitMode::Queue(&ticket));
-        // A ship subscription takes over the socket entirely; handle it
-        // before re-borrowing the connection.
-        if !in_batch {
-            if let Handled::Ready(Response::Ship(sub)) = handled {
-                self.detach_for_ship(token, *sub);
-                return;
-            }
-        }
+    fn handle_event(&mut self, token: Token, event: &Event) {
         let Some(conn) = self.table.get_mut(token) else {
             return;
         };
-        if in_batch {
-            let part = match handled {
-                Handled::Ready(Response::Batch(_)) => {
-                    Part::Ready("ERR nested BATCH is not allowed".to_owned())
+        if conn.reading() {
+            // A hangup still lets `read` drain buffered bytes and then
+            // return 0/error, which is the close path.
+            if event.readable && !self.read_ready(token) {
+                return;
+            }
+        } else if event.hangup {
+            // Not reading, so epoll reports only a full hangup or an
+            // error: the peer can take no more replies.
+            self.close(token);
+            return;
+        }
+        self.service(token);
+    }
+
+    /// Reads whatever is available (bounded per event) into the
+    /// connection's line buffer. Returns `false` when the connection was
+    /// closed.
+    fn read_ready(&mut self, token: Token) -> bool {
+        let Some(conn) = self.table.get_mut(token) else {
+            return false;
+        };
+        for _ in 0..MAX_READS_PER_EVENT {
+            match conn.stream.read(&mut self.read_buf) {
+                Ok(0) => {
+                    conn.eof = true;
+                    break;
                 }
-                Handled::Ready(Response::Ship(_)) => {
-                    Part::Ready("ERR SYNC is not allowed inside BATCH".to_owned())
-                }
-                Handled::Ready(Response::Close) => {
-                    conn.closing = true;
-                    Part::Ready(Response::Close.into_text())
-                }
-                Handled::Ready(Response::Line(text) | Response::Hit(text)) => Part::Ready(text),
-                Handled::Pending(_) => {
-                    unreachable!("SubmitMode::Queue never yields Handled::Pending")
-                }
-                Handled::Queued { command, started } => {
-                    conn.next_slot += 1;
-                    Part::Waiting {
-                        slot,
-                        command,
-                        started,
+                Ok(n) => {
+                    conn.input.extend(&self.read_buf[..n]);
+                    if n < READ_CHUNK {
+                        break;
                     }
                 }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.close(token);
+                    return false;
+                }
+            }
+        }
+        conn.last_activity = Instant::now();
+        true
+    }
+
+    /// Serves complete request lines until the input runs dry or the
+    /// connection's unflushed replies reach [`OUT_CAP`]; returns `true` in
+    /// the second case.
+    fn parse_lines(&mut self, token: Token) -> bool {
+        loop {
+            let Some(conn) = self.table.get_mut(token) else {
+                return false;
             };
-            let batch = conn.batch.as_mut().expect("batch state checked above");
-            if matches!(part, Part::Waiting { .. }) {
-                batch.waiting += 1;
+            if conn.paused || conn.closing {
+                return false;
             }
-            batch.parts.push(part);
-            if batch.parts.len() >= batch.expected {
-                let done = conn.batch.take().expect("batch state present");
-                conn.queue.push_back(Entry::Batch {
-                    parts: done.parts,
-                    waiting: done.waiting,
-                });
+            // An open batch is never cut short: its replies leave only once
+            // its last line is in, so stopping inside it could not drain.
+            if conn.batch.is_none() && conn.unflushed() >= OUT_CAP {
+                return true;
             }
+            let slot = conn.next_slot;
+            let (handled, slow) = match conn.input.next_line() {
+                Ok(Some(line)) => {
+                    let slow =
+                        (self.shared.config.slow_ms).map(|_| (Instant::now(), Box::from(&*line)));
+                    let reply = ReplyTo { conn: token, slot };
+                    (handle_request(&line, &self.shared, reply), slow)
+                }
+                Ok(None) => {
+                    if conn.eof {
+                        conn.finish();
+                    } else if !conn.input.has_partial() {
+                        conn.partial_since = None;
+                    } else if conn.partial_since.is_none() {
+                        // The slow-loris clock starts when a partial line
+                        // appears and resets on completion.
+                        conn.partial_since = Some(Instant::now());
+                        if let Some(deadline) = next_deadline(&self.shared, conn) {
+                            self.wheel.schedule(token.0, deadline);
+                        }
+                    }
+                    return false;
+                }
+                Err(err) => {
+                    self.shared
+                        .metrics
+                        .conns
+                        .oversized_rejected
+                        .fetch_add(1, Ordering::Relaxed);
+                    conn.finish();
+                    let text = format!("ERR line exceeds {} bytes", err.max);
+                    conn.push_ready(&self.shared, text, true);
+                    return false;
+                }
+            };
+            conn.partial_since = None;
+            if let Some(sub) = conn.place(&self.shared, handled, slot, slow) {
+                self.detach_for_ship(token, *sub);
+            }
+        }
+    }
+
+    /// Serves buffered input, writes every ready reply, applies the
+    /// output cap, and brings the poller interest in line. Returns `false`
+    /// when the connection was closed.
+    fn service(&mut self, token: Token) -> bool {
+        loop {
+            let capped = self.parse_lines(token);
+            let Some(conn) = self.table.get_mut(token) else {
+                return false;
+            };
+            conn.pump(&self.shared);
+            if !self.flush(token) {
+                return false;
+            }
+            let Some(conn) = self.table.get_mut(token) else {
+                return false;
+            };
+            let unflushed = conn.unflushed();
+            if unflushed >= OUT_CAP && conn.batch.is_none() {
+                if !conn.paused {
+                    conn.paused = true;
+                    self.shared
+                        .metrics
+                        .conns
+                        .read_paused
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+            } else if conn.paused && unflushed == 0 {
+                // Drained: serve the lines that arrived before the pause.
+                conn.paused = false;
+                continue;
+            } else if capped && !conn.paused {
+                continue;
+            }
+            break;
+        }
+        let Some(conn) = self.table.get_mut(token) else {
+            return false;
+        };
+        if conn.closing && conn.drained() {
+            self.close(token);
+            return false;
+        }
+        let want = Interest {
+            readable: conn.reading(),
+            writable: !conn.out.is_empty(),
+        };
+        if want != conn.interest {
+            if self
+                .poller
+                .reregister(raw_fd(&conn.stream), token, want)
+                .is_err()
+            {
+                self.close(token);
+                return false;
+            }
+            conn.interest = want;
+        }
+        true
+    }
+
+    /// Writes as much buffered reply text as the socket takes. Returns
+    /// `false` when the write failed and the connection was closed.
+    fn flush(&mut self, token: Token) -> bool {
+        let Some(conn) = self.table.get_mut(token) else {
+            return false;
+        };
+        if conn.out.is_empty() {
+            return true;
+        }
+        let result = if conn.out_timed {
+            let span = self.shared.recorder.span("request", "respond");
+            let result = conn.out.flush_to(&mut conn.stream);
+            self.shared
+                .metrics
+                .record_stage(Stage::Respond, span.finish());
+            result
         } else {
-            match handled {
-                Handled::Ready(Response::Batch(expected)) => {
-                    conn.batch = Some(BatchInProgress {
-                        expected: expected.max(1),
-                        parts: Vec::with_capacity(expected.max(1)),
-                        waiting: 0,
-                    });
-                }
-                Handled::Ready(Response::Ship(_)) => unreachable!("handled above"),
-                Handled::Ready(Response::Close) => {
-                    conn.queue
-                        .push_back(Entry::Single(Part::Ready(Response::Close.into_text())));
-                    conn.closing = true;
-                }
-                Handled::Ready(Response::Line(text) | Response::Hit(text)) => {
-                    conn.queue.push_back(Entry::Single(Part::Ready(text)));
-                }
-                Handled::Pending(_) => {
-                    unreachable!("SubmitMode::Queue never yields Handled::Pending")
-                }
-                Handled::Queued { command, started } => {
-                    conn.next_slot += 1;
-                    conn.queue.push_back(Entry::Single(Part::Waiting {
-                        slot,
-                        command,
-                        started,
-                    }));
+            conn.out.flush_to(&mut conn.stream)
+        };
+        match result {
+            Ok(drained) => {
+                conn.out_timed &= !drained;
+                true
+            }
+            Err(_) => {
+                self.close(token);
+                false
+            }
+        }
+    }
+
+    /// Accepts pending connections, shedding beyond the connection cap.
+    fn accept_ready(&mut self) {
+        for _ in 0..MAX_ACCEPTS_PER_EVENT {
+            let Some(listener) = &self.listener else {
+                return;
+            };
+            match listener.accept() {
+                Ok((stream, _peer)) => self.admit(stream),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(_) => {
+                    let _ = self.poller.deregister(raw_fd(listener));
+                    self.accept_paused_until = Some(Instant::now() + POLL_INTERVAL);
+                    return;
                 }
             }
+        }
+    }
+
+    fn admit(&mut self, mut stream: TcpStream) {
+        let conns = &self.shared.metrics.conns;
+        conns.accepted.fetch_add(1, Ordering::Relaxed);
+        // Beyond the cap the client gets one definite BUSY line instead of
+        // a connection that silently degrades everyone else. Ship streams
+        // hold a gauge slot but no table slot, so checking the gauge also
+        // guarantees the insert below finds room.
+        let cap = self.table.capacity();
+        if conns.open.load(Ordering::Relaxed) as usize >= cap {
+            conns.accept_shed.fetch_add(1, Ordering::Relaxed);
+            let _ = stream.write_all(format!("BUSY max_conns={cap}\n").as_bytes());
+            return;
+        }
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let fd = raw_fd(&stream);
+        let now = Instant::now();
+        let Ok(token) = self.table.insert(Conn::new(stream, now)) else {
+            return;
+        };
+        if self.poller.register(fd, token, Interest::READ).is_err() {
+            self.table.remove(token);
+            return;
+        }
+        conns.open.fetch_add(1, Ordering::Relaxed);
+        let conn = self.table.get_mut(token).expect("just inserted");
+        if let Some(deadline) = next_deadline(&self.shared, conn) {
+            self.wheel.schedule(token.0, deadline);
         }
     }
 
@@ -523,11 +790,10 @@ impl EventLoop {
             let Some(conn) = self.table.get_mut(token) else {
                 return;
             };
-            if !conn.queue.is_empty() || !conn.out.is_empty() || conn.batch.is_some() {
-                conn.queue.push_back(Entry::Single(Part::Ready(
-                    "ERR SYNC cannot be pipelined behind other requests".to_owned(),
-                )));
-                conn.closing = true;
+            if !conn.queue.is_empty() || !conn.out.is_empty() {
+                conn.finish();
+                let refusal = "ERR SYNC cannot be pipelined behind other requests";
+                conn.push_ready(&self.shared, refusal.to_owned(), true);
                 return;
             }
         }
@@ -535,29 +801,19 @@ impl EventLoop {
             return;
         };
         let _ = self.poller.deregister(raw_fd(&conn.stream));
-        if conn.stream.set_nonblocking(false).is_err() {
-            self.shared
-                .metrics
-                .conns
-                .open
-                .fetch_sub(1, Ordering::Relaxed);
-            return;
-        }
         let shared = Arc::clone(&self.shared);
-        let spawned = std::thread::Builder::new()
-            .name("ringrt-ship".to_owned())
-            .spawn(move || {
-                let mut conn = conn;
-                serve_ship(&mut conn.stream, sub, &shared);
-                // The ship thread owned the gauge slot from here on.
-                shared.metrics.conns.open.fetch_sub(1, Ordering::Relaxed);
-            });
+        let spawned = conn.stream.set_nonblocking(false).and_then(|()| {
+            std::thread::Builder::new()
+                .name("ringrt-ship".to_owned())
+                .spawn(move || {
+                    let mut conn = conn;
+                    serve_ship(&mut conn.stream, sub, &shared);
+                    // The ship thread owned the gauge slot from here on.
+                    shared.metrics.conns.open.fetch_sub(1, Ordering::Relaxed);
+                })
+        });
         match spawned {
-            Ok(handle) => self
-                .connections
-                .lock()
-                .expect("connection list poisoned")
-                .push(handle),
+            Ok(handle) => self.ships.push(handle),
             Err(_) => {
                 self.shared
                     .metrics
@@ -570,64 +826,19 @@ impl EventLoop {
 
     /// Matches worker completions back to their waiting reply slots.
     fn drain_completions(&mut self) {
-        while let Ok(completion) = self.completion_rx.try_recv() {
-            let token = completion.conn;
-            let Some(conn) = self.table.get_mut(token) else {
+        let mut completed = std::mem::take(&mut self.completed);
+        self.shared.take_completions(&mut completed);
+        for Completion { reply, text } in completed.drain(..) {
+            let Some(conn) = self.table.get_mut(reply.conn) else {
                 // The connection closed while the job executed; the reply
                 // has nowhere to go (generation-stamped token went stale).
                 continue;
             };
-            if fill_slot(&self.shared, conn, &completion) {
-                self.pump(token);
+            if conn.fill(&self.shared, reply.slot, text) {
+                self.service(reply.conn);
             }
         }
-    }
-
-    /// Admits sockets the acceptor routed to this loop.
-    fn drain_injections(&mut self) {
-        let now = Instant::now();
-        while let Ok(stream) = self.inject_rx.try_recv() {
-            if self.shared.shutting_down() || stream.set_nonblocking(true).is_err() {
-                self.shared
-                    .metrics
-                    .conns
-                    .open
-                    .fetch_sub(1, Ordering::Relaxed);
-                continue;
-            }
-            match self.table.insert(Conn::new(stream, now)) {
-                Ok(token) => {
-                    let fd = {
-                        let conn = self.table.get_mut(token).expect("just inserted");
-                        raw_fd(&conn.stream)
-                    };
-                    if self.poller.register(fd, token, Interest::READ).is_err() {
-                        self.table.remove(token);
-                        self.shared
-                            .metrics
-                            .conns
-                            .open
-                            .fetch_sub(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let deadline = {
-                        let conn = self.table.get_mut(token).expect("just inserted");
-                        next_deadline(&self.shared, conn, now)
-                    };
-                    self.wheel.schedule(token.0, deadline);
-                }
-                Err(mut conn) => {
-                    // Per-loop table full: same contract as the accept
-                    // guard — one definite BUSY line, then close.
-                    let conns = &self.shared.metrics.conns;
-                    conns.accept_shed.fetch_add(1, Ordering::Relaxed);
-                    conns.open.fetch_sub(1, Ordering::Relaxed);
-                    let _ = conn.stream.write_all(
-                        format!("BUSY max_conns={}\n", self.table.capacity()).as_bytes(),
-                    );
-                }
-            }
-        }
+        self.completed = completed;
     }
 
     /// Advances the timer wheel and revalidates every surfaced candidate:
@@ -637,7 +848,7 @@ impl EventLoop {
         enum Verdict {
             ReadDeadline(u64),
             Idle,
-            Rearm(Instant),
+            Rearm(Option<Instant>),
         }
         let now = Instant::now();
         due.clear();
@@ -664,7 +875,7 @@ impl EventLoop {
                 } else if idle_expired {
                     Verdict::Idle
                 } else {
-                    Verdict::Rearm(next_deadline(&self.shared, conn, now))
+                    Verdict::Rearm(next_deadline(&self.shared, conn))
                 }
             };
             match verdict {
@@ -690,116 +901,38 @@ impl EventLoop {
                         .fetch_add(1, Ordering::Relaxed);
                     self.close(token);
                 }
-                Verdict::Rearm(deadline) => self.wheel.schedule(id, deadline),
+                Verdict::Rearm(Some(deadline)) => self.wheel.schedule(id, deadline),
+                Verdict::Rearm(None) => {}
             }
         }
     }
 
-    /// Serializes fully ready front-of-queue entries into the write buffer
-    /// and flushes. Returns `false` when the connection was closed.
-    fn pump(&mut self, token: Token) -> bool {
-        {
-            let Some(conn) = self.table.get_mut(token) else {
-                return false;
-            };
-            loop {
-                let ready = matches!(
-                    conn.queue.front(),
-                    Some(Entry::Single(Part::Ready(_))) | Some(Entry::Batch { waiting: 0, .. })
-                );
-                if !ready {
-                    break;
-                }
-                match conn.queue.pop_front() {
-                    Some(Entry::Single(Part::Ready(text))) => {
-                        self.shared.metrics.count_response(&text);
-                        conn.out.push(text.as_bytes());
-                        conn.out.push(b"\n");
-                    }
-                    Some(Entry::Batch { parts, .. }) => {
-                        for part in parts {
-                            let Part::Ready(text) = part else {
-                                unreachable!("waiting==0 means every part is ready")
-                            };
-                            self.shared.metrics.count_response(&text);
-                            conn.out.push(text.as_bytes());
-                            conn.out.push(b"\n");
-                        }
-                    }
-                    _ => unreachable!("front checked ready above"),
-                }
+    /// The first step of shutdown: close the listener (new connects are
+    /// refused) and stop reading every connection.
+    fn stop_accepting(&mut self) {
+        if let Some(listener) = self.listener.take() {
+            let _ = self.poller.deregister(raw_fd(&listener));
+        }
+        for token in self.table.tokens() {
+            if let Some(conn) = self.table.get_mut(token) {
+                conn.closing = true;
             }
         }
-        self.flush_out(token)
     }
 
-    /// Flushes buffered response bytes and keeps the poller interest in
-    /// sync (writable only while bytes are pending). Returns `false` when
-    /// the connection was closed.
-    fn flush_out(&mut self, token: Token) -> bool {
-        let (drained, failed) = {
-            let Some(conn) = self.table.get_mut(token) else {
-                return false;
-            };
-            if conn.out.is_empty() {
-                (true, false)
-            } else {
-                let respond_span = self.shared.recorder.span("request", "respond");
-                let result = conn.out.flush_to(&mut conn.stream);
-                self.shared
-                    .metrics
-                    .record_stage(Stage::Respond, respond_span.finish());
-                match result {
-                    Ok(flushed) => (flushed, false),
-                    Err(_) => (false, true),
-                }
-            }
-        };
-        if failed {
-            self.close(token);
-            return false;
-        }
-        let mut reregister_failed = false;
-        let mut done_closing = false;
-        if let Some(conn) = self.table.get_mut(token) {
-            done_closing = drained && conn.closing && conn.queue.is_empty() && conn.batch.is_none();
-            let want_write = !drained;
-            if conn.writable_interest != want_write && !done_closing {
-                let fd = raw_fd(&conn.stream);
-                let interest = if want_write {
-                    Interest::READ_WRITE
-                } else {
-                    Interest::READ
-                };
-                if self.poller.reregister(fd, token, interest).is_ok() {
-                    conn.writable_interest = want_write;
-                } else {
-                    reregister_failed = true;
-                }
-            }
-        }
-        if reregister_failed || done_closing {
-            self.close(token);
-            return false;
-        }
-        true
-    }
-
-    /// During shutdown: pump what is ready, close every connection that no
-    /// longer owes or holds anything, and force-close stragglers once the
+    /// During shutdown: write what is ready, close every connection that
+    /// no longer owes anything, and force-close stragglers once the
     /// execution grace expires.
     fn drain_shutdown(&mut self, since: Instant) {
         let force = since.elapsed() >= EXECUTION_GRACE;
         for token in self.table.tokens() {
-            if !self.pump(token) {
-                continue; // closed during the pump
+            if !self.service(token) {
+                continue; // closed while servicing
             }
-            let done = {
-                let Some(conn) = self.table.get_mut(token) else {
-                    continue;
-                };
-                force || (conn.waiting_replies() == 0 && conn.out.is_empty())
-            };
+            let done = self
+                .table
+                .get_mut(token)
+                .is_some_and(|conn| force || (conn.waiting_replies() == 0 && conn.out.is_empty()));
             if done {
                 self.close(token);
             }
@@ -821,67 +954,21 @@ impl EventLoop {
     }
 }
 
-/// The earliest instant at which `conn` needs revalidation: its partial-
-/// line read deadline, its idle deadline, or a routine recheck.
-fn next_deadline(shared: &Arc<Shared>, conn: &Conn, now: Instant) -> Instant {
-    let mut deadline = now + RECHECK;
-    if let Some(idle_ms) = shared.config.idle_timeout_ms {
-        deadline = deadline.min(conn.last_activity + Duration::from_millis(idle_ms));
-    }
+/// The earliest instant at which `conn` needs revalidation — its partial-
+/// line read deadline or its idle deadline — or `None` when neither
+/// applies.
+fn next_deadline(shared: &Shared, conn: &Conn) -> Option<Instant> {
+    let idle = shared
+        .config
+        .idle_timeout_ms
+        .map(|ms| conn.last_activity + Duration::from_millis(ms));
     let rd = shared.config.read_deadline_ms;
-    if rd > 0 {
-        if let Some(since) = conn.partial_since {
-            deadline = deadline.min(since + Duration::from_millis(rd));
-        }
+    let read = conn
+        .partial_since
+        .filter(|_| rd > 0)
+        .map(|since| since + Duration::from_millis(rd));
+    match (idle, read) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
-    deadline
-}
-
-/// Finds the waiting reply slot a completion belongs to, records its
-/// latency, and fills it in. `false` means the slot was not found (stale
-/// completion for a recycled connection slot — dropped).
-fn fill_slot(shared: &Arc<Shared>, conn: &mut Conn, completion: &Completion) -> bool {
-    for entry in &mut conn.queue {
-        match entry {
-            Entry::Single(part) => {
-                if try_fill(shared, part, completion) {
-                    return true;
-                }
-            }
-            Entry::Batch { parts, waiting } => {
-                for part in parts.iter_mut() {
-                    if try_fill(shared, part, completion) {
-                        *waiting -= 1;
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-    if let Some(batch) = conn.batch.as_mut() {
-        for part in batch.parts.iter_mut() {
-            if try_fill(shared, part, completion) {
-                batch.waiting -= 1;
-                return true;
-            }
-        }
-    }
-    false
-}
-
-fn try_fill(shared: &Arc<Shared>, part: &mut Part, completion: &Completion) -> bool {
-    let Part::Waiting {
-        slot,
-        command,
-        started,
-    } = part
-    else {
-        return false;
-    };
-    if *slot != completion.slot {
-        return false;
-    }
-    record_completed(shared, *command, *started, &completion.text);
-    *part = Part::Ready(completion.text.clone());
-    true
 }

@@ -58,6 +58,7 @@ mod event;
 pub mod metrics;
 pub mod protocol;
 pub mod replication;
+mod report;
 pub mod server;
 
 pub use cache::{CacheKey, ResultCache};
@@ -66,4 +67,4 @@ pub use protocol::{
     DEFAULT_ABU_SAMPLES, MAX_ABU_SAMPLES, MAX_BATCH, MAX_LINE_BYTES,
 };
 pub use replication::{ReplicationState, Role};
-pub use server::{spawn, Frontend, ServerHandle, ServiceConfig};
+pub use server::{spawn, ServerHandle, ServiceConfig};

@@ -110,8 +110,7 @@ struct WorkerStats {
     busy_us: AtomicU64,
 }
 
-/// Connection front-end counters shared by both front ends (the blocking
-/// thread-per-connection path and the epoll event loops).
+/// Connection counters kept by the event loop.
 ///
 /// `open` is a **gauge** — it tracks present state (currently connected
 /// clients) and therefore survives `STATS RESET`, unlike the accumulated
@@ -124,7 +123,7 @@ pub struct ConnCounters {
     pub accepted: AtomicU64,
     /// Connections shed at accept time by the `max_conns` guard.
     pub accept_shed: AtomicU64,
-    /// Event-loop poll returns (wakeups), across all loops.
+    /// Event-loop poll returns (wakeups).
     pub loop_wakeups: AtomicU64,
     /// Readiness events delivered across all wakeups; divide by
     /// `loop_wakeups` for the events-per-wakeup batching factor.
@@ -136,6 +135,10 @@ pub struct ConnCounters {
     pub read_deadline_closed: AtomicU64,
     /// Request lines rejected for exceeding the line-length cap.
     pub oversized_rejected: AtomicU64,
+    /// Times a connection stopped being read because its unflushed
+    /// replies passed the loop's output cap (a client not reading its
+    /// replies).
+    pub read_paused: AtomicU64,
 }
 
 /// All server counters and histograms.
@@ -262,6 +265,7 @@ impl Metrics {
             &self.conns.idle_closed,
             &self.conns.read_deadline_closed,
             &self.conns.oversized_rejected,
+            &self.conns.read_paused,
         ] {
             c.store(0, Ordering::Relaxed);
         }
@@ -290,10 +294,10 @@ impl Metrics {
         }
     }
 
-    /// Appends `queue_peak`, `worker_jobs`, and `worker_busy_us` fields to a
-    /// `STATS` response body. The per-worker lists are comma-joined in
-    /// worker order so a skewed pool (one hot worker, the rest idle) is
-    /// visible at a glance.
+    /// Appends the `worker_jobs` and `worker_busy_us` fields to a `STATS`
+    /// response body. The per-worker lists are comma-joined in worker
+    /// order so a skewed pool (one hot worker, the rest idle) is visible at
+    /// a glance.
     ///
     /// Every worker's `(jobs, busy_us)` pair is sampled in **one pass**
     /// before any formatting, so the two rendered lists describe the
@@ -302,7 +306,6 @@ impl Metrics {
     /// under load.)
     pub fn render_workers(&self, out: &mut String) {
         use std::fmt::Write as _;
-        let _ = write!(out, " queue_peak={}", self.queue_peak.peak());
         if self.per_worker.is_empty() {
             return;
         }
@@ -328,25 +331,6 @@ impl Metrics {
             " worker_jobs={} worker_busy_us={}",
             join(&|&(jobs, _)| jobs),
             join(&|&(_, busy_us)| busy_us),
-        );
-    }
-
-    /// Appends the connection front-end fields to a `STATS` response body.
-    pub fn render_conns(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let c = &self.conns;
-        let _ = write!(
-            out,
-            " connections_open={} connections_accepted={} accept_shed={} loop_wakeups={} \
-             loop_ready_events={} idle_closed={} read_deadline_closed={} oversized_rejected={}",
-            c.open.load(Ordering::Relaxed),
-            c.accepted.load(Ordering::Relaxed),
-            c.accept_shed.load(Ordering::Relaxed),
-            c.loop_wakeups.load(Ordering::Relaxed),
-            c.loop_ready_events.load(Ordering::Relaxed),
-            c.idle_closed.load(Ordering::Relaxed),
-            c.read_deadline_closed.load(Ordering::Relaxed),
-            c.oversized_rejected.load(Ordering::Relaxed),
         );
     }
 
@@ -398,109 +382,15 @@ impl Metrics {
         }
     }
 
-    /// Emits every metric this struct owns into a Prometheus text
-    /// exposition writer.
+    /// Emits the per-worker counters and the latency histograms into a
+    /// Prometheus text exposition writer.
     ///
-    /// Counters get a `_total` suffix; the windowed `queue_peak` is a
-    /// gauge (it can fall back to zero on `STATS RESET`). Latency
-    /// histograms are labelled by command or stage and reuse the log₂
+    /// Histograms are labelled by command or stage and reuse the log₂
     /// bucket edges of [`ringrt_des::stats::DurationHistogram`], expressed
-    /// in seconds. The caller (the server's `METRICS` handler) appends its
-    /// own gauges — live queue depth, cache occupancy, exec-pool width —
-    /// around this call.
+    /// in seconds. The scalars are rendered from the server's one table
+    /// (`crate::report`).
     pub fn render_prometheus(&self, w: &mut PromWriter) {
         let c = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64;
-        w.counter(
-            "ringrt_requests_total",
-            "Request lines received, including malformed ones.",
-            &[],
-            c(&self.requests),
-        );
-        for (status, counter) in [
-            ("ok", &self.ok),
-            ("err", &self.errors),
-            ("busy", &self.busy),
-            ("readonly", &self.readonly),
-        ] {
-            w.counter(
-                "ringrt_responses_total",
-                "Responses sent, by status line.",
-                &[("status", status)],
-                c(counter),
-            );
-        }
-        w.counter(
-            "ringrt_deadline_expired_total",
-            "Requests answered ERR because they overstayed their queue deadline.",
-            &[],
-            c(&self.deadline_expired),
-        );
-        w.gauge(
-            "ringrt_queue_peak",
-            "Deepest the admission queue has been since the last STATS RESET.",
-            &[],
-            self.queue_peak.peak() as f64,
-        );
-        w.gauge(
-            "ringrt_connections_open",
-            "Client connections currently open across both front ends.",
-            &[],
-            c(&self.conns.open),
-        );
-        w.counter(
-            "ringrt_connections_accepted_total",
-            "Client connections accepted.",
-            &[],
-            c(&self.conns.accepted),
-        );
-        w.counter(
-            "ringrt_accept_shed_total",
-            "Connections shed at accept time by the max_conns guard.",
-            &[],
-            c(&self.conns.accept_shed),
-        );
-        w.counter(
-            "ringrt_loop_wakeups_total",
-            "Event-loop poll returns across all loops.",
-            &[],
-            c(&self.conns.loop_wakeups),
-        );
-        w.counter(
-            "ringrt_loop_ready_events_total",
-            "Readiness events delivered across all event-loop wakeups.",
-            &[],
-            c(&self.conns.loop_ready_events),
-        );
-        for (reason, counter) in [
-            ("idle", &self.conns.idle_closed),
-            ("read_deadline", &self.conns.read_deadline_closed),
-        ] {
-            w.counter(
-                "ringrt_connections_timed_out_total",
-                "Connections closed by a server-side timeout, by reason.",
-                &[("reason", reason)],
-                c(counter),
-            );
-        }
-        w.counter(
-            "ringrt_oversized_lines_total",
-            "Request lines rejected for exceeding the line-length cap.",
-            &[],
-            c(&self.conns.oversized_rejected),
-        );
-        let (hits, hit_us) = self.hit_fast_totals();
-        w.counter(
-            "ringrt_hit_fastpath_total",
-            "Cache hits answered on the zero-span fast path.",
-            &[],
-            hits as f64,
-        );
-        w.counter(
-            "ringrt_hit_fastpath_seconds_total",
-            "Cumulative parse-to-reply time of fast-path cache hits.",
-            &[],
-            hit_us as f64 / 1e6,
-        );
         for (i, worker) in self.per_worker.iter().enumerate() {
             let id = i.to_string();
             w.counter(
@@ -584,20 +474,19 @@ mod tests {
         m.note_queue_depth(2);
         m.note_queue_depth(7);
         m.note_queue_depth(4); // peak must not regress
+        assert_eq!(m.queue_peak.peak(), 7);
         m.record_worker(0, Duration::from_micros(150));
         m.record_worker(0, Duration::from_micros(50));
         m.record_worker(2, Duration::from_micros(30));
         m.record_worker(9, Duration::from_micros(1)); // out of range: ignored
         let mut out = String::new();
         m.render_workers(&mut out);
-        assert!(out.contains(" queue_peak=7"), "{out}");
         assert!(out.contains(" worker_jobs=2,0,1"), "{out}");
         assert!(out.contains(" worker_busy_us=200,0,30"), "{out}");
-        // Workerless metrics render the peak but omit the empty lists.
+        // Workerless metrics omit the empty lists.
         let mut bare = String::new();
         Metrics::new().render_workers(&mut bare);
-        assert!(bare.contains(" queue_peak=0"), "{bare}");
-        assert!(!bare.contains("worker_jobs"), "{bare}");
+        assert!(bare.is_empty(), "{bare}");
     }
 
     #[test]
@@ -646,7 +535,6 @@ mod tests {
         let mut out = String::new();
         m.render_workers(&mut out);
         m.render_latencies(&mut out);
-        assert!(out.contains(" queue_peak=0"), "{out}");
         assert!(out.contains(" worker_jobs=0,0"), "{out}");
         assert!(out.contains(" check_count=0"), "{out}");
         // A new window accumulates from scratch.
@@ -655,34 +543,26 @@ mod tests {
     }
 
     #[test]
-    fn connection_counters_render_and_open_gauge_survives_reset() {
+    fn open_connection_gauge_survives_reset() {
         let m = Metrics::new();
         m.conns.open.store(3, Ordering::Relaxed);
         m.conns.accepted.store(7, Ordering::Relaxed);
         m.conns.accept_shed.store(2, Ordering::Relaxed);
         m.conns.loop_wakeups.store(10, Ordering::Relaxed);
-        m.conns.loop_ready_events.store(25, Ordering::Relaxed);
-        let mut out = String::new();
-        m.render_conns(&mut out);
-        assert!(out.contains(" connections_open=3"), "{out}");
-        assert!(out.contains(" connections_accepted=7"), "{out}");
-        assert!(out.contains(" accept_shed=2"), "{out}");
-        assert!(out.contains(" loop_wakeups=10"), "{out}");
-        assert!(out.contains(" loop_ready_events=25"), "{out}");
+        m.conns.read_paused.store(4, Ordering::Relaxed);
         m.reset();
         // The gauge describes present state and survives; counters restart.
         assert_eq!(m.conns.open.load(Ordering::Relaxed), 3);
         assert_eq!(m.conns.accepted.load(Ordering::Relaxed), 0);
         assert_eq!(m.conns.accept_shed.load(Ordering::Relaxed), 0);
         assert_eq!(m.conns.loop_wakeups.load(Ordering::Relaxed), 0);
+        assert_eq!(m.conns.read_paused.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn prometheus_rendering_is_parseable_and_complete() {
         use ringrt_obs::prom::parse_exposition;
         let m = Metrics::with_workers(2);
-        m.requests.fetch_add(4, Ordering::Relaxed);
-        m.count_response("OK cmd=check verdict=yes");
         m.record_worker(0, Duration::from_micros(250));
         m.record_latency(CommandKind::Check, Duration::from_micros(120));
         m.record_stage(Stage::Execute, Duration::from_micros(80));
@@ -696,15 +576,6 @@ mod tests {
                 .filter(|s| s.name == name)
                 .collect::<Vec<_>>()
         };
-        assert_eq!(find("ringrt_requests_total")[0].value, 4.0);
-        let responses = find("ringrt_responses_total");
-        assert_eq!(responses.len(), 4, "{text}");
-        assert!(responses
-            .iter()
-            .any(|s| s.label("status") == Some("readonly") && s.value == 0.0));
-        assert!(responses
-            .iter()
-            .any(|s| s.label("status") == Some("ok") && s.value == 1.0));
         assert_eq!(find("ringrt_worker_jobs_total").len(), 2);
         // One histogram series per command and per stage.
         let counts = find("ringrt_request_latency_seconds_count");

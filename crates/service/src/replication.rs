@@ -263,6 +263,18 @@ impl ReplicationState {
             f64::from(u8::from(self.connected())),
         );
         w.gauge(
+            "ringrt_replication_applied_seq",
+            "Last journal record this follower applied.",
+            &[],
+            c(&self.applied_seq),
+        );
+        w.gauge(
+            "ringrt_replication_head_seq",
+            "Primary journal head last advertised to this follower.",
+            &[],
+            c(&self.head_seq),
+        );
+        w.gauge(
             "ringrt_replication_lag",
             "Journal records behind the advertised primary head.",
             &[],
@@ -291,6 +303,12 @@ impl ReplicationState {
             "SHIP record frames applied locally.",
             &[],
             c(&self.frames_applied),
+        );
+        w.counter(
+            "ringrt_replication_snapshots_installed_total",
+            "Snapshots installed from the primary's SYNC stream.",
+            &[],
+            c(&self.snapshots_installed),
         );
         w.counter(
             "ringrt_replication_resyncs_total",

@@ -1,48 +1,38 @@
-//! The TCP server: acceptor, connection front ends, bounded admission
-//! queue, worker pool, and graceful shutdown.
+//! The TCP server: bounded admission queue, worker pool, and graceful
+//! shutdown, behind one epoll connection loop.
 //!
 //! # Threading model
 //!
-//! The server offers two connection **front ends** behind one listener
-//! and one worker pool ([`Frontend`], `serve --frontend=`):
-//!
 //! ```text
-//! threads: acceptor ──spawns──▶ connection threads ──jobs──▶ queue ──▶ workers
-//!                                   │    ▲                               │
-//!                                   │    └──────── mpsc reply ◀──────────┘
-//!                                   └─ inline: PING / STATS / cache hits
-//!
-//! event:   acceptor ──injects──▶ event loops (epoll) ──jobs──▶ queue ──▶ workers
-//!                                   │    ▲                               │
-//!                                   │    └─ completions + waker ◀────────┘
-//!                                   └─ inline: PING / STATS / cache hits
+//! listener ─accept─▶ event loop (epoll) ──jobs──▶ queue ──▶ workers
+//!                     │    ▲                                 │
+//!                     │    └──── completions + waker ◀───────┘
+//!                     └─ inline: PING / STATS / registry / cache hits
 //! ```
 //!
-//! * The **threads** front end gives each connection a blocking reader
-//!   thread — simple, but a thread per client caps the population.
-//! * The **event** front end (`crate::event`, Linux only) multiplexes all
-//!   connections over one or two epoll readiness loops; workers hand
-//!   finished replies back through a completion queue and wake the loop
-//!   via a pipe. This is the shape that holds 10⁴–10⁵ idle clients.
-//! * Either way, cheap requests (PING, STATS, SHUTDOWN, malformed lines,
-//!   cache hits) are answered without touching the queue; analysis work
-//!   goes through the bounded queue, and a full queue sheds load with an
-//!   immediate `BUSY` line — the client is never left hanging.
-//! * Both front ends share the accept-time `--max-conns` guard: beyond
-//!   the cap a connection gets one `BUSY max_conns=…` line and is closed.
+//! * One `ringrt-loop` thread ([`crate::event`]) owns the listener and
+//!   every client socket: it accepts (shedding past `--max-conns` with one
+//!   `BUSY max_conns=…` line), parses newline-framed requests out of
+//!   whatever fragments arrive, and writes replies in request order. This
+//!   is the shape that holds 10⁴–10⁵ mostly idle station controllers.
+//! * Cheap requests (PING, STATS, SHUTDOWN, registry commands, malformed
+//!   lines, cache hits) are answered on the loop without touching the
+//!   queue; analysis work goes through the bounded queue, and a full queue
+//!   sheds load with an immediate `BUSY` line — the client is never left
+//!   hanging, inside a `BATCH` or not.
 //! * Workers pop jobs; a job that waited past its deadline is answered
-//!   `ERR deadline expired` without being executed.
-//! * The blocking path enforces [`MAX_LINE_BYTES`] *while reading* and a
-//!   read deadline on partially received lines, so a slow-loris client
-//!   dribbling bytes forever cannot pin a reader thread or grow its
-//!   buffer without bound.
-//! * Shutdown (`SHUTDOWN` request or [`ServerHandle::shutdown`]) stops the
-//!   acceptor, lets workers **drain** everything already queued, and closes
-//!   reader threads at their next poll tick — in-flight requests still get
-//!   their answers.
+//!   `ERR deadline expired` without being executed. Finished replies go
+//!   onto the server's completion queue, and a pipe wakes the loop.
+//! * Shutdown (`SHUTDOWN` request or [`ServerHandle::shutdown`]) closes the
+//!   listener, lets workers **drain** everything already queued, and
+//!   closes each connection once its replies are written — in-flight
+//!   requests still get their answers.
+//!
+//! The loop needs Linux epoll; elsewhere [`spawn`] fails with
+//! [`std::io::ErrorKind::Unsupported`].
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,7 +42,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ringrt_exec::Pool;
-use ringrt_obs::{prom::PromWriter, trace::render_chrome_trace, Measured, Recorder};
+use ringrt_obs::{trace::render_chrome_trace, Measured, Recorder};
 use ringrt_registry::{
     AdmissionOutcome, FailpointFs, ReplicatedApply, RingRegistry, RingSpec, RingState,
     ShipSubscription, StoreOptions, DEFAULT_SEGMENT_BYTES,
@@ -62,53 +52,17 @@ use ringrt_net::{Token, Waker};
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::engine;
-use crate::event;
+use crate::event::EventLoop;
 use crate::metrics::{Metrics, Stage};
-use crate::protocol::{parse_request, AnalysisRequest, CommandKind, Request, MAX_LINE_BYTES};
+use crate::protocol::{parse_request, AnalysisRequest, CommandKind, Request};
 use crate::replication::{self, ReplicationState, ShipFrame};
 
-/// How often blocked reads and the acceptor wake to check for shutdown.
+/// How long ship streams and the follower block before they re-check for
+/// shutdown, and the event loop's wait while a deadline is armed.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(25);
-/// Extra execution time a client allows beyond the queue deadline before
-/// giving up on a reply.
+/// How long shutdown waits for in-flight replies before force-closing
+/// their connections.
 pub(crate) const EXECUTION_GRACE: Duration = Duration::from_secs(60);
-
-/// Which connection front end the acceptor hands new sockets to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Frontend {
-    /// One blocking reader thread per connection (the default).
-    #[default]
-    Threads,
-    /// Readiness event loops over epoll (`--frontend=event`, Linux only):
-    /// all connections multiplexed over [`ServiceConfig::event_loops`]
-    /// threads.
-    Event,
-}
-
-impl Frontend {
-    /// Stable lowercase token used in flags and status lines.
-    #[must_use]
-    pub fn token(self) -> &'static str {
-        match self {
-            Frontend::Threads => "threads",
-            Frontend::Event => "event",
-        }
-    }
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "threads" | "thread" => Ok(Frontend::Threads),
-            "event" | "epoll" => Ok(Frontend::Event),
-            other => Err(format!(
-                "unknown frontend `{other}` (expected `threads` or `event`)"
-            )),
-        }
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -141,9 +95,8 @@ pub struct ServiceConfig {
     /// Span events retained **per recorder shard** (16 shards); older
     /// events are overwritten, never blocked on.
     pub trace_capacity: usize,
-    /// Log any single-line request slower than this many milliseconds
-    /// (end-to-end, including the response write) to stderr. `None`
-    /// disables the log.
+    /// Log any request line slower than this many milliseconds (from its
+    /// arrival to its reply) to stderr. `None` disables the log.
     pub slow_ms: Option<u64>,
     /// Run as a warm standby replicating the primary at this address:
     /// replay its journal continuously, answer reads, redirect mutations
@@ -157,21 +110,16 @@ pub struct ServiceConfig {
     /// promotes itself. `None` (the default) promotes only on an explicit
     /// `PROMOTE`.
     pub promote_timeout_ms: Option<u64>,
-    /// Which connection front end serves clients (see [`Frontend`]).
-    pub frontend: Frontend,
-    /// Open-connection cap shared by both front ends; an accept beyond it
-    /// is answered `BUSY max_conns=<n>` and closed. `0` means unlimited.
+    /// Open-connection cap; an accept beyond it is answered
+    /// `BUSY max_conns=<n>` and closed. `0` means the loop's own table
+    /// bound (65 536).
     pub max_conns: usize,
-    /// Readiness loops the event front end runs (min 1; 1–2 is plenty —
-    /// parsing is cheap and the analyses run on the worker pool anyway).
-    pub event_loops: usize,
-    /// Event front end only: close a connection with no complete request
-    /// for this long. `None` (the default) keeps idle clients forever —
-    /// the population the event front end exists to hold cheaply.
+    /// Close a connection with no complete request for this long. `None`
+    /// (the default) keeps idle clients forever — the population the
+    /// event loop exists to hold cheaply.
     pub idle_timeout_ms: Option<u64>,
     /// Close a connection holding a *partial* request line (bytes but no
-    /// newline) for this long — the slow-loris guard, enforced by both
-    /// front ends. `0` disables it.
+    /// newline) for this long — the slow-loris guard. `0` disables it.
     pub read_deadline_ms: u64,
 }
 
@@ -192,81 +140,27 @@ impl Default for ServiceConfig {
             follow: None,
             segment_bytes: None,
             promote_timeout_ms: None,
-            frontend: Frontend::Threads,
             max_conns: 0,
-            event_loops: 1,
             idle_timeout_ms: None,
             read_deadline_ms: 30_000,
         }
     }
 }
 
-/// A finished reply on its way back to an event loop: which connection
-/// and which reply slot within it the text belongs to.
+/// Where a queued request's reply goes: a connection and the reply slot
+/// within it. The token is generation-stamped, so a reply for a
+/// connection that closed meanwhile misses the loop's table and is
+/// dropped.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReplyTo {
+    pub(crate) conn: Token,
+    pub(crate) slot: u64,
+}
+
+/// A finished reply on its way back to the event loop.
 pub(crate) struct Completion {
-    pub(crate) conn: Token,
-    pub(crate) slot: u64,
+    pub(crate) reply: ReplyTo,
     pub(crate) text: String,
-}
-
-/// Where a worker sends its reply.
-pub(crate) enum ReplyTo {
-    /// The blocking front end: the connection thread waits on the channel.
-    Channel(mpsc::Sender<String>),
-    /// The event front end: push a [`Completion`] onto the owning loop's
-    /// queue and wake it. The loop matches `conn`/`slot` back to the
-    /// waiting reply position (the token is generation-stamped, so a
-    /// completion for a connection that closed meanwhile is dropped).
-    Loop {
-        tx: mpsc::Sender<Completion>,
-        waker: Arc<Waker>,
-        conn: Token,
-        slot: u64,
-    },
-}
-
-impl ReplyTo {
-    fn send(&self, text: String) {
-        match self {
-            ReplyTo::Channel(tx) => {
-                let _ = tx.send(text);
-            }
-            ReplyTo::Loop {
-                tx,
-                waker,
-                conn,
-                slot,
-            } => {
-                let _ = tx.send(Completion {
-                    conn: *conn,
-                    slot: *slot,
-                    text,
-                });
-                waker.wake();
-            }
-        }
-    }
-}
-
-/// Everything [`ReplyTo::Loop`] needs except the slot, cloned per queued
-/// request by the event loop.
-pub(crate) struct QueueTicket {
-    pub(crate) tx: mpsc::Sender<Completion>,
-    pub(crate) waker: Arc<Waker>,
-    pub(crate) conn: Token,
-    pub(crate) slot: u64,
-}
-
-/// How [`handle_request`] should treat queue-bound work.
-#[derive(Clone, Copy)]
-pub(crate) enum SubmitMode<'a> {
-    /// Block on the worker's reply (the single-request blocking path).
-    Block,
-    /// Hand back a [`Handled::Pending`] to collect later (batch submit).
-    Defer,
-    /// Queue with a loop-completion reply and hand back
-    /// [`Handled::Queued`] immediately (the event front end never blocks).
-    Queue(&'a QueueTicket),
 }
 
 /// One queued unit of work.
@@ -283,13 +177,18 @@ pub(crate) struct Shared {
     pub(crate) config: ServiceConfig,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
+    /// Replies workers finished, collected by the event loop when
+    /// [`Shared::waker`] fires.
+    completions: Mutex<Vec<Completion>>,
+    /// Interrupts the event loop's `epoll_wait`.
+    pub(crate) waker: Waker,
     pub(crate) metrics: Metrics,
-    cache: ResultCache,
+    pub(crate) cache: ResultCache,
     pub(crate) registry: RingRegistry,
     /// Execution pool for intra-request parallelism (`SATURATION`
     /// multisection probes, `ABU` sample fan-out). Stateless between
     /// calls, so all workers share one.
-    exec: Pool,
+    pub(crate) exec: Pool,
     /// Flight recorder shared with the exec pool and the registry journal;
     /// drained by the `TRACE` command.
     pub(crate) recorder: Arc<Recorder>,
@@ -297,8 +196,8 @@ pub(crate) struct Shared {
     /// `REPLICATION`); the durable epoch itself lives in the registry.
     pub(crate) replication: ReplicationState,
     shutdown: AtomicBool,
-    inflight: AtomicU64,
-    started: Instant,
+    pub(crate) inflight: AtomicU64,
+    pub(crate) started: Instant,
 }
 
 impl Shared {
@@ -309,316 +208,49 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
+        self.waker.wake();
     }
 
-    /// Pushes a job unless the queue is full, handing the job back (boxed,
-    /// to keep the `Err` variant pointer-sized) so the caller can shed or
-    /// run it inline. Jobs are still accepted during shutdown drain so
-    /// already-connected clients finish cleanly.
-    fn try_enqueue(&self, job: Job) -> Result<(), Box<Job>> {
+    /// Pushes a job unless the queue is full. Jobs are still accepted
+    /// during shutdown drain so already-connected clients finish cleanly.
+    fn try_enqueue(&self, job: Job) -> bool {
         let mut q = self.queue.lock().expect("job queue poisoned");
         if q.len() >= self.config.queue_depth {
-            return Err(Box::new(job));
+            return false;
         }
         q.push_back(job);
         let depth = q.len();
         drop(q);
         self.metrics.note_queue_depth(depth);
         self.queue_cv.notify_one();
-        Ok(())
+        true
     }
 
-    fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue.lock().expect("job queue poisoned").len()
     }
 
-    fn render_stats(&self) -> String {
-        use std::fmt::Write as _;
-        let m = &self.metrics;
-        let mut out = format!(
-            "OK cmd=stats uptime_ms={} requests={} ok={} errors={} busy={} readonly={} \
-             deadline_expired={}",
-            self.started.elapsed().as_millis(),
-            m.requests.load(Ordering::Relaxed),
-            m.ok.load(Ordering::Relaxed),
-            m.errors.load(Ordering::Relaxed),
-            m.busy.load(Ordering::Relaxed),
-            m.readonly.load(Ordering::Relaxed),
-            m.deadline_expired.load(Ordering::Relaxed),
-        );
-        let _ = write!(
-            out,
-            " cache_hits={} cache_misses={} cache_entries={} cache_evictions={} cache_capacity={}",
-            self.cache.hits(),
-            self.cache.misses(),
-            self.cache.entries(),
-            self.cache.evictions(),
-            self.cache.capacity(),
-        );
-        let (hit_fast, hit_fast_us) = m.hit_fast_totals();
-        let _ = write!(out, " hit_fast={hit_fast} hit_fast_us={hit_fast_us}");
-        let r = self.registry.metrics();
-        let _ = write!(
-            out,
-            " rings={} registry_streams={} journal_bytes={} snapshot_bytes={} replay_ms={:.3} \
-             replayed_streams={} incremental_tests={} full_tests={} incremental_evaluations={} \
-             full_evaluations={} streams_total={} index_rebuilds={} store_bytes={}",
-            r.rings,
-            r.streams,
-            r.journal_bytes,
-            r.snapshot_bytes,
-            r.replay_ms,
-            r.replayed_streams,
-            r.incremental_tests,
-            r.full_tests,
-            r.incremental_evaluations,
-            r.full_evaluations,
-            r.streams,
-            r.index_rebuilds,
-            r.store_bytes,
-        );
-        self.replication.render(self.registry.epoch(), &mut out);
-        let _ = write!(
-            out,
-            " workers={} queue_capacity={} queue_len={} inflight={} exec_threads={}",
-            self.config.workers,
-            self.config.queue_depth,
-            self.queue_len(),
-            self.inflight.load(Ordering::Relaxed),
-            self.exec.threads(),
-        );
-        let e = self.exec.stats();
-        let _ = write!(
-            out,
-            " exec_parallel_runs={} exec_serial_runs={} exec_items={} exec_chunks={} \
-             exec_steal_attempts={} exec_steals_ok={} exec_nested_splits={}",
-            e.parallel_runs,
-            e.serial_runs,
-            e.items,
-            e.chunks,
-            e.steal_attempts,
-            e.steals_ok,
-            e.nested_splits,
-        );
-        let _ = write!(
-            out,
-            " frontend={} max_conns={} cluster={}",
-            self.config.frontend.token(),
-            self.config.max_conns,
-            self.registry.cluster_id(),
-        );
-        m.render_conns(&mut out);
-        m.render_workers(&mut out);
-        m.render_latencies(&mut out);
-        out
+    /// Hands a worker's reply to the event loop. Only the push that finds
+    /// the queue empty wakes the loop: the loop drains the wakeup pipe
+    /// before it takes the queue, so every later push is collected by a
+    /// wakeup already on its way.
+    fn complete(&self, reply: ReplyTo, text: String) {
+        let mut done = self.completions.lock().expect("completion queue poisoned");
+        let was_empty = done.is_empty();
+        done.push(Completion { reply, text });
+        drop(done);
+        if was_empty {
+            self.waker.wake();
+        }
     }
 
-    /// Renders the complete Prometheus text exposition for the `METRICS`
-    /// command: the counters and latency histograms owned by [`Metrics`],
-    /// plus the live gauges owned by the server, result cache, ring
-    /// registry, and flight recorder.
-    fn render_metrics(&self) -> String {
-        let mut w = PromWriter::new();
-        self.metrics.render_prometheus(&mut w);
-        w.gauge(
-            "ringrt_uptime_seconds",
-            "Time since the server started.",
-            &[],
-            self.started.elapsed().as_secs_f64(),
+    /// Moves every finished reply into `into` (which must be empty), so
+    /// the two vectors trade allocations instead of growing new ones.
+    pub(crate) fn take_completions(&self, into: &mut Vec<Completion>) {
+        std::mem::swap(
+            &mut *self.completions.lock().expect("completion queue poisoned"),
+            into,
         );
-        w.gauge(
-            "ringrt_workers",
-            "Worker threads executing analyses.",
-            &[],
-            self.config.workers as f64,
-        );
-        w.gauge(
-            "ringrt_queue_capacity",
-            "Bounded admission-queue depth; overflow answers BUSY.",
-            &[],
-            self.config.queue_depth as f64,
-        );
-        w.gauge(
-            "ringrt_queue_len",
-            "Jobs currently waiting in the admission queue.",
-            &[],
-            self.queue_len() as f64,
-        );
-        w.gauge(
-            "ringrt_inflight",
-            "Jobs currently executing on workers.",
-            &[],
-            self.inflight.load(Ordering::Relaxed) as f64,
-        );
-        w.gauge(
-            "ringrt_exec_threads",
-            "Width of the shared intra-request execution pool.",
-            &[],
-            self.exec.threads() as f64,
-        );
-        let e = self.exec.stats();
-        for (name, help, value) in [
-            (
-                "ringrt_exec_parallel_runs_total",
-                "Pool maps that fanned out across workers.",
-                e.parallel_runs,
-            ),
-            (
-                "ringrt_exec_serial_runs_total",
-                "Pool maps that ran inline on the caller.",
-                e.serial_runs,
-            ),
-            (
-                "ringrt_exec_items_total",
-                "Items mapped through the pool.",
-                e.items,
-            ),
-            (
-                "ringrt_exec_chunks_total",
-                "Chunks claimed by pool workers.",
-                e.chunks,
-            ),
-            (
-                "ringrt_exec_steal_attempts_total",
-                "Victim searches by idle pool workers.",
-                e.steal_attempts,
-            ),
-            (
-                "ringrt_exec_steals_ok_total",
-                "Victim searches that transferred work.",
-                e.steals_ok,
-            ),
-            (
-                "ringrt_exec_nested_splits_total",
-                "Nested maps that split across idle workers.",
-                e.nested_splits,
-            ),
-        ] {
-            w.counter(name, help, &[], value as f64);
-        }
-        for (name, help, value) in [
-            (
-                "ringrt_cache_hits_total",
-                "Result-cache hits.",
-                self.cache.hits(),
-            ),
-            (
-                "ringrt_cache_misses_total",
-                "Result-cache misses.",
-                self.cache.misses(),
-            ),
-            (
-                "ringrt_cache_evictions_total",
-                "Entries evicted by the LRU policy.",
-                self.cache.evictions(),
-            ),
-        ] {
-            w.counter(name, help, &[], value as f64);
-        }
-        w.gauge(
-            "ringrt_cache_entries",
-            "Distinct result-cache entries currently stored.",
-            &[],
-            self.cache.entries() as f64,
-        );
-        w.gauge(
-            "ringrt_cache_capacity",
-            "Total result-cache entry capacity.",
-            &[],
-            self.cache.capacity() as f64,
-        );
-        let r = self.registry.metrics();
-        w.gauge(
-            "ringrt_registry_rings",
-            "Rings currently registered.",
-            &[],
-            r.rings as f64,
-        );
-        w.gauge(
-            "ringrt_registry_streams",
-            "Streams admitted across all rings.",
-            &[],
-            r.streams as f64,
-        );
-        w.gauge(
-            "ringrt_registry_journal_bytes",
-            "Size of the registry's append-only journal.",
-            &[],
-            r.journal_bytes as f64,
-        );
-        w.gauge(
-            "ringrt_registry_snapshot_bytes",
-            "Size of the registry's last compaction snapshot.",
-            &[],
-            r.snapshot_bytes as f64,
-        );
-        w.gauge(
-            "ringrt_store_streams_total",
-            "Live streams held by the columnar stream stores.",
-            &[],
-            r.streams as f64,
-        );
-        w.gauge(
-            "ringrt_store_index_rebuilds",
-            "Sequence-domain index rebuilds performed by the stream stores.",
-            &[],
-            r.index_rebuilds as f64,
-        );
-        w.gauge(
-            "ringrt_store_bytes",
-            "Approximate resident bytes of the columnar stream stores.",
-            &[],
-            r.store_bytes as f64,
-        );
-        for (kind, tests, evals) in [
-            (
-                "incremental",
-                r.incremental_tests,
-                r.incremental_evaluations,
-            ),
-            ("full", r.full_tests, r.full_evaluations),
-        ] {
-            w.counter(
-                "ringrt_registry_tests_total",
-                "Admission schedulability tests run, by strategy.",
-                &[("kind", kind)],
-                tests as f64,
-            );
-            w.counter(
-                "ringrt_registry_evaluations_total",
-                "Theorem evaluations performed by admission tests, by strategy.",
-                &[("kind", kind)],
-                evals as f64,
-            );
-        }
-        self.replication
-            .render_prometheus(self.registry.epoch(), &mut w);
-        let t = self.recorder.stats();
-        w.gauge(
-            "ringrt_trace_enabled",
-            "Whether the flight recorder is capturing spans.",
-            &[],
-            if t.enabled { 1.0 } else { 0.0 },
-        );
-        w.gauge(
-            "ringrt_trace_capacity",
-            "Span events retained across all recorder shards.",
-            &[],
-            t.capacity as f64,
-        );
-        w.counter(
-            "ringrt_trace_spans_recorded_total",
-            "Span events written to the flight recorder.",
-            &[],
-            t.recorded as f64,
-        );
-        w.counter(
-            "ringrt_trace_spans_dropped_total",
-            "Span events overwritten before being drained.",
-            &[],
-            t.dropped as f64,
-        );
-        w.finish()
     }
 
     /// The `STATS RESET` implementation: zeroes every accumulated counter
@@ -643,10 +275,8 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    event_loop: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    loops: Vec<event::LoopHandle>,
 }
 
 impl ServerHandle {
@@ -662,8 +292,8 @@ impl ServerHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Signals shutdown and waits for every thread — acceptor, connection
-    /// readers, workers — to finish.
+    /// Signals shutdown and waits for every thread — event loop, workers —
+    /// to finish.
     pub fn join(self) {
         self.shared.begin_shutdown();
         self.wait();
@@ -673,21 +303,12 @@ impl ServerHandle {
     /// `SHUTDOWN` request or a concurrent [`ServerHandle::shutdown`] — then
     /// drains every thread. This is how `ringrt serve` blocks.
     pub fn wait(mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // The acceptor has exited, so no new connection threads appear and
-        // no further sockets reach the event loops. Loops drain their
-        // connections (waiting for in-flight worker replies) before the
-        // workers themselves are joined — workers keep popping the queue
-        // until it is empty, so every completion a loop waits on arrives.
-        for l in std::mem::take(&mut self.loops) {
-            l.join();
-        }
-        let conns =
-            std::mem::take(&mut *self.connections.lock().expect("connection list poisoned"));
-        for c in conns {
-            let _ = c.join();
+        // The loop drains its connections (waiting for in-flight worker
+        // replies) before the workers are joined — workers keep popping the
+        // queue until it is empty, so every completion the loop waits on
+        // arrives.
+        if let Some(l) = self.event_loop.take() {
+            let _ = l.join();
         }
         for w in std::mem::take(&mut self.workers) {
             let _ = w.join();
@@ -701,20 +322,23 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds the listener and spawns the acceptor and worker threads.
+/// Binds the listener and spawns the event loop and worker threads.
 ///
 /// # Errors
 ///
-/// Propagates the bind failure (address in use, permission, …).
+/// Propagates the bind failure (address in use, permission, …), and
+/// fails with [`ErrorKind::Unsupported`] off Linux.
 pub fn spawn(mut config: ServiceConfig) -> std::io::Result<ServerHandle> {
     config.workers = config.workers.max(1);
     config.queue_depth = config.queue_depth.max(1);
-    config.event_loops = config.event_loops.clamp(1, 8);
     if config.follow.is_some() && config.state_dir.is_none() {
         return Err(std::io::Error::other(
             "--follow requires a state dir: the standby re-journals every shipped record",
         ));
     }
+    // The wakeup pipe comes first: off Linux it fails with `Unsupported`
+    // before any state is opened.
+    let waker = Waker::new()?;
     let registry = match &config.state_dir {
         Some(dir) => {
             let options = StoreOptions {
@@ -758,6 +382,8 @@ pub fn spawn(mut config: ServiceConfig) -> std::io::Result<ServerHandle> {
         config: config.clone(),
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
+        completions: Mutex::new(Vec::new()),
+        waker,
         metrics: Metrics::with_workers(config.workers),
         cache: ResultCache::with_capacity(cache_entries),
         registry,
@@ -771,6 +397,9 @@ pub fn spawn(mut config: ServiceConfig) -> std::io::Result<ServerHandle> {
         inflight: AtomicU64::new(0),
         started: Instant::now(),
     });
+    // The epoll instance is created here so fd exhaustion surfaces as a
+    // spawn-time error, not a dead loop.
+    let event_loop = EventLoop::new(Arc::clone(&shared), listener)?;
 
     let mut workers: Vec<JoinHandle<()>> = (0..config.workers)
         .map(|i| {
@@ -790,39 +419,16 @@ pub fn spawn(mut config: ServiceConfig) -> std::io::Result<ServerHandle> {
                 .expect("spawn follower thread"),
         );
     }
-
-    let connections = Arc::new(Mutex::new(Vec::new()));
-    // The event loops are created (epoll instance, wakeup pipe) on this
-    // thread so an unsupported platform surfaces as a bind-time error
-    // instead of a dead acceptor.
-    let loops = match config.frontend {
-        Frontend::Threads => Vec::new(),
-        Frontend::Event => event::spawn_loops(&shared, config.event_loops, &connections)?,
-    };
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        let dispatch = match config.frontend {
-            Frontend::Threads => Dispatch::Threads {
-                connections: Arc::clone(&connections),
-            },
-            Frontend::Event => Dispatch::Event {
-                injectors: loops.iter().map(event::LoopHandle::injector).collect(),
-                next: 0,
-            },
-        };
-        std::thread::Builder::new()
-            .name("ringrt-acceptor".to_owned())
-            .spawn(move || accept_loop(&listener, &shared, dispatch))
-            .expect("spawn acceptor thread")
-    };
+    let event_loop = std::thread::Builder::new()
+        .name("ringrt-loop".to_owned())
+        .spawn(move || event_loop.run())
+        .expect("spawn event-loop thread");
 
     Ok(ServerHandle {
         addr,
         shared,
-        acceptor: Some(acceptor),
+        event_loop: Some(event_loop),
         workers,
-        connections,
-        loops,
     })
 }
 
@@ -838,316 +444,8 @@ fn generate_cluster_id() -> u64 {
     mixed.max(1)
 }
 
-/// Where the acceptor sends a connection that survived the shed check.
-enum Dispatch {
-    /// Spawn a blocking reader thread, tracked for join-at-shutdown.
-    Threads {
-        connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    },
-    /// Round-robin the socket to an event loop's injection queue.
-    Event {
-        injectors: Vec<event::Injector>,
-        next: usize,
-    },
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, mut dispatch: Dispatch) {
-    let mut next_id = 0u64;
-    while !shared.shutting_down() {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                let conns = &shared.metrics.conns;
-                conns.accepted.fetch_add(1, Ordering::Relaxed);
-                // Accept-time shedding, shared by both front ends: beyond
-                // the cap the client gets one definite BUSY line instead
-                // of a connection that silently degrades everyone else.
-                let open = conns.open.load(Ordering::Relaxed);
-                if shared.config.max_conns > 0 && open as usize >= shared.config.max_conns {
-                    conns.accept_shed.fetch_add(1, Ordering::Relaxed);
-                    let _ = stream.write_all(
-                        format!("BUSY max_conns={}\n", shared.config.max_conns).as_bytes(),
-                    );
-                    continue; // drop the stream
-                }
-                conns.open.fetch_add(1, Ordering::Relaxed);
-                match &mut dispatch {
-                    Dispatch::Threads { connections } => {
-                        let shared = Arc::clone(shared);
-                        let handle = std::thread::Builder::new()
-                            .name(format!("ringrt-conn-{next_id}"))
-                            .spawn(move || {
-                                let _guard = OpenConnGuard(Arc::clone(&shared));
-                                connection_loop(stream, &shared);
-                            })
-                            .expect("spawn connection thread");
-                        next_id += 1;
-                        connections
-                            .lock()
-                            .expect("connection list poisoned")
-                            .push(handle);
-                    }
-                    Dispatch::Event { injectors, next } => {
-                        *next = (*next + 1) % injectors.len();
-                        if !injectors[*next].send(stream) {
-                            // Loop gone (shutdown race): undo the gauge.
-                            shared.metrics.conns.open.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-/// Decrements the open-connection gauge when a blocking reader exits,
-/// whatever the exit path.
-struct OpenConnGuard(Arc<Shared>);
-
-impl Drop for OpenConnGuard {
-    fn drop(&mut self) {
-        self.0.metrics.conns.open.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut partial_since: Option<Instant> = None;
-    loop {
-        // The bounded read keeps partially received bytes in `line` across
-        // timeouts, so clearing only after a complete line preserves slow
-        // writers — up to the line cap and the partial-line read deadline.
-        match read_request_line(
-            &mut reader,
-            &mut writer,
-            &mut line,
-            &mut partial_since,
-            shared,
-        ) {
-            LineRead::Closed => return,
-            LineRead::Pending => {
-                if shared.shutting_down() {
-                    return;
-                }
-                continue;
-            }
-            LineRead::Line => {}
-        }
-        let request_started = Instant::now();
-        // The request line is only copied when slow-request logging
-        // is on; the hot path stays allocation-free here.
-        let slow_line = shared.config.slow_ms.map(|_| line.trim_end().to_owned());
-        let response = handle_line(line.trim_end(), shared);
-        line.clear();
-        if let Response::Batch(count) = response {
-            if !run_batch(count, &mut reader, &mut writer, &mut line, shared) {
-                return;
-            }
-            continue;
-        }
-        if let Response::Ship(sub) = response {
-            // The connection becomes a one-way ship stream until
-            // the follower drops it or the server shuts down.
-            serve_ship(&mut writer, *sub, shared);
-            return;
-        }
-        let stop = matches!(response, Response::Close);
-        let hit = matches!(response, Response::Hit(_));
-        let text = response.into_text();
-        shared.metrics.count_response(&text);
-        // Cache hits skip the respond span: one sampled `hit` span per
-        // HIT_SPAN_SAMPLE already covers parse→reply, and a span per hit
-        // would dominate the ~µs fast path.
-        let respond_span = (!hit).then(|| shared.recorder.span("request", "respond"));
-        let write_ok = writer
-            .write_all(format!("{text}\n").as_bytes())
-            .and_then(|()| writer.flush())
-            .is_ok();
-        if let Some(span) = respond_span {
-            shared.metrics.record_stage(Stage::Respond, span.finish());
-        }
-        if let (Some(limit_ms), Some(request)) = (shared.config.slow_ms, slow_line) {
-            let elapsed = request_started.elapsed();
-            if elapsed >= Duration::from_millis(limit_ms) {
-                eprintln!(
-                    "ringrt-service: slow request ({} ms >= {limit_ms} ms): {request}",
-                    elapsed.as_millis()
-                );
-            }
-        }
-        if !write_ok || stop {
-            return;
-        }
-    }
-}
-
-/// What one bounded read attempt on the blocking front end produced.
-enum LineRead {
-    /// A complete newline-terminated request line sits in the buffer.
-    Line,
-    /// No complete line yet (poll-interval timeout); partial bytes stay
-    /// buffered for the next attempt.
-    Pending,
-    /// The connection is finished: EOF, I/O error, an oversized line, or
-    /// a partial line older than the read deadline (the slow-loris guard
-    /// — both rejections are answered with an `ERR` line first).
-    Closed,
-}
-
-/// Reads one request line with [`MAX_LINE_BYTES`] enforced *while
-/// reading*: the `take` adapter bounds how many bytes a client can make
-/// this thread buffer, so "never send a newline" cannot grow memory, and
-/// `partial_since` bounds how long it can hold the bytes it has started.
-fn read_request_line(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    line: &mut String,
-    partial_since: &mut Option<Instant>,
-    shared: &Arc<Shared>,
-) -> LineRead {
-    // +2 so a line of exactly MAX_LINE_BYTES plus "\r\n" still completes;
-    // anything longer trips the cap below.
-    let budget = (MAX_LINE_BYTES + 2).saturating_sub(line.len()) as u64;
-    match reader.by_ref().take(budget).read_line(line) {
-        Ok(0) => LineRead::Closed, // client closed (possibly mid-line)
-        Ok(_) if line.ends_with('\n') => {
-            *partial_since = None;
-            LineRead::Line
-        }
-        Ok(_) => {
-            if line.len() > MAX_LINE_BYTES {
-                shared
-                    .metrics
-                    .conns
-                    .oversized_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = writer
-                    .write_all(format!("ERR line exceeds {MAX_LINE_BYTES} bytes\n").as_bytes())
-                    .and_then(|()| writer.flush());
-            }
-            LineRead::Closed // oversized, or EOF with a dangling partial
-        }
-        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-            let deadline = shared.config.read_deadline_ms;
-            if !line.is_empty() && deadline > 0 {
-                let since = *partial_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= Duration::from_millis(deadline) {
-                    shared
-                        .metrics
-                        .conns
-                        .read_deadline_closed
-                        .fetch_add(1, Ordering::Relaxed);
-                    let _ = writer
-                        .write_all(
-                            format!("ERR read deadline: partial line idle for {deadline} ms\n")
-                                .as_bytes(),
-                        )
-                        .and_then(|()| writer.flush());
-                    return LineRead::Closed;
-                }
-            }
-            LineRead::Pending
-        }
-        Err(_) => LineRead::Closed,
-    }
-}
-
-/// Reads `count` pipelined request lines in two phases: a **submit** pass
-/// that handles each line at its arrival position (inline commands —
-/// registry mutations, PING, cache hits — execute right there, preserving
-/// ADMIT-then-CHECK pipeline semantics; queue-bound analyses are enqueued
-/// without waiting), and a **collect** pass that gathers worker replies in
-/// submission order. Independent analyses therefore overlap across the
-/// worker pool while the response order — and the single flushing write
-/// the syscall-saving `BATCH` exists for (measured by `exp_service_load`)
-/// — stays exactly as if they had run serially. Returns whether the
-/// connection should stay open.
-fn run_batch(
-    count: usize,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    line: &mut String,
-    shared: &Arc<Shared>,
-) -> bool {
-    /// One batch position: already answered, or awaiting a worker reply.
-    enum Slot {
-        Ready(String),
-        Pending(Pending),
-    }
-    let mut slots: Vec<Slot> = Vec::with_capacity(count);
-    let mut keep_open = true;
-    let mut partial_since: Option<Instant> = None;
-    while slots.len() < count {
-        match read_request_line(reader, writer, line, &mut partial_since, shared) {
-            LineRead::Closed => return false, // client closed mid-batch
-            LineRead::Pending => {
-                if shared.shutting_down() {
-                    return false;
-                }
-                continue;
-            }
-            LineRead::Line => {}
-        }
-        let slot = match handle_request(line.trim_end(), shared, SubmitMode::Defer) {
-            // One framing level is enough; nesting would let a
-            // client demand unbounded buffering.
-            Handled::Ready(Response::Batch(_)) => {
-                Slot::Ready("ERR nested BATCH is not allowed".to_owned())
-            }
-            // A ship stream takes over the whole connection; it
-            // cannot share one with framed batch replies.
-            Handled::Ready(Response::Ship(_)) => {
-                Slot::Ready("ERR SYNC is not allowed inside BATCH".to_owned())
-            }
-            Handled::Ready(Response::Close) => {
-                keep_open = false;
-                Slot::Ready(Response::Close.into_text())
-            }
-            Handled::Ready(Response::Line(text) | Response::Hit(text)) => Slot::Ready(text),
-            Handled::Pending(pending) => Slot::Pending(pending),
-            Handled::Queued { .. } => {
-                unreachable!("SubmitMode::Defer never yields Handled::Queued")
-            }
-        };
-        line.clear();
-        slots.push(slot);
-    }
-    // In-order reassembly: waiting on slot k never delays the *execution*
-    // of slot k+1 — it is already on a worker — only the reply pickup.
-    let mut out = String::new();
-    for slot in slots {
-        let text = match slot {
-            Slot::Ready(text) => text,
-            Slot::Pending(pending) => pending.collect(shared),
-        };
-        shared.metrics.count_response(&text);
-        out.push_str(&text);
-        out.push('\n');
-    }
-    let respond_span = shared.recorder.span("request", "respond");
-    let write_ok = writer
-        .write_all(out.as_bytes())
-        .and_then(|()| writer.flush())
-        .is_ok();
-    shared
-        .metrics
-        .record_stage(Stage::Respond, respond_span.finish());
-    write_ok && keep_open
-}
-
 /// A response line, a connection-closing line, a batch header asking the
-/// connection loop to collect the next `n` responses into one write, or a
+/// event loop to collect the next `n` responses into one write, or a
 /// journal subscription turning the connection into a ship stream.
 pub(crate) enum Response {
     Line(String),
@@ -1172,55 +470,21 @@ impl Response {
     }
 }
 
-/// A job already on the worker queue whose reply has not been read yet.
-/// Produced by the batch submit phase; [`Pending::collect`] blocks for the
-/// reply and records the completed request's latency.
-pub(crate) struct Pending {
-    rx: mpsc::Receiver<String>,
-    command: CommandKind,
-    started: Instant,
-    wait: Duration,
-}
-
-impl Pending {
-    pub(crate) fn collect(self, shared: &Arc<Shared>) -> String {
-        let text = match self.rx.recv_timeout(self.wait) {
-            Ok(text) => text,
-            Err(_) => "ERR request lost (worker gave no reply)".to_owned(),
-        };
-        record_completed(shared, self.command, self.started, &text);
-        text
-    }
-}
-
-/// What handling one request line produced: an immediate response, a
-/// queued job to collect later (batch submit phase), or a job queued with
-/// a loop-completion reply (event front end).
+/// What handling one request line produced: an immediate response, or a
+/// job on the queue whose reply will arrive as a [`Completion`] for the
+/// line's [`ReplyTo`]. `Queued` carries what the loop needs to record the
+/// latency when the reply lands.
 pub(crate) enum Handled {
     Ready(Response),
-    Pending(Pending),
-    /// The job is on the queue; its reply will arrive as a [`Completion`]
-    /// for the ticket's `conn`/`slot`. Carries what the loop needs to
-    /// record the latency when the reply lands.
     Queued {
         command: CommandKind,
         started: Instant,
     },
 }
 
-fn handle_line(line: &str, shared: &Arc<Shared>) -> Response {
-    match handle_request(line, shared, SubmitMode::Block) {
-        Handled::Ready(response) => response,
-        Handled::Pending(pending) => Response::Line(pending.collect(shared)),
-        Handled::Queued { .. } => unreachable!("SubmitMode::Block never yields Handled::Queued"),
-    }
-}
-
-/// Handles one request line. `mode` controls what happens to queue-bound
-/// requests — block for the reply, defer collection (batch submit phase),
-/// or queue with a loop-completion ticket (event front end); everything
-/// answerable inline is answered inline either way.
-pub(crate) fn handle_request(line: &str, shared: &Arc<Shared>, mode: SubmitMode) -> Handled {
+/// Handles one request line: everything answerable inline is answered
+/// inline; queue-bound work is submitted with `reply` as its reply target.
+pub(crate) fn handle_request(line: &str, shared: &Arc<Shared>, reply: ReplyTo) -> Handled {
     let ready = |response: Response| Handled::Ready(response);
     shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
     // Parse is timed with plain clock reads, not an eager span: the
@@ -1443,7 +707,7 @@ pub(crate) fn handle_request(line: &str, shared: &Arc<Shared>, mode: SubmitMode)
                 key,
                 command,
                 deadline_ms,
-                mode,
+                reply,
                 (t0, parse_dur),
             )
         }
@@ -1453,7 +717,7 @@ pub(crate) fn handle_request(line: &str, shared: &Arc<Shared>, mode: SubmitMode)
             None,
             CommandKind::Sleep,
             deadline_ms,
-            mode,
+            reply,
         ),
         Request::Abu(req) => {
             let key = Some(CacheKey::for_abu(&req));
@@ -1464,7 +728,7 @@ pub(crate) fn handle_request(line: &str, shared: &Arc<Shared>, mode: SubmitMode)
                 key,
                 CommandKind::Abu,
                 deadline_ms,
-                mode,
+                reply,
                 (t0, parse_dur),
             )
         }
@@ -1478,7 +742,7 @@ pub(crate) fn handle_request(line: &str, shared: &Arc<Shared>, mode: SubmitMode)
                 key,
                 command,
                 deadline_ms,
-                mode,
+                reply,
                 (t0, parse_dur),
             )
         }
@@ -1509,7 +773,7 @@ fn run_cached(
     key: Option<CacheKey>,
     command: CommandKind,
     deadline_ms: Option<u64>,
-    mode: SubmitMode,
+    reply: ReplyTo,
     parse: (Instant, Duration),
 ) -> Handled {
     let (t0, parse_dur) = parse;
@@ -1546,7 +810,7 @@ fn run_cached(
         // only the deferred parse stage is owed.
         record_parse(shared, t0, parse_dur);
     }
-    submit(shared, request, key, command, deadline_ms, mode)
+    submit(shared, request, key, command, deadline_ms, reply)
 }
 
 fn fmt_stations(stations: Option<usize>) -> String {
@@ -1650,43 +914,20 @@ pub(crate) fn record_completed(
     }
 }
 
-/// Queues a job. When the queue accepts it: [`SubmitMode::Block`] waits
-/// for the reply right here, [`SubmitMode::Defer`] hands back a
-/// [`Pending`] for the batch collect phase, and [`SubmitMode::Queue`]
-/// wires the reply to the event loop's completion queue and returns
-/// [`Handled::Queued`] without waiting. A full queue sheds load with
-/// `BUSY` on the Block and Queue paths; during a blocking batch (`Defer`)
-/// it runs the job **inline on the connection thread** instead — a
-/// serially-submitted batch could never overflow the queue, and answering
-/// `BUSY` for a position the client already committed to would make batch
-/// semantics depend on worker timing. (The event front end has no
-/// dedicated thread to burn, so its batches do shed with `BUSY`; the
-/// divergence is documented in DESIGN.md §5g.)
+/// Queues a job whose reply goes to `reply`, or sheds it with `BUSY` when
+/// the queue is full — inside a `BATCH` too: the loop has no thread to
+/// spare for running overflow inline, and one client's `BATCH` of `ABU`s
+/// must not stall every other connection.
 fn submit(
     shared: &Arc<Shared>,
     request: Request,
     cache_key: Option<CacheKey>,
     command: CommandKind,
     deadline_ms: Option<u64>,
-    mode: SubmitMode,
+    reply: ReplyTo,
 ) -> Handled {
     let started = Instant::now();
     let deadline = Duration::from_millis(deadline_ms.unwrap_or(shared.config.default_deadline_ms));
-    let (reply, rx) = match mode {
-        SubmitMode::Queue(ticket) => (
-            ReplyTo::Loop {
-                tx: ticket.tx.clone(),
-                waker: Arc::clone(&ticket.waker),
-                conn: ticket.conn,
-                slot: ticket.slot,
-            },
-            None,
-        ),
-        SubmitMode::Block | SubmitMode::Defer => {
-            let (tx, rx) = mpsc::channel();
-            (ReplyTo::Channel(tx), Some(rx))
-        }
-    };
     let job = Job {
         request,
         cache_key,
@@ -1694,36 +935,13 @@ fn submit(
         enqueued: started,
         deadline,
     };
-    match shared.try_enqueue(job) {
-        Ok(()) => match mode {
-            SubmitMode::Queue(_) => Handled::Queued { command, started },
-            SubmitMode::Block | SubmitMode::Defer => {
-                let pending = Pending {
-                    rx: rx.expect("blocking submit always has a reply channel"),
-                    command,
-                    started,
-                    wait: deadline + EXECUTION_GRACE,
-                };
-                if matches!(mode, SubmitMode::Defer) {
-                    Handled::Pending(pending)
-                } else {
-                    Handled::Ready(Response::Line(pending.collect(shared)))
-                }
-            }
-        },
-        Err(job) if matches!(mode, SubmitMode::Defer) => {
-            let run_span = shared.recorder.span("request", "execute");
-            let text = execute_request(shared, &job.request, job.cache_key.as_ref());
-            shared
-                .metrics
-                .record_stage(Stage::Execute, run_span.finish());
-            record_completed(shared, command, started, &text);
-            Handled::Ready(Response::Line(text))
-        }
-        Err(_) => Handled::Ready(Response::Line(format!(
+    if shared.try_enqueue(job) {
+        Handled::Queued { command, started }
+    } else {
+        Handled::Ready(Response::Line(format!(
             "BUSY queue_capacity={}",
             shared.config.queue_depth
-        ))),
+        )))
     }
 }
 
@@ -1754,10 +972,13 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                 .metrics
                 .deadline_expired
                 .fetch_add(1, Ordering::Relaxed);
-            job.reply.send(format!(
-                "ERR deadline expired after {} ms in queue",
-                waited.as_millis()
-            ));
+            shared.complete(
+                job.reply,
+                format!(
+                    "ERR deadline expired after {} ms in queue",
+                    waited.as_millis()
+                ),
+            );
             continue;
         }
         shared.inflight.fetch_add(1, Ordering::Relaxed);
@@ -1782,12 +1003,11 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         shared.metrics.record_stage(Stage::Execute, busy);
         shared.metrics.record_worker(index, busy);
         shared.inflight.fetch_sub(1, Ordering::Relaxed);
-        job.reply.send(text);
+        shared.complete(job.reply, text);
     }
 }
 
-/// Executes one queueable request body. Called from workers and, for
-/// batch positions that found the queue full, from connection threads.
+/// Executes one queueable request body on a worker.
 fn execute_request(
     shared: &Arc<Shared>,
     request: &Request,
@@ -2280,7 +1500,8 @@ fn read_snapshot_body(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufRead;
+    use crate::protocol::MAX_LINE_BYTES;
+    use std::io::Read;
 
     struct Client {
         reader: BufReader<TcpStream>,
@@ -2518,24 +1739,37 @@ mod tests {
     }
 
     #[test]
-    fn batch_runs_overflow_inline_instead_of_shedding() {
-        // One worker, one queue slot: a six-deep batch vastly overflows the
-        // queue, but batch positions must never answer BUSY — overflow runs
-        // inline on the connection thread.
+    fn batch_overflow_answers_busy_per_position() {
+        // One worker, one queue slot. Once the worker is busy, a six-deep
+        // batch finds one free queue slot: the first position queues, the
+        // other five answer BUSY, and all six come back in order in one
+        // write.
         let server = test_server(1, 1);
-        let mut c = Client::connect(server.addr());
+        let addr = server.addr();
+        let blocker = std::thread::spawn(move || Client::connect(addr).roundtrip("SLEEP ms=400"));
+        let mut c = Client::connect(addr);
+        await_contains(&mut c, "STATS", " inflight=1 ");
         let mut batch = String::from("BATCH 6\n");
         for _ in 0..6 {
             batch.push_str("SLEEP ms=10\n");
         }
         c.writer.write_all(batch.as_bytes()).expect("send batch");
-        for i in 0..6 {
-            let mut r = String::new();
-            c.reader.read_line(&mut r).expect("recv");
-            assert_eq!(r.trim_end(), "OK cmd=sleep ms=10", "position {i}");
+        let mut first_read = vec![0u8; 4096];
+        let n = c.reader.get_mut().read(&mut first_read).expect("recv");
+        let replies = String::from_utf8_lossy(&first_read[..n]).into_owned();
+        let lines: Vec<&str> = replies.lines().collect();
+        assert_eq!(
+            lines.len(),
+            6,
+            "one write carries all six replies: {replies:?}"
+        );
+        assert_eq!(lines[0], "OK cmd=sleep ms=10");
+        for (i, line) in lines.iter().enumerate().skip(1) {
+            assert_eq!(*line, "BUSY queue_capacity=1", "position {i}");
         }
+        assert_eq!(blocker.join().unwrap(), "OK cmd=sleep ms=400");
         let stats = c.roundtrip("STATS");
-        assert!(stats.contains(" busy=0"), "{stats}");
+        assert!(stats.contains(" busy=5 "), "{stats}");
         server.join();
     }
 
@@ -2826,13 +2060,9 @@ mod tests {
         spawn(config).expect("spawn server")
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn event_front_roundtrips_inline_and_queued_requests() {
-        let server = custom_server(|c| {
-            c.frontend = Frontend::Event;
-            c.event_loops = 2;
-        });
+    fn loop_roundtrips_inline_and_queued_requests() {
+        let server = custom_server(|_| {});
         let mut c = Client::connect(server.addr());
         assert_eq!(c.roundtrip("PING"), "OK cmd=ping");
         let first = c.roundtrip("CHECK mbps=16 set=20,20000;50,60000");
@@ -2840,8 +2070,7 @@ mod tests {
         assert!(first.ends_with("cached=false"), "{first}");
         let second = c.roundtrip("CHECK mbps=16 set=50,60000;20,20000");
         assert!(second.ends_with("cached=true"), "{second}");
-        // Registry mutations run inline on the loop, same as the blocking
-        // front end runs them on the connection thread.
+        // Registry mutations run inline on the loop.
         assert_eq!(
             c.roundtrip("REGISTER ring=ev protocol=fddi mbps=100 stations=8"),
             "OK cmd=register ring=ev protocol=fddi mbps=100 stations=8"
@@ -2849,16 +2078,14 @@ mod tests {
         let admit = c.roundtrip("ADMIT ring=ev stream=a period_ms=20 bits=100000");
         assert!(admit.contains("admitted=true"), "{admit}");
         let stats = c.roundtrip("STATS");
-        assert!(stats.contains("frontend=event"), "{stats}");
         assert!(stats.contains("connections_open=1"), "{stats}");
         assert!(stats.contains("loop_wakeups="), "{stats}");
         server.join();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn event_front_pipelines_in_order() {
-        let server = custom_server(|c| c.frontend = Frontend::Event);
+    fn pipelined_replies_keep_request_order() {
+        let server = custom_server(|_| {});
         let mut c = Client::connect(server.addr());
         // Two queue-bound analyses and an inline PING in one write: the
         // replies must come back in submission order even though the
@@ -2878,10 +2105,9 @@ mod tests {
         server.join();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn event_front_batch_is_one_entry_answered_in_order() {
-        let server = custom_server(|c| c.frontend = Frontend::Event);
+    fn batch_with_queued_positions_answers_in_order() {
+        let server = custom_server(|_| {});
         let mut c = Client::connect(server.addr());
         c.writer
             .write_all(b"BATCH 3\nSLEEP ms=80\nPING\nCHECK mbps=16 set=20,20000\n")
@@ -2895,7 +2121,7 @@ mod tests {
         assert_eq!(got[0], "OK cmd=sleep ms=80");
         assert_eq!(got[1], "OK cmd=ping");
         assert!(got[2].starts_with("OK cmd=check"), "{}", got[2]);
-        // Nested framing is refused per-position, like the blocking front.
+        // Nested framing is refused per-position.
         c.writer
             .write_all(b"BATCH 2\nBATCH 2\nPING\n")
             .expect("send nested");
@@ -2910,7 +2136,9 @@ mod tests {
         server.join();
     }
 
-    fn assert_sheds_past_max_conns(server: &ServerHandle) {
+    #[test]
+    fn sheds_beyond_max_conns() {
+        let server = custom_server(|c| c.max_conns = 1);
         let mut first = Client::connect(server.addr());
         assert_eq!(first.roundtrip("PING"), "OK cmd=ping");
         // The shed connection gets one definite BUSY line, then EOF.
@@ -2923,33 +2151,16 @@ mod tests {
         let n = reader.read_line(&mut line).expect("read EOF");
         assert_eq!(n, 0, "shed connection must be closed, got {line:?}");
         // The stats record the shed and still count one open connection.
-        drop(reader);
-        std::thread::sleep(Duration::from_millis(50));
         let stats = first.roundtrip("STATS");
         assert!(stats.contains(" max_conns=1"), "{stats}");
         assert!(stats.contains("accept_shed=1"), "{stats}");
         assert!(stats.contains("connections_open=1"), "{stats}");
-    }
-
-    #[test]
-    fn threads_front_sheds_beyond_max_conns() {
-        let server = custom_server(|c| c.max_conns = 1);
-        assert_sheds_past_max_conns(&server);
         server.join();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn event_front_sheds_beyond_max_conns() {
-        let server = custom_server(|c| {
-            c.max_conns = 1;
-            c.frontend = Frontend::Event;
-        });
-        assert_sheds_past_max_conns(&server);
-        server.join();
-    }
-
-    fn assert_read_deadline_closes(server: &ServerHandle) {
+    fn closes_partial_line_at_read_deadline() {
+        let server = custom_server(|c| c.read_deadline_ms = 100);
         let stream = TcpStream::connect(server.addr()).expect("connect");
         let mut writer = stream.try_clone().expect("clone");
         // A slow loris: bytes trickle in but the newline never comes.
@@ -2964,36 +2175,15 @@ mod tests {
         line.clear();
         let n = reader.read_line(&mut line).expect("read EOF");
         assert_eq!(n, 0, "stalled connection must be closed");
-    }
-
-    #[test]
-    fn threads_front_closes_partial_line_at_read_deadline() {
-        let server = custom_server(|c| c.read_deadline_ms = 100);
-        assert_read_deadline_closes(&server);
-        server.join();
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn event_front_closes_partial_line_at_read_deadline() {
-        let server = custom_server(|c| {
-            c.read_deadline_ms = 100;
-            c.frontend = Frontend::Event;
-        });
-        assert_read_deadline_closes(&server);
         let mut c = Client::connect(server.addr());
         let stats = c.roundtrip("STATS");
         assert!(stats.contains("read_deadline_closed=1"), "{stats}");
         server.join();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn event_front_closes_idle_connections() {
-        let server = custom_server(|c| {
-            c.idle_timeout_ms = Some(100);
-            c.frontend = Frontend::Event;
-        });
+    fn closes_idle_connections() {
+        let server = custom_server(|c| c.idle_timeout_ms = Some(100));
         let idle = TcpStream::connect(server.addr()).expect("connect");
         let mut reader = BufReader::new(idle);
         let mut line = String::new();
@@ -3006,7 +2196,9 @@ mod tests {
         server.join();
     }
 
-    fn assert_oversized_line_rejected(server: &ServerHandle) {
+    #[test]
+    fn rejects_oversized_lines() {
+        let server = test_server(1, 4);
         let stream = TcpStream::connect(server.addr()).expect("connect");
         let mut writer = stream.try_clone().expect("clone");
         let blob = vec![b'A'; MAX_LINE_BYTES + 64];
@@ -3021,38 +2213,164 @@ mod tests {
         line.clear();
         let n = reader.read_line(&mut line).expect("read EOF");
         assert_eq!(n, 0, "oversized-line connection must be closed");
-    }
-
-    #[test]
-    fn threads_front_rejects_oversized_lines() {
-        let server = test_server(1, 4);
-        assert_oversized_line_rejected(&server);
-        server.join();
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn event_front_rejects_oversized_lines() {
-        let server = custom_server(|c| c.frontend = Frontend::Event);
-        assert_oversized_line_rejected(&server);
         let mut c = Client::connect(server.addr());
         let stats = c.roundtrip("STATS");
         assert!(stats.contains("oversized_rejected=1"), "{stats}");
         server.join();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn event_front_graceful_shutdown_answers_in_flight_work() {
-        let server = custom_server(|c| c.frontend = Frontend::Event);
-        let addr = server.addr();
-        let inflight = std::thread::spawn(move || {
-            let mut c = Client::connect(addr);
-            c.roundtrip("SLEEP ms=300")
+    fn half_closed_client_still_gets_queued_replies() {
+        let server = test_server(1, 4);
+        let mut c = Client::connect(server.addr());
+        c.writer
+            .write_all(b"SLEEP ms=50\nPING\n")
+            .expect("send requests");
+        c.writer
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut rest = String::new();
+        c.reader.read_to_string(&mut rest).expect("read to EOF");
+        assert_eq!(rest, "OK cmd=sleep ms=50\nOK cmd=ping\n");
+        server.join();
+    }
+
+    #[test]
+    fn unread_replies_pause_reading_until_drained() {
+        // A client pipelines large SHOW replies without reading them. The
+        // loop must stop reading it once the unflushed replies pass the
+        // output cap, keep serving other connections meanwhile, and hand
+        // over every reply, in order, once the client reads.
+        let server = test_server(1, 4);
+        let mut setup = Client::connect(server.addr());
+        setup.roundtrip("REGISTER ring=big protocol=fddi mbps=100 stations=8");
+        for i in 0..200 {
+            let admit = setup.roundtrip(&format!(
+                "ADMIT ring=big stream=s{i:03} period_ms=1000 bits=1000"
+            ));
+            assert!(admit.contains("admitted=true"), "{admit}");
+        }
+        const N: usize = 8_000;
+        let slow = Client::connect(server.addr());
+        let mut writer = slow.writer.try_clone().expect("clone");
+        let pipeline = std::thread::spawn(move || {
+            for i in 0..N {
+                let line = format!("SHOW ring=big offset={} limit=200\n", i % 100);
+                writer.write_all(line.as_bytes()).expect("pipeline");
+            }
         });
-        std::thread::sleep(Duration::from_millis(100));
-        server.shutdown();
-        assert_eq!(inflight.join().unwrap(), "OK cmd=sleep ms=300");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let stats = loop {
+            let stats = setup.roundtrip("STATS");
+            let paused = stats
+                .split_whitespace()
+                .find_map(|f| f.strip_prefix("read_paused="))
+                .and_then(|v| v.parse::<u64>().ok());
+            if paused.is_some_and(|p| p > 0) {
+                break stats;
+            }
+            assert!(Instant::now() < deadline, "reading never paused: {stats}");
+            std::thread::sleep(Duration::from_millis(25));
+        };
+        assert!(stats.contains("connections_open=2"), "{stats}");
+        assert_eq!(setup.roundtrip("PING"), "OK cmd=ping");
+        let mut reader = slow.reader;
+        let mut line = String::new();
+        for i in 0..N {
+            line.clear();
+            reader.read_line(&mut line).expect("reply");
+            let offset = format!(" offset={} ", i % 100);
+            assert!(
+                line.starts_with("OK cmd=show ring=big") && line.contains(&offset),
+                "reply {i}: {}",
+                &line[..line.len().min(120)]
+            );
+        }
+        pipeline.join().expect("pipeline thread");
+        // A batch whose replies outgrow the cap is still read to its last
+        // line and answered in full.
+        let mut c = Client::connect(server.addr());
+        // A loop that stops reading inside the batch never answers it.
+        c.reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut batch = String::from("BATCH 40\n");
+        for _ in 0..40 {
+            batch.push_str("SHOW ring=big\n");
+        }
+        c.writer.write_all(batch.as_bytes()).expect("send batch");
+        for i in 0..40 {
+            line.clear();
+            c.reader.read_line(&mut line).expect("batch reply");
+            assert!(line.contains("streams=200 "), "position {i}");
+        }
+        server.join();
+    }
+
+    #[test]
+    fn every_stats_key_has_a_metrics_series() {
+        use ringrt_obs::prom::parse_exposition;
+        // STATS keys with no METRICS counterpart, and why.
+        const STATS_ONLY: &[(&str, &str)] =
+            &[("source", "string-valued: the followed primary's address")];
+        let server = test_server(2, 4);
+        let mut c = Client::connect(server.addr());
+        c.roundtrip("CHECK mbps=16 set=20,20000");
+        let stats = c.roundtrip("STATS");
+        let header = c.roundtrip("METRICS");
+        let lines: usize = header
+            .strip_prefix("OK cmd=metrics lines=")
+            .expect("metrics header")
+            .parse()
+            .expect("line count");
+        let body: Vec<String> = (0..lines)
+            .map(|_| {
+                let mut l = String::new();
+                c.reader.read_line(&mut l).expect("metrics line");
+                l
+            })
+            .collect();
+        let samples = parse_exposition(&body.concat()).expect("exposition parses");
+        let has = |name: &str, label: Option<(&str, &str)>| {
+            samples
+                .iter()
+                .any(|s| s.name == name && label.is_none_or(|(k, v)| s.label(k) == Some(v)))
+        };
+        let latency = |key: &str| {
+            CommandKind::ALL.into_iter().find(|cmd| {
+                ["_count", "_p50_us", "_p99_us"]
+                    .iter()
+                    .any(|suffix| key == format!("{}{suffix}", cmd.token()))
+            })
+        };
+        let keys: Vec<&str> = stats
+            .split_whitespace()
+            .skip(2)
+            .filter_map(|field| field.split_once('=').map(|(k, _)| k))
+            .collect();
+        assert!(keys.len() > 50, "{stats}");
+        for key in keys {
+            if STATS_ONLY.iter().any(|(k, _)| *k == key) {
+                continue;
+            }
+            let found = if let Some(row) = crate::report::SCALARS.iter().find(|r| r.stats == key) {
+                has(row.metric, row.label)
+            } else if let Some(cmd) = latency(key) {
+                has(
+                    "ringrt_request_latency_seconds_count",
+                    Some(("command", cmd.token())),
+                )
+            } else if key == "worker_jobs" {
+                has("ringrt_worker_jobs_total", None)
+            } else if key == "worker_busy_us" {
+                has("ringrt_worker_busy_seconds_total", None)
+            } else {
+                has(&format!("ringrt_replication_{key}"), None)
+                    || has(&format!("ringrt_replication_{key}_total"), None)
+            };
+            assert!(found, "STATS key `{key}` has no METRICS series");
+        }
         server.join();
     }
 
@@ -3097,16 +2415,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn event_front_serves_sync_by_detaching_a_ship_thread() {
+    fn sync_detaches_a_ship_thread() {
         let dir = temp_state_dir("event-sync");
         let server = spawn(ServiceConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 1,
             queue_depth: 4,
             state_dir: Some(dir.clone()),
-            frontend: Frontend::Event,
             ..ServiceConfig::default()
         })
         .expect("spawn server");

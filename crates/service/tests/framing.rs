@@ -1,7 +1,7 @@
 //! Property tests for the fragmented-read protocol framing.
 //!
-//! The event front end receives request lines in whatever byte fragments
-//! the kernel delivers — one byte at a time in the worst case — and
+//! The server's event loop receives request lines in whatever byte
+//! fragments the kernel delivers — one byte at a time in the worst case — and
 //! reassembles them with [`LineBuffer`]. These properties pin the framing
 //! invariants the server relies on:
 //!
@@ -9,15 +9,15 @@
 //!   in order, with nothing left buffered;
 //! * an unterminated line longer than the cap is always rejected, however
 //!   it was fragmented;
-//! * a live server (both front ends) answers a pipelined request stream
-//!   correctly regardless of how the writes were split.
+//! * a live server answers a pipelined request stream correctly
+//!   regardless of how the writes were split.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use proptest::prelude::*;
 use ringrt_net::LineBuffer;
-use ringrt_service::{spawn, Frontend, ServiceConfig, MAX_LINE_BYTES};
+use ringrt_service::{spawn, ServiceConfig, MAX_LINE_BYTES};
 
 /// Cuts `stream` at the (projected, sorted) cut points and feeds the
 /// fragments through a [`LineBuffer`], returning every line extracted.
@@ -39,7 +39,7 @@ fn feed_fragmented(
         lb.extend(&stream[prev..p]);
         prev = p;
         while let Some(line) = lb.next_line()? {
-            got.push(line.into_bytes());
+            got.push(line.into_owned().into_bytes());
         }
     }
     Ok((got, lb.has_partial()))
@@ -80,7 +80,7 @@ proptest! {
             }
             lb.extend(b"\n");
             let out = lb.next_line().expect("within cap").expect("line complete");
-            got.push(out.into_bytes());
+            got.push(out.into_owned().into_bytes());
         }
         prop_assert_eq!(&got, &lines);
         for &b in &tail {
@@ -125,17 +125,11 @@ proptest! {
 
 /// Sends `payload` to a live server in the given fragment sizes, then
 /// reads `responses` lines back.
-fn roundtrip_fragmented(
-    frontend: Frontend,
-    payload: &[u8],
-    sizes: &[usize],
-    responses: usize,
-) -> Vec<String> {
+fn roundtrip_fragmented(payload: &[u8], sizes: &[usize], responses: usize) -> Vec<String> {
     let server = spawn(ServiceConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
         queue_depth: 8,
-        frontend,
         ..ServiceConfig::default()
     })
     .expect("spawn server");
@@ -165,35 +159,14 @@ fn roundtrip_fragmented(
     got
 }
 
-/// The whole stack, blocking front end: a pipelined request stream split
-/// into odd-sized fragments still parses frame by frame.
+/// The whole stack: a pipelined request stream split into odd-sized
+/// fragments still parses frame by frame, however the loop sees them
+/// arrive.
 #[test]
-fn threads_front_parses_fragmented_pipelines() {
+fn server_parses_fragmented_pipelines() {
     let payload = b"PING\nCHECK mbps=16 set=20,20000\nBATCH 2\nPING\nPING\nPING\n";
     for sizes in [&[1usize][..], &[3, 1, 7][..], &[64][..]] {
-        let got = roundtrip_fragmented(Frontend::Threads, payload, sizes, 5);
-        assert_eq!(got[0], "OK cmd=ping", "sizes {sizes:?}");
-        assert!(
-            got[1].starts_with("OK cmd=check"),
-            "sizes {sizes:?}: {}",
-            got[1]
-        );
-        assert_eq!(
-            &got[2..],
-            ["OK cmd=ping", "OK cmd=ping", "OK cmd=ping"],
-            "sizes {sizes:?}"
-        );
-    }
-}
-
-/// Same stream, event front end: the readiness loop sees the same
-/// fragments via epoll and must produce the same framing.
-#[cfg(target_os = "linux")]
-#[test]
-fn event_front_parses_fragmented_pipelines() {
-    let payload = b"PING\nCHECK mbps=16 set=20,20000\nBATCH 2\nPING\nPING\nPING\n";
-    for sizes in [&[1usize][..], &[3, 1, 7][..], &[64][..]] {
-        let got = roundtrip_fragmented(Frontend::Event, payload, sizes, 5);
+        let got = roundtrip_fragmented(payload, sizes, 5);
         assert_eq!(got[0], "OK cmd=ping", "sizes {sizes:?}");
         assert!(
             got[1].starts_with("OK cmd=check"),
