@@ -403,7 +403,6 @@ fn connection_sweep(opts: &ExpOptions) {
 
     let mut json = String::from("{\n");
     json.push_str("  \"experiment\": \"SERVICE-LOAD/CONNECTIONS\",\n");
-    json.push_str("  \"frontend\": \"event\",\n");
     json.push_str(&format!("  \"fd_soft_limit\": {soft},\n"));
     json.push_str(&format!("  \"active_clients\": {clients},\n"));
     json.push_str("  \"rows\": [\n");

@@ -506,7 +506,6 @@ fn positionals_and_flags<I: Iterator<Item = String>>(
     Ok((positionals, flags))
 }
 
-/// Collects `(--flag value)*` for subcommands without a positional file.
 /// The flags `serve` understands.
 const SERVE_FLAGS: &[&str] = &[
     "--addr",
@@ -537,6 +536,7 @@ fn known_flags(flags: &Flags, known: &[&str]) -> Result<(), String> {
     }
 }
 
+/// Collects `(--flag value)*` for subcommands without a positional file.
 fn flags_only<I: Iterator<Item = String>>(it: &mut I) -> Result<Flags, String> {
     let mut flags = Vec::new();
     while let Some(flag) = it.next() {

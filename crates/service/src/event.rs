@@ -3,9 +3,10 @@
 //!
 //! The loop accepts connections, parses newline-framed requests out of
 //! whatever byte fragments arrive, answers cheap requests inline
-//! ([`handle_request`]), and submits analysis work to the shared worker
-//! queue; workers push the finished text onto the server's completion
-//! queue and wake the loop through a pipe.
+//! ([`handle_request`]), and hands analysis work to the shared worker
+//! queue and stored-ring commands to the registry thread; both push the
+//! finished text onto the server's completion queue and wake the loop
+//! through a pipe.
 //!
 //! # fd ownership
 //!
@@ -24,6 +25,12 @@
 //! collapses to one entry, written in one go), and only the *front* entry
 //! may flush. A slow analysis therefore delays later replies on its own
 //! connection while other connections proceed.
+//!
+//! Analyses are pure, so pipelined ones may run concurrently. Stored-ring
+//! commands are not: a connection whose command is on the registry thread
+//! is neither read nor parsed until that reply lands, so its next request
+//! — an `ADMIT` after a `REGISTER`, a `SIMULATE ring=` after an `ADMIT` —
+//! sees the effect, exactly as if the loop had run it inline.
 //!
 //! # Backpressure
 //!
@@ -90,7 +97,8 @@ enum Part {
     Ready(String),
     Waiting {
         slot: u64,
-        command: CommandKind,
+        /// The latency histogram the reply is recorded in, if any.
+        command: Option<CommandKind>,
         started: Instant,
         /// The request line, kept only while the `--slow-ms` log is on.
         request: Option<Box<str>>,
@@ -162,6 +170,10 @@ struct Conn {
     /// Unflushed replies reached [`OUT_CAP`]: input is neither read nor
     /// parsed until they drain.
     paused: bool,
+    /// The reply slot of a stored-ring command still on the registry
+    /// thread: input is neither read nor parsed until it lands, so the
+    /// connection's next request sees the command's effect.
+    ordered: Option<u64>,
     /// The peer finished sending: lines already buffered are still
     /// served, then the connection closes once its replies are written.
     eof: bool,
@@ -185,13 +197,14 @@ impl Conn {
             partial_since: None,
             interest: Interest::READ,
             paused: false,
+            ordered: None,
             eof: false,
             closing: false,
         }
     }
 
     fn reading(&self) -> bool {
-        !self.paused && !self.eof && !self.closing
+        !self.paused && self.ordered.is_none() && !self.eof && !self.closing
     }
 
     fn unflushed(&self) -> usize {
@@ -277,8 +290,15 @@ impl Conn {
         slow: SlowProbe,
     ) -> Option<Box<ShipSubscription>> {
         let (text, timed) = match handled {
-            Handled::Queued { command, started } => {
+            Handled::Queued {
+                command,
+                started,
+                ordered,
+            } => {
                 self.next_slot += 1;
+                if ordered {
+                    self.ordered = Some(slot);
+                }
                 self.push_part(Part::Waiting {
                     slot,
                     command,
@@ -358,7 +378,9 @@ impl Conn {
             ..
         } = part
         {
-            record_completed(shared, *command, *started, &text);
+            if let Some(command) = command {
+                record_completed(shared, *command, *started, &text);
+            }
             if let Some(request) = request {
                 log_if_slow(shared, *started, request);
             }
@@ -368,6 +390,9 @@ impl Conn {
         }
         self.held += text.len() + 1;
         *part = Part::Ready(text);
+        if self.ordered == Some(slot) {
+            self.ordered = None;
+        }
         true
     }
 
@@ -586,7 +611,7 @@ impl EventLoop {
             let Some(conn) = self.table.get_mut(token) else {
                 return false;
             };
-            if conn.paused || conn.closing {
+            if conn.paused || conn.closing || conn.ordered.is_some() {
                 return false;
             }
             // An open batch is never cut short: its replies leave only once

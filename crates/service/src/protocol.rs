@@ -31,7 +31,8 @@
 //! The registry commands (`REGISTER`/`ADMIT`/`REMOVE`/`UNREGISTER`/`SHOW`)
 //! operate on the server's persistent ring registry; `ADMIT`'s
 //! `deadline_ms` is the **stream's relative deadline**, not a queue
-//! deadline — registry commands are answered inline and never queue.
+//! deadline — registry commands run in arrival order on the server's
+//! registry thread and never queue behind analyses.
 //! `BATCH <n>` reads the next `n` request lines, answers them in order,
 //! and writes all responses in a single syscall.
 //!
@@ -200,8 +201,9 @@ pub enum Request {
     /// A Monte-Carlo ABU estimation on the worker pool.
     Abu(AbuRequest),
     /// An analysis of a **stored ring**'s admitted set; the server resolves
-    /// the ring before execution. `CHECK` is answered inline with a full
-    /// (counted) re-analysis; the other commands queue like any analysis.
+    /// the ring before execution. `CHECK` runs on the registry thread as a
+    /// full (counted) re-analysis; the other commands queue like any
+    /// analysis.
     RingAnalysis {
         /// Which analysis to run.
         command: CommandKind,

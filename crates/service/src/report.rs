@@ -39,7 +39,7 @@ pub(crate) struct Scalar {
     kind: Kind,
     /// `METRICS` value = `STATS` value × `scale` (milli- or microseconds
     /// to seconds).
-    scale: f64,
+    pub(crate) scale: f64,
     read: fn(&Snapshot<'_>) -> f64,
 }
 

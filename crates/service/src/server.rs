@@ -4,10 +4,11 @@
 //! # Threading model
 //!
 //! ```text
-//! listener ─accept─▶ event loop (epoll) ──jobs──▶ queue ──▶ workers
-//!                     │    ▲                                 │
-//!                     │    └──── completions + waker ◀───────┘
-//!                     └─ inline: PING / STATS / registry / cache hits
+//! listener ─accept─▶ event loop (epoll) ──analyses──▶ queue ──▶ workers
+//!                     │  │   ▲                                   │
+//!                     │  │   └────── completions + waker ◀───────┤
+//!                     │  └──ring commands──▶ registry thread ────┘
+//!                     └─ inline: PING / STATS / cache hits
 //! ```
 //!
 //! * One `ringrt-loop` thread ([`crate::event`]) owns the listener and
@@ -15,11 +16,17 @@
 //!   `BUSY max_conns=…` line), parses newline-framed requests out of
 //!   whatever fragments arrive, and writes replies in request order. This
 //!   is the shape that holds 10⁴–10⁵ mostly idle station controllers.
-//! * Cheap requests (PING, STATS, SHUTDOWN, registry commands, malformed
-//!   lines, cache hits) are answered on the loop without touching the
-//!   queue; analysis work goes through the bounded queue, and a full queue
-//!   sheds load with an immediate `BUSY` line — the client is never left
-//!   hanging, inside a `BATCH` or not.
+//! * Cheap requests (PING, STATS, SHUTDOWN, malformed lines, cache hits)
+//!   are answered on the loop without touching the queue; analysis work
+//!   goes through the bounded queue, and a full queue sheds load with an
+//!   immediate `BUSY` line — the client is never left hanging, inside a
+//!   `BATCH` or not.
+//! * Commands on a stored ring (`REGISTER`, `ADMIT`, `REMOVE`,
+//!   `UNREGISTER`, `COMPACT`, `SHOW ring=`, `CHECK ring=`) may fsync the
+//!   journal or walk every stream, so they run on one `ringrt-registry`
+//!   thread, in arrival order and never shed. Their connection is not read
+//!   until the reply is back, so its next request sees the effect — and
+//!   every other connection keeps being served meanwhile.
 //! * Workers pop jobs; a job that waited past its deadline is answered
 //!   `ERR deadline expired` without being executed. Finished replies go
 //!   onto the server's completion queue, and a pipe wakes the loop.
@@ -172,11 +179,76 @@ struct Job {
     deadline: Duration,
 }
 
+/// A stored-ring command handed to the registry thread.
+struct RingJob {
+    request: Request,
+    reply: ReplyTo,
+}
+
+/// A FIFO of handed-off jobs and the condvar its threads sleep on.
+struct JobQueue<T> {
+    jobs: Mutex<VecDeque<T>>,
+    ready: Condvar,
+}
+
+impl<T> JobQueue<T> {
+    fn new() -> Self {
+        JobQueue {
+            jobs: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
+        self.jobs.lock().expect("job queue poisoned")
+    }
+
+    /// Appends `job` unless `cap` jobs already wait; returns the new depth.
+    fn push(&self, job: T, cap: usize) -> Option<usize> {
+        let mut q = self.lock();
+        if q.len() >= cap {
+            return None;
+        }
+        q.push_back(job);
+        let depth = q.len();
+        drop(q);
+        self.ready.notify_one();
+        Some(depth)
+    }
+
+    /// The next job, waiting for one; `None` once `stop` is set and the
+    /// queue is empty.
+    fn pop(&self, stop: &AtomicBool) -> Option<T> {
+        let mut q = self.lock();
+        loop {
+            if let Some(job) = q.pop_front() {
+                return Some(job);
+            }
+            if stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            q = self.ready.wait(q).expect("job queue poisoned");
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Wakes every waiting thread to re-check `stop`. Taking the lock
+    /// orders the wakeup after any check already made under it.
+    fn wake_all(&self) {
+        let _q = self.lock();
+        self.ready.notify_all();
+    }
+}
+
 /// State shared by every thread of one server instance.
 pub(crate) struct Shared {
     pub(crate) config: ServiceConfig,
-    queue: Mutex<VecDeque<Job>>,
-    queue_cv: Condvar,
+    queue: JobQueue<Job>,
+    /// Stored-ring commands, run in arrival order by the registry thread.
+    ring_jobs: JobQueue<RingJob>,
     /// Replies workers finished, collected by the event loop when
     /// [`Shared::waker`] fires.
     completions: Mutex<Vec<Completion>>,
@@ -207,27 +279,23 @@ impl Shared {
 
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.queue_cv.notify_all();
+        self.queue.wake_all();
+        self.ring_jobs.wake_all();
         self.waker.wake();
     }
 
     /// Pushes a job unless the queue is full. Jobs are still accepted
     /// during shutdown drain so already-connected clients finish cleanly.
     fn try_enqueue(&self, job: Job) -> bool {
-        let mut q = self.queue.lock().expect("job queue poisoned");
-        if q.len() >= self.config.queue_depth {
+        let Some(depth) = self.queue.push(job, self.config.queue_depth) else {
             return false;
-        }
-        q.push_back(job);
-        let depth = q.len();
-        drop(q);
+        };
         self.metrics.note_queue_depth(depth);
-        self.queue_cv.notify_one();
         true
     }
 
     pub(crate) fn queue_len(&self) -> usize {
-        self.queue.lock().expect("job queue poisoned").len()
+        self.queue.len()
     }
 
     /// Hands a worker's reply to the event loop. Only the push that finds
@@ -380,8 +448,8 @@ pub fn spawn(mut config: ServiceConfig) -> std::io::Result<ServerHandle> {
     let cache_entries = config.cache_entries;
     let shared = Arc::new(Shared {
         config: config.clone(),
-        queue: Mutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
+        queue: JobQueue::new(),
+        ring_jobs: JobQueue::new(),
         completions: Mutex::new(Vec::new()),
         waker,
         metrics: Metrics::with_workers(config.workers),
@@ -410,6 +478,15 @@ pub fn spawn(mut config: ServiceConfig) -> std::io::Result<ServerHandle> {
                 .expect("spawn worker thread")
         })
         .collect();
+    {
+        let shared = Arc::clone(&shared);
+        workers.push(
+            std::thread::Builder::new()
+                .name("ringrt-registry".to_owned())
+                .spawn(move || registry_loop(&shared))
+                .expect("spawn registry thread"),
+        );
+    }
     if config.follow.is_some() {
         let shared = Arc::clone(&shared);
         workers.push(
@@ -471,14 +548,19 @@ impl Response {
 }
 
 /// What handling one request line produced: an immediate response, or a
-/// job on the queue whose reply will arrive as a [`Completion`] for the
+/// job handed off whose reply will arrive as a [`Completion`] for the
 /// line's [`ReplyTo`]. `Queued` carries what the loop needs to record the
-/// latency when the reply lands.
+/// latency when the reply lands (stored-ring commands other than
+/// `CHECK ring=` keep no latency histogram).
 pub(crate) enum Handled {
     Ready(Response),
     Queued {
-        command: CommandKind,
+        command: Option<CommandKind>,
         started: Instant,
+        /// A stored-ring command on the registry thread: the connection
+        /// must serve nothing more until its reply lands, so the next
+        /// request sees its effect.
+        ordered: bool,
     },
 }
 
@@ -565,104 +647,28 @@ pub(crate) fn handle_request(line: &str, shared: &Arc<Shared>, reply: ReplyTo) -
             "OK cmd=evict evicted={}",
             shared.cache.clear()
         ))),
-        Request::Compact => ready(Response::Line(match shared.registry.compact() {
-            Ok(()) => {
-                let m = shared.registry.metrics();
-                format!(
-                    "OK cmd=compact journal_bytes={} snapshot_bytes={}",
-                    m.journal_bytes, m.snapshot_bytes
-                )
-            }
-            Err(e) => format!("ERR {e}"),
-        })),
-        Request::Register { ring, spec } => ready(Response::Line(
-            match shared.registry.register(&ring, spec) {
-                Ok(()) => format!(
-                    "OK cmd=register ring={ring} protocol={} mbps={} stations={}",
-                    spec.protocol,
-                    spec.mbps,
-                    fmt_stations(spec.stations),
-                ),
-                Err(e) => format!("ERR {e}"),
-            },
-        )),
-        Request::Admit {
-            ring,
-            stream,
-            candidate,
-        } => ready(Response::Line(
-            match shared.registry.admit(&ring, &stream, candidate) {
-                Ok(out) => render_admission("admit", &ring, &stream, &out),
-                Err(e) => format!("ERR {e}"),
-            },
-        )),
-        Request::Remove { ring, stream } => ready(Response::Line(
-            match shared.registry.remove(&ring, &stream) {
-                Ok(out) => render_admission("remove", &ring, &stream, &out),
-                Err(e) => format!("ERR {e}"),
-            },
-        )),
-        Request::Unregister { ring } => {
-            ready(Response::Line(match shared.registry.unregister(&ring) {
-                Ok(()) => format!("OK cmd=unregister ring={ring}"),
-                Err(e) => format!("ERR {e}"),
-            }))
-        }
-        Request::Show {
-            ring,
-            limit,
-            offset,
-        } => ready(Response::Line(match ring {
-            Some(ring) if limit.is_some() || offset.is_some() => {
-                let offset = offset.unwrap_or(0);
-                let limit = limit.unwrap_or(usize::MAX);
-                match shared.registry.ring_page(&ring, offset, limit) {
-                    Ok(page) => render_show_page(&ring, &page),
-                    Err(e) => format!("ERR {e}"),
+        Request::Show { ring: None, .. } => {
+            let names = shared.registry.ring_names();
+            ready(Response::Line(format!(
+                "OK cmd=show rings={} names={}",
+                names.len(),
+                if names.is_empty() {
+                    "-".to_owned()
+                } else {
+                    names.join(",")
                 }
-            }
-            Some(ring) => match shared.registry.ring_state(&ring) {
-                Ok(state) => render_show(&ring, &state),
-                Err(e) => format!("ERR {e}"),
-            },
-            None => {
-                let names = shared.registry.ring_names();
-                format!(
-                    "OK cmd=show rings={} names={}",
-                    names.len(),
-                    if names.is_empty() {
-                        "-".to_owned()
-                    } else {
-                        names.join(",")
-                    }
-                )
-            }
-        })),
-        Request::RingAnalysis {
-            command: CommandKind::Check,
-            ring,
-            ..
-        } => {
-            // Answered inline with the counted full test — the baseline the
-            // STATS evaluation counters compare ADMIT against.
-            let started = Instant::now();
-            let text = match shared.registry.check_full(&ring) {
-                Ok(check) => format!(
-                    "OK cmd=check ring={ring} protocol={} mbps={} stations={} streams={} \
-                     utilization={:.6} schedulable={} evaluations={}",
-                    check.spec.protocol,
-                    check.spec.mbps,
-                    check.spec.effective_stations(check.streams),
-                    check.streams,
-                    check.utilization,
-                    check.schedulable,
-                    check.evaluations,
-                ),
-                Err(e) => format!("ERR {e}"),
-            };
-            record_completed(shared, CommandKind::Check, started, &text);
-            ready(Response::Line(text))
+            )))
         }
+        request @ (Request::Register { .. }
+        | Request::Admit { .. }
+        | Request::Remove { .. }
+        | Request::Unregister { .. }
+        | Request::Compact
+        | Request::Show { .. }
+        | Request::RingAnalysis {
+            command: CommandKind::Check,
+            ..
+        }) => submit_ring(shared, request, reply),
         Request::RingAnalysis {
             command,
             ring,
@@ -936,7 +942,11 @@ fn submit(
         deadline,
     };
     if shared.try_enqueue(job) {
-        Handled::Queued { command, started }
+        Handled::Queued {
+            command: Some(command),
+            started,
+            ordered: false,
+        }
     } else {
         Handled::Ready(Response::Line(format!(
             "BUSY queue_capacity={}",
@@ -945,20 +955,114 @@ fn submit(
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, index: usize) {
-    loop {
-        let job = {
-            let mut q = shared.queue.lock().expect("job queue poisoned");
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break job;
-                }
-                if shared.shutting_down() {
-                    return; // queue drained, shutdown requested
-                }
-                q = shared.queue_cv.wait(q).expect("job queue poisoned");
+/// Hands a stored-ring command to the registry thread. Never shed: the
+/// loop reads nothing more from the connection until the reply lands, so
+/// each connection has at most one waiting.
+fn submit_ring(shared: &Shared, request: Request, reply: ReplyTo) -> Handled {
+    let command = matches!(request, Request::RingAnalysis { .. }).then_some(CommandKind::Check);
+    let started = Instant::now();
+    shared
+        .ring_jobs
+        .push(RingJob { request, reply }, usize::MAX);
+    Handled::Queued {
+        command,
+        started,
+        ordered: true,
+    }
+}
+
+/// The registry thread: runs stored-ring commands in arrival order until
+/// shutdown has drained them.
+fn registry_loop(shared: &Arc<Shared>) {
+    while let Some(job) = shared.ring_jobs.pop(&shared.shutdown) {
+        let text = execute_ring(shared, job.request);
+        shared.complete(job.reply, text);
+    }
+}
+
+/// Executes one command [`submit_ring`] handed off.
+fn execute_ring(shared: &Shared, request: Request) -> String {
+    match request {
+        Request::Compact => match shared.registry.compact() {
+            Ok(()) => {
+                let m = shared.registry.metrics();
+                format!(
+                    "OK cmd=compact journal_bytes={} snapshot_bytes={}",
+                    m.journal_bytes, m.snapshot_bytes
+                )
             }
-        };
+            Err(e) => format!("ERR {e}"),
+        },
+        Request::Register { ring, spec } => match shared.registry.register(&ring, spec) {
+            Ok(()) => format!(
+                "OK cmd=register ring={ring} protocol={} mbps={} stations={}",
+                spec.protocol,
+                spec.mbps,
+                fmt_stations(spec.stations),
+            ),
+            Err(e) => format!("ERR {e}"),
+        },
+        Request::Admit {
+            ring,
+            stream,
+            candidate,
+        } => match shared.registry.admit(&ring, &stream, candidate) {
+            Ok(out) => render_admission("admit", &ring, &stream, &out),
+            Err(e) => format!("ERR {e}"),
+        },
+        Request::Remove { ring, stream } => match shared.registry.remove(&ring, &stream) {
+            Ok(out) => render_admission("remove", &ring, &stream, &out),
+            Err(e) => format!("ERR {e}"),
+        },
+        Request::Unregister { ring } => match shared.registry.unregister(&ring) {
+            Ok(()) => format!("OK cmd=unregister ring={ring}"),
+            Err(e) => format!("ERR {e}"),
+        },
+        Request::Show {
+            ring: Some(ring),
+            limit,
+            offset,
+        } if limit.is_some() || offset.is_some() => {
+            let offset = offset.unwrap_or(0);
+            let limit = limit.unwrap_or(usize::MAX);
+            match shared.registry.ring_page(&ring, offset, limit) {
+                Ok(page) => render_show_page(&ring, &page),
+                Err(e) => format!("ERR {e}"),
+            }
+        }
+        Request::Show {
+            ring: Some(ring), ..
+        } => match shared.registry.ring_state(&ring) {
+            Ok(state) => render_show(&ring, &state),
+            Err(e) => format!("ERR {e}"),
+        },
+        // The counted full test — the baseline the STATS evaluation
+        // counters compare ADMIT against.
+        Request::RingAnalysis {
+            command: CommandKind::Check,
+            ring,
+            ..
+        } => match shared.registry.check_full(&ring) {
+            Ok(check) => format!(
+                "OK cmd=check ring={ring} protocol={} mbps={} stations={} streams={} \
+                 utilization={:.6} schedulable={} evaluations={}",
+                check.spec.protocol,
+                check.spec.mbps,
+                check.spec.effective_stations(check.streams),
+                check.streams,
+                check.utilization,
+                check.schedulable,
+                check.evaluations,
+            ),
+            Err(e) => format!("ERR {e}"),
+        },
+        _ => unreachable!("only stored-ring commands reach the registry thread"),
+    }
+}
+
+fn worker_loop(shared: &Arc<Shared>, index: usize) {
+    // Ends once shutdown is requested and the queue is drained.
+    while let Some(job) = shared.queue.pop(&shared.shutdown) {
         // Every popped job's queue wait is recorded — expired jobs
         // included, since their wait is exactly the signal the stage
         // histogram exists to expose.
@@ -2070,7 +2174,7 @@ mod tests {
         assert!(first.ends_with("cached=false"), "{first}");
         let second = c.roundtrip("CHECK mbps=16 set=50,60000;20,20000");
         assert!(second.ends_with("cached=true"), "{second}");
-        // Registry mutations run inline on the loop.
+        // Registry mutations round-trip through the registry thread.
         assert_eq!(
             c.roundtrip("REGISTER ring=ev protocol=fddi mbps=100 stations=8"),
             "OK cmd=register ring=ev protocol=fddi mbps=100 stations=8"
@@ -2236,6 +2340,92 @@ mod tests {
     }
 
     #[test]
+    fn pipelined_ring_commands_see_earlier_effects() {
+        let server = test_server(2, 8);
+        let mut c = Client::connect(server.addr());
+        // One write: each line must see the effect of the ring commands
+        // before it, although those run on the registry thread and the
+        // SIMULATE snapshots the ring on the loop.
+        c.writer
+            .write_all(
+                b"REGISTER ring=p protocol=modified mbps=16 stations=8\n\
+                  ADMIT ring=p stream=a period_ms=20 bits=20000\n\
+                  SIMULATE ring=p seconds=0.1 seed=1\n\
+                  BATCH 3\n\
+                  REMOVE ring=p stream=a\n\
+                  SIMULATE ring=p seconds=0.1 seed=1\n\
+                  SHOW ring=p\n",
+            )
+            .expect("send pipeline");
+        let mut replies = Vec::new();
+        for _ in 0..6 {
+            let mut line = String::new();
+            c.reader.read_line(&mut line).expect("reply");
+            replies.push(line.trim_end().to_owned());
+        }
+        assert!(
+            replies[0].starts_with("OK cmd=register ring=p"),
+            "{replies:?}"
+        );
+        assert!(replies[1].contains("admitted=true"), "{replies:?}");
+        assert!(replies[2].starts_with("OK cmd=simulate"), "{replies:?}");
+        assert!(
+            replies[3].starts_with("OK cmd=remove ring=p stream=a"),
+            "{replies:?}"
+        );
+        assert_eq!(replies[4], "ERR ring `p` has no streams");
+        assert!(replies[5].ends_with(" streams=0 set=-"), "{replies:?}");
+        server.join();
+    }
+
+    #[test]
+    fn ring_work_leaves_other_connections_served() {
+        const STREAMS: usize = 500;
+        const CHECKS: usize = 1000;
+        let server = test_server(1, 4);
+        let mut a = Client::connect(server.addr());
+        let mut b = Client::connect(server.addr());
+        a.roundtrip("REGISTER ring=big protocol=fddi mbps=100 stations=600");
+        let mut admits = format!("BATCH {STREAMS}\n");
+        for i in 0..STREAMS {
+            admits.push_str(&format!(
+                "ADMIT ring=big stream=s{i} period_ms={} bits=64\n",
+                10_000 + i
+            ));
+        }
+        a.writer.write_all(admits.as_bytes()).expect("send admits");
+        let mut line = String::new();
+        for _ in 0..STREAMS {
+            line.clear();
+            a.reader.read_line(&mut line).expect("admit reply");
+            assert!(line.contains("admitted=true"), "{line}");
+        }
+        b.roundtrip("STATS RESET");
+        let checks = format!("BATCH {CHECKS}\n{}", "CHECK ring=big\n".repeat(CHECKS));
+        a.writer.write_all(checks.as_bytes()).expect("send checks");
+        // While the registry thread runs A's full tests, B is answered:
+        // some STATS reply lands with A's batch part-way done.
+        let full_tests = |stats: &str| -> usize {
+            stats
+                .split_whitespace()
+                .find_map(|f| f.strip_prefix("full_tests="))
+                .and_then(|v| v.parse().ok())
+                .expect("full_tests in STATS")
+        };
+        let mut seen = 0;
+        while seen == 0 {
+            seen = full_tests(&b.roundtrip("STATS"));
+        }
+        assert!(seen < CHECKS, "B waited for all of A's batch");
+        for _ in 0..CHECKS {
+            line.clear();
+            a.reader.read_line(&mut line).expect("check reply");
+            assert!(line.starts_with("OK cmd=check ring=big "), "{line}");
+        }
+        server.join();
+    }
+
+    #[test]
     fn unread_replies_pause_reading_until_drained() {
         // A client pipelines large SHOW replies without reading them. The
         // loop must stop reading it once the unflushed replies pass the
@@ -2371,6 +2561,100 @@ mod tests {
             };
             assert!(found, "STATS key `{key}` has no METRICS series");
         }
+        server.join();
+    }
+
+    #[test]
+    fn every_scalar_renders_its_own_source_in_both_formats() {
+        use ringrt_obs::prom::parse_exposition;
+        let server = custom_server(|c| {
+            c.workers = 3;
+            c.queue_depth = 5;
+            c.max_conns = 11;
+        });
+        let shared = &server.shared;
+        let m = &shared.metrics;
+        // A distinct value per source, so a row that reads the wrong one
+        // renders the wrong number. No client connects: the loop stays
+        // asleep and nothing else moves these between the two renders.
+        let sources: [(&str, &AtomicU64); 16] = [
+            ("requests", &m.requests),
+            ("ok", &m.ok),
+            ("errors", &m.errors),
+            ("busy", &m.busy),
+            ("readonly", &m.readonly),
+            ("deadline_expired", &m.deadline_expired),
+            ("inflight", &shared.inflight),
+            ("connections_open", &m.conns.open),
+            ("connections_accepted", &m.conns.accepted),
+            ("accept_shed", &m.conns.accept_shed),
+            ("loop_wakeups", &m.conns.loop_wakeups),
+            ("loop_ready_events", &m.conns.loop_ready_events),
+            ("idle_closed", &m.conns.idle_closed),
+            ("read_deadline_closed", &m.conns.read_deadline_closed),
+            ("oversized_rejected", &m.conns.oversized_rejected),
+            ("read_paused", &m.conns.read_paused),
+        ];
+        let mut expected: Vec<(&str, f64)> = Vec::new();
+        for (value, (key, source)) in (101..).zip(sources) {
+            source.store(value, Ordering::Relaxed);
+            expected.push((key, value as f64));
+        }
+        m.note_queue_depth(4);
+        m.note_hit(Duration::from_micros(2500));
+        expected.extend([
+            ("queue_peak", 4.0),
+            ("hit_fast", 1.0),
+            ("hit_fast_us", 2500.0),
+            ("workers", 3.0),
+            ("queue_capacity", 5.0),
+            ("max_conns", 11.0),
+        ]);
+        let stats = shared.render_stats();
+        let samples = parse_exposition(&shared.render_metrics()).expect("exposition parses");
+        let stats_value = |key: &str| -> f64 {
+            stats
+                .split_whitespace()
+                .find_map(|field| field.strip_prefix(key)?.strip_prefix('='))
+                .unwrap_or_else(|| panic!("STATS lacks `{key}`: {stats}"))
+                .parse()
+                .unwrap_or_else(|_| panic!("STATS `{key}` is not a number: {stats}"))
+        };
+        let metric_value = |row: &crate::report::Scalar| -> f64 {
+            samples
+                .iter()
+                .find(|s| {
+                    s.name == row.metric && row.label.is_none_or(|(k, v)| s.label(k) == Some(v))
+                })
+                .unwrap_or_else(|| panic!("METRICS lacks the series for `{}`", row.stats))
+                .value
+        };
+        let row = |key: &str| {
+            crate::report::SCALARS
+                .iter()
+                .find(|r| r.stats == key)
+                .unwrap_or_else(|| panic!("no table row for `{key}`"))
+        };
+        for (key, want) in expected {
+            assert_eq!(stats_value(key), want, "STATS `{key}`");
+            let row = row(key);
+            assert_eq!(metric_value(row), want * row.scale, "METRICS for `{key}`");
+        }
+        // Every other row agrees across the two formats too, scaled as the
+        // row says (STATS prints non-integers to three decimals).
+        for row in crate::report::SCALARS {
+            if row.stats == "uptime_ms" {
+                continue; // moves between the two renders
+            }
+            let (stats, metric) = (stats_value(row.stats), metric_value(row));
+            assert!(
+                (stats * row.scale - metric).abs() <= 5e-4 * row.scale,
+                "`{}`: STATS {stats} vs METRICS {metric}",
+                row.stats
+            );
+        }
+        shared.inflight.store(0, Ordering::Relaxed);
+        m.conns.open.store(0, Ordering::Relaxed);
         server.join();
     }
 
