@@ -17,6 +17,17 @@
 //! pure per-request syscall and wakeup overhead, since both phases serve
 //! every verdict from the cache.
 //!
+//! With `--mixed` the binary instead runs the **mixed-traffic phase**:
+//! two closed-loop clients replaying cache-warm `CHECK`s
+//! beside one client sending fresh `CHECK`s (perfbench check-miss's
+//! shape), and with `--writer` a fourth client cycling journaled
+//! `ADMIT`/`REMOVE` pairs. It prints hits/s, hit p50/p99, misses/s and
+//! miss p50/p99 from the raw samples, and exits 1 on any non-`OK` reply
+//! or a `cached=` flag the traffic rules out. `--addr HOST:PORT` drives an
+//! already running `ringrt serve` (with `--state-dir` for `--writer`)
+//! instead of an in-process server, so two builds can be compared with
+//! the same client.
+//!
 //! With `--connections` the binary instead runs the **connection-count
 //! sweep**: the server's event loop is loaded with 1k/10k/50k *idle*
 //! connections (held open by re-exec'd holder subprocesses, since one
@@ -29,13 +40,18 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use ringrt_bench::{banner, ExpOptions};
+use ringrt_breakdown::sweep::default_bandwidths_mbps;
 use ringrt_breakdown::table::{cell, Table};
 use ringrt_des::stats::DurationHistogram;
 use ringrt_service::{spawn, ServiceConfig};
 use ringrt_units::SimDuration;
+use ringrt_workload::MessageSetGenerator;
 
 /// Builds one request line; `unique` differentiates the payload so the
 /// cold phase cannot hit the cache.
@@ -181,6 +197,287 @@ fn stats_field(addr: SocketAddr, key: &str) -> String {
         .find_map(|w| w.strip_prefix(&format!("{key}=")[..]))
         .unwrap_or("?")
         .to_owned()
+}
+
+/// Cache-hit clients in the mixed phase.
+const MIXED_HIT_CLIENTS: usize = 2;
+
+/// Distinct lines each hit client replays: few enough that a hit client
+/// refreshes each of its entries long before the fresh client's inserts
+/// could make it its shard's least recently used.
+const HIT_LINES_PER_CLIENT: usize = 64;
+
+/// Fresh lines generated per second of window, above what one closed-loop
+/// client reaches on the development host, so the pool outlasts the
+/// window (a client that runs out stops early; its rate uses its own
+/// elapsed time).
+const FRESH_LINES_PER_SECOND: usize = 15_000;
+
+/// One `CHECK` as perfbench's check-miss draws them: a fresh 10–100-stream
+/// set from the paper's population at a Figure-1 bandwidth, on one of the
+/// three protocols.
+fn fresh_check_line(rng: &mut StdRng, grid: &[f64]) -> String {
+    let set = MessageSetGenerator::paper_population(rng.gen_range(10..=100)).generate(rng);
+    let records: Vec<String> = set
+        .iter()
+        .map(|s| format!("{:.3},{}", s.period().as_millis(), s.length_bits().as_u64()))
+        .collect();
+    format!(
+        "CHECK mbps={} protocol={} set={}",
+        grid[rng.gen_range(0..grid.len())],
+        ["802.5", "modified", "fddi"][rng.gen_range(0..3)],
+        records.join(";")
+    )
+}
+
+/// What one closed-loop client of the mixed phase measured.
+struct ClientRun {
+    /// Per-request latency, nanoseconds, in send order.
+    samples: Vec<u64>,
+    /// Replies the traffic rules out, with the request that drew them.
+    errors: Vec<String>,
+    /// Start of the window to the client's last reply, seconds.
+    elapsed_s: f64,
+}
+
+/// Sends `lines` (cycled when `cycle`) one at a time until `window` has
+/// passed, timing each reply and checking it with `expect`. The window starts for
+/// every client at once, when `start` releases.
+fn closed_loop(
+    stream: TcpStream,
+    lines: &[String],
+    cycle: bool,
+    expect: impl Fn(&str, &str) -> bool,
+    start: &Barrier,
+    window: Duration,
+) -> ClientRun {
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut run = ClientRun {
+        samples: Vec::new(),
+        errors: Vec::new(),
+        elapsed_s: 0.0,
+    };
+    let mut resp = String::new();
+    start.wait();
+    let started = Instant::now();
+    let mut next = lines.iter();
+    while started.elapsed() < window {
+        let line = match next.next() {
+            Some(line) => line,
+            None if cycle => {
+                next = lines.iter();
+                continue;
+            }
+            None => break,
+        };
+        let t0 = Instant::now();
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        resp.clear();
+        reader.read_line(&mut resp).expect("recv");
+        run.samples
+            .push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        let reply = resp.trim_end();
+        if !expect(line, reply) && run.errors.len() < 8 {
+            run.errors.push(format!("{reply}  <-  {line:.120}"));
+        }
+    }
+    run.elapsed_s = started.elapsed().as_secs_f64();
+    run
+}
+
+/// Exact nearest-rank percentile of raw samples (nanoseconds), in µs.
+fn percentile_us(sorted: &[u64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1] as f64 / 1e3
+}
+
+/// The mixed-traffic phase (see the module docs). Returns whether every
+/// reply was the one the traffic calls for.
+fn mixed_phase(opts: &ExpOptions, target: Option<&str>, writer: bool) -> bool {
+    let window = Duration::from_secs(if opts.quick { 1 } else { 4 });
+    let state_dir = std::env::temp_dir().join(format!("ringrt-mixed-{}", std::process::id()));
+    let server = match target {
+        Some(_) => None,
+        None => {
+            let _ = std::fs::remove_dir_all(&state_dir);
+            Some(
+                spawn(ServiceConfig {
+                    addr: "127.0.0.1:0".to_owned(),
+                    state_dir: writer.then(|| state_dir.clone()),
+                    ..ServiceConfig::default()
+                })
+                .expect("spawn service"),
+            )
+        }
+    };
+    let addr = match (target, &server) {
+        (Some(addr), _) => addr.to_owned(),
+        (None, Some(server)) => server.addr().to_string(),
+        (None, None) => unreachable!("a server is spawned when no address is given"),
+    };
+    let connect = || TcpStream::connect(&addr).expect("connect to the server");
+
+    let grid = default_bandwidths_mbps();
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let hit_lines: Vec<Vec<String>> = (0..MIXED_HIT_CLIENTS)
+        .map(|_| {
+            (0..HIT_LINES_PER_CLIENT)
+                .map(|_| fresh_check_line(&mut rng, &grid))
+                .collect()
+        })
+        .collect();
+    let fresh_lines: Vec<String> = (0..FRESH_LINES_PER_SECOND * window.as_secs() as usize)
+        .map(|_| fresh_check_line(&mut rng, &grid))
+        .collect();
+    println!(
+        "# mixed: {MIXED_HIT_CLIENTS} cache-hit clients + 1 fresh-CHECK client{}, {} s window, \
+         server {addr}",
+        if writer {
+            " + 1 journaled ADMIT/REMOVE writer"
+        } else {
+            ""
+        },
+        window.as_secs()
+    );
+
+    let start = Arc::new(Barrier::new(MIXED_HIT_CLIENTS + 1 + usize::from(writer)));
+    let ok_with = |cached: &'static str| {
+        move |_: &str, reply: &str| reply.starts_with("OK cmd=check ") && reply.ends_with(cached)
+    };
+    let mut hit_handles = Vec::new();
+    for lines in hit_lines {
+        // Warm-up on the client's own connection fills the cache.
+        let stream = connect();
+        let warm = closed_loop(
+            stream.try_clone().expect("clone"),
+            &lines,
+            false,
+            |_, reply| reply.starts_with("OK cmd=check "),
+            &Barrier::new(1),
+            Duration::MAX,
+        );
+        let start = Arc::clone(&start);
+        hit_handles.push(std::thread::spawn(move || {
+            let mut run = closed_loop(
+                stream,
+                &lines,
+                true,
+                ok_with(" cached=true"),
+                &start,
+                window,
+            );
+            run.errors.extend(warm.errors);
+            run
+        }));
+    }
+    let fresh = {
+        let (stream, start) = (connect(), Arc::clone(&start));
+        std::thread::spawn(move || {
+            closed_loop(
+                stream,
+                &fresh_lines,
+                false,
+                ok_with(" cached=false"),
+                &start,
+                window,
+            )
+        })
+    };
+    let writes = writer.then(|| {
+        let ring = format!("mixed-{}", std::process::id());
+        let mut setup = BufReader::new(connect());
+        let register = format!("REGISTER ring={ring} protocol=fddi mbps=100 stations=64\n");
+        setup
+            .get_mut()
+            .write_all(register.as_bytes())
+            .expect("send");
+        let mut reply = String::new();
+        setup.read_line(&mut reply).expect("recv");
+        assert!(reply.starts_with("OK"), "REGISTER refused: {reply}");
+        let lines = [
+            format!("ADMIT ring={ring} stream=w period_ms=20 bits=1000"),
+            format!("REMOVE ring={ring} stream=w"),
+        ];
+        let (stream, start) = (setup.into_inner(), Arc::clone(&start));
+        std::thread::spawn(move || {
+            let expect = |line: &str, reply: &str| {
+                if line.starts_with("ADMIT") {
+                    reply.starts_with("OK cmd=admit ") && reply.contains(" admitted=true ")
+                } else {
+                    reply.starts_with("OK cmd=remove ")
+                }
+            };
+            closed_loop(stream, &lines, true, expect, &start, window)
+        })
+    });
+
+    let hits: Vec<ClientRun> = hit_handles
+        .into_iter()
+        .map(|h| h.join().expect("hit client"))
+        .collect();
+    let fresh = fresh.join().expect("fresh client");
+    let writes = writes.map(|h| h.join().expect("writer"));
+
+    let mut hit_samples: Vec<u64> = hits.iter().flat_map(|r| r.samples.clone()).collect();
+    hit_samples.sort_unstable();
+    let hits_per_s: f64 = hits
+        .iter()
+        .map(|r| r.samples.len() as f64 / r.elapsed_s)
+        .sum();
+    let mut miss_samples = fresh.samples.clone();
+    miss_samples.sort_unstable();
+    let errors: Vec<&String> = hits
+        .iter()
+        .chain(std::iter::once(&fresh))
+        .chain(writes.iter())
+        .flat_map(|r| r.errors.iter())
+        .collect();
+    let mut table = Table::new(&[
+        "phase",
+        "hit_clients",
+        "writer",
+        "hits",
+        "hits_per_s",
+        "hit_p50_us",
+        "hit_p99_us",
+        "misses",
+        "misses_per_s",
+        "miss_p50_us",
+        "miss_p99_us",
+        "writes",
+        "errors",
+    ]);
+    table.push_row(&[
+        "mixed".into(),
+        MIXED_HIT_CLIENTS.to_string(),
+        if writer { "journaled" } else { "none" }.into(),
+        hit_samples.len().to_string(),
+        cell(hits_per_s, 1),
+        cell(percentile_us(&hit_samples, 0.5), 1),
+        cell(percentile_us(&hit_samples, 0.99), 1),
+        miss_samples.len().to_string(),
+        cell(miss_samples.len() as f64 / fresh.elapsed_s, 1),
+        cell(percentile_us(&miss_samples, 0.5), 1),
+        cell(percentile_us(&miss_samples, 0.99), 1),
+        writes.as_ref().map_or(0, |w| w.samples.len()).to_string(),
+        errors.len().to_string(),
+    ]);
+    println!();
+    print!("{}", table.to_csv());
+    for error in &errors {
+        eprintln!("unexpected reply: {error}");
+    }
+    if let Some(server) = server {
+        server.join();
+        let _ = std::fs::remove_dir_all(&state_dir);
+    }
+    errors.is_empty()
 }
 
 /// Most idle connections one holder subprocess keeps open; beyond this we
@@ -450,7 +747,23 @@ fn main() {
         hold_idle(count, target);
     }
     let connections = raw.iter().any(|a| a == "--connections");
-    let filtered = raw.into_iter().filter(|a| a != "--connections");
+    let mixed = raw.iter().any(|a| a == "--mixed");
+    let writer = raw.iter().any(|a| a == "--writer");
+    let target = raw
+        .iter()
+        .position(|a| a == "--addr")
+        .map(|i| raw.get(i + 1).cloned().expect("--addr HOST:PORT"));
+    let mut filtered = Vec::new();
+    let mut args = raw.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--connections" | "--mixed" | "--writer" => {}
+            "--addr" => {
+                args.next();
+            }
+            _ => filtered.push(arg),
+        }
+    }
     let opts = match ExpOptions::parse(filtered) {
         Ok(o) => o,
         Err(msg) => {
@@ -460,6 +773,12 @@ fn main() {
     };
     if connections {
         connection_sweep(&opts);
+        return;
+    }
+    if mixed {
+        if !mixed_phase(&opts, target.as_deref(), writer) {
+            std::process::exit(1);
+        }
         return;
     }
     banner(

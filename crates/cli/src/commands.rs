@@ -904,7 +904,8 @@ mod tests {
         })
         .expect("spawn server");
         let addr = server.addr().to_string();
-        // One uncached analysis so the recorder has lifecycle spans.
+        // One uncached analysis (answered on the loop) and one request
+        // that queues, so the recorder has every lifecycle span.
         let stream = TcpStream::connect(&addr).expect("connect");
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -912,6 +913,10 @@ mod tests {
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
         assert!(resp.contains("schedulable=true"), "{resp}");
+        writeln!(writer, "SLEEP ms=1").unwrap();
+        resp.clear();
+        reader.read_line(&mut resp).unwrap();
+        assert_eq!(resp.trim_end(), "OK cmd=sleep ms=1");
 
         let (code, out) = run_cli(&["trace", "--addr", &addr, "--events", "64"]);
         assert_eq!(code, ExitCode::Success, "{out}");

@@ -101,6 +101,85 @@ impl RmTask {
     }
 }
 
+/// A cap on the work one analysis may do before it must give a verdict.
+///
+/// Work is counted in demand terms: one term is one `C_j·⌈R/P_j⌉` product
+/// of the response-time iteration. Set-up work that grows with the stream
+/// count — the deadline-monotonic sort, building each `C'_i`, Theorem
+/// 5.1's single pass — charges a measured number of terms per stream, so
+/// one budget bounds the time of the whole test. A caller that must
+/// answer quickly (the admission service's event loop) passes a small
+/// budget and hands the request elsewhere when it runs out; every other
+/// caller passes [`Budget::unlimited`].
+///
+/// # Examples
+///
+/// ```
+/// use ringrt_core::rm::{Budget, Unfinished};
+///
+/// let mut budget = Budget::terms(10);
+/// assert_eq!(budget.spend(4), Ok(()));
+/// assert_eq!(budget.left(), 6);
+/// assert_eq!(budget.spend(7), Err(Unfinished));
+/// assert_eq!(budget.left(), 0, "a budget that ran out stays spent");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Budget {
+    left: u64,
+}
+
+/// The analysis stopped because its [`Budget`] ran out before a verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Unfinished;
+
+impl core::fmt::Display for Unfinished {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("analysis work budget exhausted before a verdict")
+    }
+}
+
+impl std::error::Error for Unfinished {}
+
+impl Budget {
+    /// No practical cap: `u64::MAX` terms, more than any analysis can
+    /// evaluate.
+    #[must_use]
+    pub const fn unlimited() -> Budget {
+        Budget { left: u64::MAX }
+    }
+
+    /// A budget of `terms` demand terms.
+    #[must_use]
+    pub const fn terms(terms: u64) -> Budget {
+        Budget { left: terms }
+    }
+
+    /// Terms not yet spent.
+    #[must_use]
+    pub const fn left(self) -> u64 {
+        self.left
+    }
+
+    /// Takes `terms` from the budget before the work they pay for runs.
+    ///
+    /// # Errors
+    ///
+    /// [`Unfinished`] when fewer than `terms` are left. The budget is then
+    /// spent out, so any later work charged to it stops too.
+    pub fn spend(&mut self, terms: u64) -> Result<(), Unfinished> {
+        match self.left.checked_sub(terms) {
+            Some(left) => {
+                self.left = left;
+                Ok(())
+            }
+            None => {
+                self.left = 0;
+                Err(Unfinished)
+            }
+        }
+    }
+}
+
 /// Asserts (in debug builds) that tasks are sorted by ascending deadline
 /// (deadline-monotonic order, which is ascending-period order for
 /// implicit-deadline sets).
@@ -148,28 +227,38 @@ pub fn liu_layland_bound(n: usize) -> f64 {
 /// not sorted by ascending period.
 #[must_use]
 pub fn response_time(tasks: &[RmTask], index: usize, blocking: Seconds) -> Option<Seconds> {
-    response_time_counted(tasks, index, blocking).0
+    response_time_counted(tasks, index, blocking, &mut Budget::unlimited())
+        .expect("an unlimited budget never runs out")
+        .0
 }
 
 /// Like [`response_time`], but also reports how many demand evaluations
 /// (fixed-point iterations over the scheduling-point demand function) the
-/// test performed.
+/// test performed, and stops once `budget` runs out.
 ///
 /// The count is the work metric behind the registry's incremental
 /// admission engine: re-testing only the priority levels a change touches
 /// must evaluate measurably fewer points than a full recomputation, and
 /// this counter is what makes that claim observable.
 ///
+/// Each iteration charges `budget` its `index` demand terms before it
+/// runs, so the test never evaluates more terms than the budget held.
+///
+/// # Errors
+///
+/// [`Unfinished`] when the budget runs out before the fixed point or the
+/// deadline is reached.
+///
 /// # Panics
 ///
 /// Panics if `index` is out of range, and in debug builds if the tasks are
 /// not sorted by ascending deadline.
-#[must_use]
 pub fn response_time_counted(
     tasks: &[RmTask],
     index: usize,
     blocking: Seconds,
-) -> (Option<Seconds>, u64) {
+    budget: &mut Budget,
+) -> Result<(Option<Seconds>, u64), Unfinished> {
     debug_assert_priority_order(tasks);
     let task = &tasks[index];
     let deadline = task.deadline;
@@ -181,8 +270,9 @@ pub fn response_time_counted(
     // pathological float non-convergence.
     for _ in 0..10_000 {
         if r > deadline + tol {
-            return (None, evaluations);
+            return Ok((None, evaluations));
         }
+        budget.spend(index as u64)?;
         let mut next = task.cost + blocking;
         for hp in &tasks[..index] {
             next += hp.cost * ceil_ratio(r, hp.period);
@@ -194,12 +284,12 @@ pub fn response_time_counted(
             } else {
                 None
             };
-            return (verdict, evaluations);
+            return Ok((verdict, evaluations));
         }
         r = next;
     }
     // Did not converge within the cap — treat as unschedulable.
-    (None, evaluations)
+    Ok((None, evaluations))
 }
 
 /// Verdict of the exact scheduling-point test (paper eq. 4) for task
@@ -459,6 +549,32 @@ mod tests {
         assert!(is_schedulable_rta(&task, NO_BLOCKING));
         assert!(is_schedulable_points(&task, NO_BLOCKING));
         assert!(!is_schedulable_rta(&task, Seconds::from_millis(0.1)));
+    }
+
+    #[test]
+    fn budget_caps_the_demand_terms_evaluated() {
+        let tasks = [t(20.0, 100.0), t(40.0, 150.0), t(100.0, 350.0)];
+        let mut unlimited = Budget::unlimited();
+        let (r, evals) = response_time_counted(&tasks, 2, NO_BLOCKING, &mut unlimited).unwrap();
+        let cost = u64::MAX - unlimited.left();
+        assert_eq!(
+            cost,
+            2 * evals,
+            "one term per higher-priority task per iteration"
+        );
+        // Exactly enough finishes with the same answer; one term less stops.
+        let mut exact = Budget::terms(cost);
+        assert_eq!(
+            response_time_counted(&tasks, 2, NO_BLOCKING, &mut exact),
+            Ok((r, evals))
+        );
+        assert_eq!(exact.left(), 0);
+        let mut short = Budget::terms(cost - 1);
+        assert_eq!(
+            response_time_counted(&tasks, 2, NO_BLOCKING, &mut short),
+            Err(Unfinished)
+        );
+        assert_eq!(short.left(), 0);
     }
 
     #[test]

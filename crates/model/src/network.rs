@@ -68,9 +68,20 @@ impl RingConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `stations` is zero.
+    /// Panics where [`RingConfig::try_ieee_802_5`] fails.
     #[must_use]
     pub fn ieee_802_5(stations: usize, bandwidth: Bandwidth) -> Self {
+        Self::try_ieee_802_5(stations, bandwidth).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`RingConfig::ieee_802_5`] for a station count from outside the
+    /// program.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InvalidRing`] if `stations` is zero or so large that
+    /// the ring latency in bits overflows.
+    pub fn try_ieee_802_5(stations: usize, bandwidth: Bandwidth) -> Result<Self, ModelError> {
         RingConfigBuilder::new()
             .stations(stations)
             .station_spacing_m(100.0)
@@ -78,7 +89,6 @@ impl RingConfig {
             .token_length(IEEE_802_5_TOKEN)
             .bandwidth(bandwidth)
             .build()
-            .expect("preset parameters are valid")
     }
 
     /// The paper's FDDI evaluation ring: `stations` nodes spaced 100 m
@@ -86,9 +96,19 @@ impl RingConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `stations` is zero.
+    /// Panics where [`RingConfig::try_fddi`] fails.
     #[must_use]
     pub fn fddi(stations: usize, bandwidth: Bandwidth) -> Self {
+        Self::try_fddi(stations, bandwidth).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`RingConfig::fddi`] for a station count from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InvalidRing`] if `stations` is zero or so large that
+    /// the ring latency in bits overflows.
+    pub fn try_fddi(stations: usize, bandwidth: Bandwidth) -> Result<Self, ModelError> {
         RingConfigBuilder::new()
             .stations(stations)
             .station_spacing_m(100.0)
@@ -96,7 +116,6 @@ impl RingConfig {
             .token_length(FDDI_TOKEN)
             .bandwidth(bandwidth)
             .build()
-            .expect("preset parameters are valid")
     }
 
     /// Number of stations `n` on the ring.
@@ -310,12 +329,27 @@ impl RingConfigBuilder {
     ///
     /// Returns [`ModelError::InvalidRing`] if any parameter is out of
     /// range (zero stations, non-positive spacing or velocity factor,
-    /// velocity above 1, zero-length token, or missing bandwidth).
+    /// velocity above 1, zero-length token, or missing bandwidth), or if
+    /// the ring latency `token + stations · station delay` does not fit a
+    /// 64-bit bit count.
     pub fn build(self) -> Result<RingConfig, ModelError> {
         if self.stations == 0 {
             return Err(ModelError::InvalidRing {
                 parameter: "stations",
                 reason: "a ring needs at least one station".into(),
+            });
+        }
+        let latency_bits = u64::try_from(self.stations)
+            .ok()
+            .and_then(|n| self.station_delay.as_u64().checked_mul(n))
+            .and_then(|delay| delay.checked_add(self.token_length.as_u64()));
+        if latency_bits.is_none() {
+            return Err(ModelError::InvalidRing {
+                parameter: "stations",
+                reason: format!(
+                    "{} stations of {} overflow the ring latency in bits",
+                    self.stations, self.station_delay
+                ),
             });
         }
         if !(self.station_spacing_m.is_finite() && self.station_spacing_m > 0.0) {
@@ -408,6 +442,25 @@ mod tests {
         assert_eq!(a.propagation_delay(), b.propagation_delay());
         assert!(
             (b.ring_latency().as_secs_f64() / a.ring_latency().as_secs_f64() - 10.0).abs() < 1e-9
+        );
+    }
+
+    #[test]
+    fn presets_refuse_a_ring_latency_that_overflows() {
+        let bw = Bandwidth::from_mbps(16.0);
+        for stations in [usize::MAX, usize::MAX / 4 + 1] {
+            let err = RingConfig::try_ieee_802_5(stations, bw).unwrap_err();
+            assert!(err.to_string().contains("overflow"), "{err}");
+            assert!(RingConfig::try_fddi(stations, bw).is_err());
+        }
+        assert!(RingConfig::try_fddi(0, bw).is_err());
+        // The largest 802.5 count whose latency still fits builds, and its
+        // derived times stay finite.
+        let edge = RingConfig::try_ieee_802_5((u64::MAX - 24) as usize / 4, bw).unwrap();
+        assert!(edge.token_circulation_time().as_secs_f64().is_finite());
+        assert_eq!(
+            RingConfig::try_fddi(100, bw).unwrap(),
+            RingConfig::fddi(100, bw)
         );
     }
 

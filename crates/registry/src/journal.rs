@@ -41,7 +41,11 @@
 //! then replays segments in index order, applying records with `seq >`
 //! the snapshot's sequence number. The first torn or checksum-corrupt
 //! record ends the replay: that segment is truncated there and any
-//! later segments are discarded, exactly like a write-ahead log.
+//! later segments are discarded, exactly like a write-ahead log. A
+//! record or snapshot whose checksum holds but whose content fails to
+//! decode — say, a ring spec journaled before a validation rule existed —
+//! was not torn by a crash, so replay refuses with an error naming it
+//! instead of truncating committed history.
 //!
 //! Compaction is a three-phase protocol so the expensive I/O runs
 //! without holding the registry lock: [`Store::begin_compaction`] (under
@@ -348,11 +352,22 @@ fn encode_record(seq: u64, op: &JournalOp) -> String {
 /// checksum. Shared with the replication layer: a shipped frame carries
 /// exactly such a line.
 pub(crate) fn decode_record(line: &str) -> Result<(u64, JournalOp), String> {
+    decode_payload(verify_record(line)?)
+}
+
+/// Checks one record line's checksum, returning the payload it covers.
+/// Only a failure here can be a torn or corrupt write.
+fn verify_record(line: &str) -> Result<&str, String> {
     let (crc_hex, payload) = line.split_once(' ').ok_or("record missing checksum")?;
     let expected = u32::from_str_radix(crc_hex, 16).map_err(|_| "bad checksum field")?;
     if crc32(payload.as_bytes()) != expected {
         return Err("checksum mismatch".to_owned());
     }
+    Ok(payload)
+}
+
+/// Decodes a checksum-verified record payload: `<seq> <op…>`.
+fn decode_payload(payload: &str) -> Result<(u64, JournalOp), String> {
     let (seq_text, op_text) = payload.split_once(' ').ok_or("record missing sequence")?;
     let seq = seq_text
         .parse::<u64>()
@@ -392,6 +407,12 @@ where
 /// layer: a follower bootstrapping over the wire installs exactly the
 /// primary's snapshot bytes.
 pub(crate) fn load_snapshot(bytes: &[u8]) -> Result<(u64, Rings), String> {
+    decode_snapshot(verify_snapshot(bytes)?)
+}
+
+/// Checks a snapshot's checksum, returning the body lines it covers (no
+/// trailing newline). Only a failure here can be a torn or corrupt write.
+fn verify_snapshot(bytes: &[u8]) -> Result<&str, String> {
     let text = std::str::from_utf8(bytes).map_err(|_| "snapshot is not UTF-8")?;
     let trimmed = text.strip_suffix('\n').ok_or("snapshot missing newline")?;
     let (body_lines, crc_line) = trimmed
@@ -405,6 +426,11 @@ pub(crate) fn load_snapshot(bytes: &[u8]) -> Result<(u64, Rings), String> {
     if crc32(body.as_bytes()) != expected {
         return Err("snapshot checksum mismatch".to_owned());
     }
+    Ok(body_lines)
+}
+
+/// Decodes checksum-verified snapshot body lines into the ring map.
+fn decode_snapshot(body_lines: &str) -> Result<(u64, Rings), String> {
     let mut lines = body_lines.lines();
     let header = lines.next().ok_or("empty snapshot")?;
     let seq_text = header
@@ -607,9 +633,10 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Storage`] for I/O failures or a journal whose
+    /// [`RegistryError::Storage`] for I/O failures, a journal whose
     /// *interior* records replay inconsistently (e.g. an admit into a ring
-    /// that never existed). A torn tail is not an error.
+    /// that never existed), or a record or snapshot that passes its
+    /// checksum but fails to decode. A torn tail is not an error.
     pub fn open(dir: &Path) -> Result<(Store, Rings, ReplayStats), RegistryError> {
         Self::open_with(dir, StoreOptions::default())
     }
@@ -637,7 +664,15 @@ impl Store {
             // A corrupt snapshot is ignored wholesale: the journal alone
             // must then reconstruct the state (segments are only deleted
             // *after* a snapshot has safely landed, so nothing is lost).
-            if let Ok((seq, loaded)) = load_snapshot(&bytes) {
+            // A checksum-valid one that fails to decode was not torn, and
+            // the segments it covers may be gone: refuse to start.
+            if let Ok(body) = verify_snapshot(&bytes) {
+                let (seq, loaded) = decode_snapshot(body).map_err(|e| {
+                    storage_err(
+                        &format!("{SNAPSHOT_FILE} passes its checksum but does not decode"),
+                        e,
+                    )
+                })?;
                 snapshot_seq = seq;
                 snapshot_bytes = bytes.len() as u64;
                 rings = loaded;
@@ -670,13 +705,27 @@ impl Store {
                     break;
                 };
                 let line = &bytes[offset..offset + rel];
-                let decoded = std::str::from_utf8(line)
+                let verified = std::str::from_utf8(line)
                     .ok()
-                    .and_then(|l| decode_record(l).ok());
-                let Some((seq, op)) = decoded else {
+                    .and_then(|l| verify_record(l).ok());
+                let Some(payload) = verified else {
                     bad = true; // torn/corrupt record ends the log
                     break;
                 };
+                // The checksum covers these bytes, so no crash tore them:
+                // a record that fails to decode (one journaled before a
+                // validation rule existed) is refused, not truncated with
+                // everything after it.
+                let (seq, op) = decode_payload(payload).map_err(|e| {
+                    storage_err(
+                        &format!(
+                            "{} record at byte {offset} passes its checksum but does not \
+                             decode ({payload})",
+                            segment_file(index)
+                        ),
+                        e,
+                    )
+                })?;
                 if seq > floor {
                     apply(&mut rings, &op)
                         .map_err(|e| storage_err("journal replays inconsistently", e))?;
@@ -1343,6 +1392,61 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}: {names:?}");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn refused(dir: &Path) -> String {
+        match Store::open(dir) {
+            Ok(_) => panic!("replay must refuse"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn replay_refuses_a_checksum_valid_record_that_fails_validation() {
+        // A ring registered before `RingSpec::validate` refused bandwidths
+        // that overflow to infinity: its record carries a good checksum.
+        let bad = JournalOp::Register {
+            ring: "old".into(),
+            spec: RingSpec {
+                mbps: 1e308,
+                ..spec()
+            },
+        };
+        let good = JournalOp::Register {
+            ring: "r".into(),
+            spec: spec(),
+        };
+        let dir = temp_dir("invalid-record");
+        {
+            let (mut store, _, _) = Store::open(&dir).unwrap();
+            store.append(&good).unwrap();
+            store.append(&bad).unwrap();
+            store.append(&admit_op("r", "s1", 20.0, 1_000)).unwrap();
+        }
+        let segment = dir.join(segment_file(1));
+        let before = fs::read(&segment).unwrap();
+        let err = refused(&dir);
+        assert!(err.contains("journal.000001.log"), "{err}");
+        assert!(err.contains("passes its checksum"), "{err}");
+        assert!(err.contains("register old"), "{err}");
+        assert!(err.contains("mbps out of range"), "{err}");
+        assert_eq!(fs::read(&segment).unwrap(), before, "nothing truncated");
+        let _ = fs::remove_dir_all(&dir);
+
+        // The same rule holds for a checksum-valid snapshot: ignoring it
+        // would silently drop every ring it folded.
+        let dir = temp_dir("invalid-snapshot");
+        {
+            let (mut store, mut rings, _) = Store::open(&dir).unwrap();
+            for op in [&good, &bad] {
+                store.append(op).unwrap();
+                apply(&mut rings, op).unwrap();
+            }
+            store.compact(rings.iter()).unwrap();
+        }
+        let err = refused(&dir);
+        assert!(err.contains("snapshot.dat passes its checksum"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -4,7 +4,7 @@
 use core::fmt;
 use std::collections::BTreeMap;
 
-use ringrt_model::{MessageSet, SyncStream};
+use ringrt_model::{MessageSet, ModelError, RingConfig, SyncStream};
 use ringrt_store::StreamStore;
 use ringrt_units::Bandwidth;
 
@@ -37,6 +37,23 @@ impl ProtocolKind {
             other => Err(format!(
                 "unknown protocol `{other}` (expected 802.5, modified, or fddi)"
             )),
+        }
+    }
+
+    /// The paper's evaluation ring for this protocol: the IEEE 802.5
+    /// preset for both priority-driven variants, the FDDI preset for the
+    /// timed token protocol.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InvalidRing`] for a station count the ring model
+    /// cannot hold (zero, or a ring latency that overflows).
+    pub fn try_ring(self, stations: usize, bandwidth: Bandwidth) -> Result<RingConfig, ModelError> {
+        match self {
+            ProtocolKind::Ieee8025 | ProtocolKind::Modified => {
+                RingConfig::try_ieee_802_5(stations, bandwidth)
+            }
+            ProtocolKind::Fddi => RingConfig::try_fddi(stations, bandwidth),
         }
     }
 
@@ -77,24 +94,37 @@ pub struct RingSpec {
 }
 
 impl RingSpec {
-    /// Validates the spec's numeric fields.
+    /// Validates the spec's numeric fields by building the ring they
+    /// describe, so every rule the unit and ring constructors enforce —
+    /// including overflow of the derived ring latency — is checked here
+    /// too.
     ///
     /// # Errors
     ///
-    /// [`RegistryError::InvalidSpec`] for a non-positive or non-finite
-    /// bandwidth or a zero station count.
+    /// [`RegistryError::InvalidSpec`] for a bandwidth that is not finite
+    /// and positive in bits per second, or a pinned station count the
+    /// ring model cannot hold.
     pub fn validate(&self) -> Result<(), RegistryError> {
-        if !(self.mbps.is_finite() && self.mbps > 0.0) {
-            return Err(RegistryError::InvalidSpec {
-                reason: format!("mbps must be positive, got {}", self.mbps),
-            });
-        }
-        if self.stations == Some(0) {
-            return Err(RegistryError::InvalidSpec {
-                reason: "stations must be at least 1".to_owned(),
-            });
-        }
-        Ok(())
+        self.build_ring(self.stations.unwrap_or(1)).map(|_| ())
+    }
+
+    /// The ring this spec describes while it carries `streams` streams,
+    /// at [`RingSpec::effective_stations`].
+    ///
+    /// # Errors
+    ///
+    /// As [`RingSpec::validate`].
+    pub fn ring_config(&self, streams: usize) -> Result<RingConfig, RegistryError> {
+        self.build_ring(self.effective_stations(streams))
+    }
+
+    fn build_ring(&self, stations: usize) -> Result<RingConfig, RegistryError> {
+        let invalid = |reason: String| RegistryError::InvalidSpec { reason };
+        let bandwidth = Bandwidth::try_from_mbps(self.mbps)
+            .map_err(|e| invalid(format!("mbps out of range: {e}")))?;
+        self.protocol
+            .try_ring(stations, bandwidth)
+            .map_err(|e| invalid(e.to_string()))
     }
 
     /// Effective station count for a ring currently carrying `streams`
@@ -346,6 +376,31 @@ mod tests {
         }
         .validate()
         .is_err());
+        // Finite in Mbps but infinite in bit/s, and a station count whose
+        // ring latency overflows: both used to pass and then panic the
+        // first analysis of the ring.
+        let huge_bw = RingSpec { mbps: 1e308, ..ok }.validate().unwrap_err();
+        assert!(
+            huge_bw.to_string().contains("mbps out of range"),
+            "{huge_bw}"
+        );
+        for protocol in [
+            ProtocolKind::Ieee8025,
+            ProtocolKind::Modified,
+            ProtocolKind::Fddi,
+        ] {
+            let spec = RingSpec {
+                protocol,
+                stations: Some(usize::MAX),
+                ..ok
+            };
+            let err = spec.validate().unwrap_err();
+            assert!(err.to_string().contains("overflow"), "{protocol}: {err}");
+        }
+        assert_eq!(
+            ok.ring_config(3).unwrap(),
+            RingConfig::ieee_802_5(3, ok.bandwidth())
+        );
     }
 
     #[test]

@@ -11,15 +11,19 @@
 //! the key picks the shard) so the workers and the event loop rarely
 //! contend on the same mutex. Each shard holds at most
 //! `capacity / SHARDS` entries; inserting into a full shard evicts its
-//! least-recently-used entry (recency is a global atomic tick stamped on
-//! every hit), so a long-running server's memory stays bounded no matter
-//! how many distinct sets clients probe.
+//! least-recently-used entry, so a long-running server's memory stays
+//! bounded no matter how many distinct sets clients probe.
+//!
+//! Each shard keeps its entries in a slab ordered by an index-linked
+//! recency list, so a hit's refresh and an eviction are O(1) whatever
+//! the capacity: the event loop inserts after every `CHECK` it answers
+//! itself, and `--cache-entries 262144` must not make that a scan.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::protocol::{AbuRequest, AnalysisRequest, CommandKind, ProtocolKind};
 
@@ -126,21 +130,115 @@ impl CacheKey {
     }
 }
 
-/// A cached response body stamped with its last-use tick.
+/// End of a shard's recency list.
+const NIL: usize = usize::MAX;
+
+/// One cached response body and its place in its shard's recency list.
 #[derive(Debug)]
-struct Entry {
+struct Node {
+    /// Shared with the shard's index, so the key is stored once.
+    key: Arc<CacheKey>,
     body: String,
-    last_used: u64,
+    /// The next more recently used entry, or [`NIL`].
+    newer: usize,
+    /// The next less recently used entry, or [`NIL`].
+    older: usize,
+}
+
+/// One shard: entries in a slab, found through `index`, linked from
+/// `newest` to `oldest` by last use.
+#[derive(Debug)]
+struct Shard {
+    index: HashMap<Arc<CacheKey>, usize>,
+    nodes: Vec<Node>,
+    newest: usize,
+    oldest: usize,
+}
+
+impl Shard {
+    fn new() -> Shard {
+        Shard {
+            index: HashMap::new(),
+            nodes: Vec::new(),
+            newest: NIL,
+            oldest: NIL,
+        }
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let (newer, older) = (self.nodes[i].newer, self.nodes[i].older);
+        match newer {
+            NIL => self.newest = older,
+            n => self.nodes[n].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.nodes[o].newer = newer,
+        }
+    }
+
+    fn push_newest(&mut self, i: usize) {
+        self.nodes[i].newer = NIL;
+        self.nodes[i].older = self.newest;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.nodes[n].newer = i,
+        }
+        self.newest = i;
+    }
+
+    /// Marks entry `i` as the most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.newest != i {
+            self.unlink(i);
+            self.push_newest(i);
+        }
+    }
+
+    /// Stores `body` under `key`; returns whether the oldest entry was
+    /// evicted to make room.
+    fn insert(&mut self, key: CacheKey, body: String, capacity: usize) -> bool {
+        if let Some(&i) = self.index.get(&key) {
+            self.nodes[i].body = body;
+            self.touch(i);
+            return false;
+        }
+        let key = Arc::new(key);
+        let node = Node {
+            key: Arc::clone(&key),
+            body,
+            newer: NIL,
+            older: NIL,
+        };
+        let evicted = self.nodes.len() >= capacity;
+        let i = if evicted {
+            let i = self.oldest;
+            self.unlink(i);
+            self.index.remove(&*self.nodes[i].key);
+            self.nodes[i] = node;
+            i
+        } else {
+            self.nodes.push(node);
+            self.nodes.len() - 1
+        };
+        self.index.insert(key, i);
+        self.push_newest(i);
+        evicted
+    }
+
+    fn clear(&mut self) -> usize {
+        let removed = self.nodes.len();
+        *self = Shard::new();
+        removed
+    }
 }
 
 /// The sharded LRU verdict cache with hit/miss/eviction accounting.
 #[derive(Debug)]
 pub struct ResultCache {
-    shards: Vec<Mutex<HashMap<CacheKey, Entry>>>,
+    shards: Vec<Mutex<Shard>>,
     /// Entry cap per shard (total capacity / [`SHARDS`], at least 1).
     shard_capacity: usize,
-    /// Monotonic recency clock; bumped on every get and insert.
-    tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -158,9 +256,8 @@ impl ResultCache {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         ResultCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
             shard_capacity: (capacity / SHARDS).max(1),
-            tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -177,12 +274,10 @@ impl ResultCache {
     /// refreshing the entry's recency on a hit.
     #[must_use]
     pub fn get(&self, key: &CacheKey) -> Option<String> {
-        let mut shard = self.shards[key.shard()]
-            .lock()
-            .expect("cache shard poisoned");
-        let found = shard.get_mut(key).map(|e| {
-            e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-            e.body.clone()
+        let mut shard = self.lock(key);
+        let found = shard.index.get(key).copied().map(|i| {
+            shard.touch(i);
+            shard.nodes[i].body.clone()
         });
         drop(shard);
         if found.is_some() {
@@ -196,21 +291,15 @@ impl ResultCache {
     /// Stores a successful response body, evicting the shard's
     /// least-recently-used entry if the shard is at capacity.
     pub fn insert(&self, key: CacheKey, body: String) {
-        let mut shard = self.shards[key.shard()]
-            .lock()
-            .expect("cache shard poisoned");
-        if !shard.contains_key(&key) && shard.len() >= self.shard_capacity {
-            if let Some(coldest) = shard
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                shard.remove(&coldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        if self.lock(&key).insert(key, body, self.shard_capacity) {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        let last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        shard.insert(key, Entry { body, last_used });
+    }
+
+    fn lock(&self, key: &CacheKey) -> std::sync::MutexGuard<'_, Shard> {
+        self.shards[key.shard()]
+            .lock()
+            .expect("cache shard poisoned")
     }
 
     /// Drops every entry (the `EVICT` command), returning how many were
@@ -219,9 +308,7 @@ impl ResultCache {
     pub fn clear(&self) -> usize {
         let mut removed = 0;
         for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard poisoned");
-            removed += shard.len();
-            shard.clear();
+            removed += shard.lock().expect("cache shard poisoned").clear();
         }
         removed
     }
@@ -261,8 +348,40 @@ impl ResultCache {
     pub fn entries(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len())
+            .map(|s| s.lock().expect("cache shard poisoned").nodes.len())
             .sum()
+    }
+}
+
+#[cfg(test)]
+impl ResultCache {
+    /// Every shard's entries, least recently used first, after checking
+    /// that the recency list, the slab and the index agree.
+    fn recency(&self) -> Vec<Vec<(CacheKey, String)>> {
+        self.shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.lock().expect("cache shard poisoned");
+                let mut out = Vec::new();
+                let mut i = shard.oldest;
+                while i != NIL {
+                    let node = &shard.nodes[i];
+                    assert_eq!(shard.index.get(&*node.key), Some(&i), "index disagrees");
+                    out.push(((*node.key).clone(), node.body.clone()));
+                    i = node.newer;
+                }
+                let mut back = 0;
+                let mut i = shard.newest;
+                while i != NIL {
+                    back += 1;
+                    i = shard.nodes[i].older;
+                }
+                assert_eq!(back, out.len(), "recency links disagree");
+                assert_eq!(shard.nodes.len(), out.len(), "slab holds unlinked nodes");
+                assert_eq!(shard.index.len(), out.len(), "index holds stale keys");
+                out
+            })
+            .collect()
     }
 }
 
@@ -430,6 +549,117 @@ mod tests {
         assert_eq!(cache.entries(), 1);
         assert_eq!(cache.get(&key).as_deref(), Some("schedulable=true"));
         assert_eq!(cache.hits(), 1);
+    }
+
+    /// The obvious LRU the slab replaced: per shard, entries stamped with
+    /// a global tick, the minimum evicted by a scan.
+    struct MinTickModel {
+        shard_capacity: usize,
+        tick: u64,
+        shards: Vec<Vec<(CacheKey, String, u64)>>,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl MinTickModel {
+        fn new(shard_capacity: usize) -> Self {
+            MinTickModel {
+                shard_capacity,
+                tick: 0,
+                shards: vec![Vec::new(); SHARDS],
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }
+        }
+
+        fn stamp(&mut self) -> u64 {
+            self.tick += 1;
+            self.tick
+        }
+
+        fn get(&mut self, key: &CacheKey) -> Option<String> {
+            let tick = self.stamp();
+            let shard = &mut self.shards[key.shard()];
+            match shard.iter_mut().find(|(k, _, _)| k == key) {
+                Some(entry) => {
+                    entry.2 = tick;
+                    self.hits += 1;
+                    Some(entry.1.clone())
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, key: CacheKey, body: String) {
+            let tick = self.stamp();
+            let cap = self.shard_capacity;
+            let shard = &mut self.shards[key.shard()];
+            if let Some(entry) = shard.iter_mut().find(|(k, _, _)| *k == key) {
+                entry.1 = body;
+                entry.2 = tick;
+                return;
+            }
+            if shard.len() >= cap {
+                let coldest = (0..shard.len()).min_by_key(|&i| shard[i].2).unwrap();
+                shard.remove(coldest);
+                self.evictions += 1;
+            }
+            shard.push((key, body, tick));
+        }
+
+        fn clear(&mut self) -> usize {
+            self.shards.iter_mut().map(|s| s.drain(..).count()).sum()
+        }
+
+        /// Entries per shard, least recently used first.
+        fn recency(&self) -> Vec<Vec<(CacheKey, String)>> {
+            self.shards
+                .iter()
+                .map(|shard| {
+                    let mut entries = shard.clone();
+                    entries.sort_by_key(|e| e.2);
+                    entries.into_iter().map(|(k, b, _)| (k, b)).collect()
+                })
+                .collect()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Random `get`/`insert`/`clear` sequences give the same hits,
+        /// evictions, contents and recency order as the min-tick model.
+        #[test]
+        fn lru_matches_a_min_tick_reference(
+            per_shard in 1usize..4,
+            ops in proptest::collection::vec((0u8..20, 0usize..48, 0u16..1000), 1..400),
+        ) {
+            let keys: Vec<CacheKey> = (0..48)
+                .map(|i| key_of(&format!("CHECK mbps=16 set=20,{}", 1000 + i)).unwrap())
+                .collect();
+            let cache = ResultCache::with_capacity(per_shard * SHARDS);
+            let mut model = MinTickModel::new(per_shard);
+            for (step, &(op, k, body)) in ops.iter().enumerate() {
+                let key = &keys[k];
+                match op {
+                    0..=9 => assert_eq!(cache.get(key), model.get(key), "step {step}: get"),
+                    10..=18 => {
+                        cache.insert(key.clone(), format!("body-{body}"));
+                        model.insert(key.clone(), format!("body-{body}"));
+                    }
+                    _ => assert_eq!(cache.clear(), model.clear(), "step {step}: clear"),
+                }
+                assert_eq!(cache.hits(), model.hits, "step {step}: hits");
+                assert_eq!(cache.misses(), model.misses, "step {step}: misses");
+                assert_eq!(cache.evictions(), model.evictions, "step {step}: evictions");
+                assert_eq!(cache.recency(), model.recency(), "step {step}: contents");
+            }
+        }
     }
 
     #[test]

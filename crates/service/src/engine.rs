@@ -9,6 +9,7 @@ use std::fmt::Write as _;
 
 use ringrt_breakdown::{BreakdownEstimator, SaturationSearch};
 use ringrt_core::pdp::{PdpAnalyzer, PdpVariant};
+use ringrt_core::rm::{Budget, Unfinished};
 use ringrt_core::ttp::TtpAnalyzer;
 use ringrt_core::SchedulabilityTest;
 use ringrt_exec::Pool;
@@ -28,19 +29,46 @@ fn analyzer_for(
     stations: usize,
     bw: Bandwidth,
 ) -> Box<dyn SchedulabilityTest + Sync> {
-    match protocol {
-        ProtocolKind::Ieee8025 => Box::new(PdpAnalyzer::new(
-            RingConfig::ieee_802_5(stations, bw),
+    let ring = ring_for(protocol, stations, bw);
+    match pdp_variant(protocol) {
+        Some(variant) => Box::new(PdpAnalyzer::new(
+            ring,
             FrameFormat::paper_default(),
-            PdpVariant::Standard,
+            variant,
         )),
-        ProtocolKind::Modified => Box::new(PdpAnalyzer::new(
-            RingConfig::ieee_802_5(stations, bw),
-            FrameFormat::paper_default(),
-            PdpVariant::Modified,
-        )),
-        ProtocolKind::Fddi => Box::new(TtpAnalyzer::with_defaults(RingConfig::fddi(stations, bw))),
+        None => Box::new(TtpAnalyzer::with_defaults(ring)),
     }
+}
+
+/// The priority-driven variant a protocol runs; `None` for the timed
+/// token protocol.
+fn pdp_variant(protocol: ProtocolKind) -> Option<PdpVariant> {
+    match protocol {
+        ProtocolKind::Ieee8025 => Some(PdpVariant::Standard),
+        ProtocolKind::Modified => Some(PdpVariant::Modified),
+        ProtocolKind::Fddi => None,
+    }
+}
+
+/// The request's ring. `parse_request` built it once already (and
+/// `RingSpec::validate` did for a stored ring), so a request from the wire
+/// cannot fail here.
+fn ring_for(protocol: ProtocolKind, stations: usize, bw: Bandwidth) -> RingConfig {
+    protocol
+        .try_ring(stations, bw)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The reply prefix every analysis command shares.
+fn header(req: &AnalysisRequest, bw: Bandwidth, stations: usize) -> String {
+    format!(
+        "OK cmd={} protocol={} mbps={} stations={stations} streams={} utilization={:.6}",
+        req.command.token(),
+        req.protocol,
+        req.mbps,
+        req.set.len(),
+        req.set.utilization(bw),
+    )
 }
 
 /// Runs one analysis request to completion and renders the response body.
@@ -54,6 +82,33 @@ pub fn execute(req: &AnalysisRequest) -> String {
     execute_with(req, &Pool::serial())
 }
 
+/// Renders a `CHECK` reply body within a work `budget` (see
+/// [`Budget`]), or reports [`Unfinished`] when the Theorem 4.1 / 5.1 test
+/// needs more. The server's event loop calls it with the budget its
+/// connection has left, and the workers — through [`execute_with`] —
+/// with an unlimited one, so a `CHECK` gets the same bytes wherever it
+/// runs.
+///
+/// # Errors
+///
+/// [`Unfinished`] when the budget runs out before the verdict.
+pub fn execute_check(req: &AnalysisRequest, budget: &mut Budget) -> Result<String, Unfinished> {
+    let bw = Bandwidth::from_mbps(req.mbps);
+    let stations = req.effective_stations();
+    let ring = ring_for(req.protocol, stations, bw);
+    let verdict = match pdp_variant(req.protocol) {
+        Some(variant) => {
+            PdpAnalyzer::new(ring, FrameFormat::paper_default(), variant)
+                .check_within(&req.set, budget)?
+                .schedulable
+        }
+        None => TtpAnalyzer::with_defaults(ring).is_schedulable_within(&req.set, budget)?,
+    };
+    let mut body = header(req, bw, stations);
+    let _ = write!(body, " schedulable={verdict}");
+    Ok(body)
+}
+
 /// Like [`execute`], but fans parallelizable work — currently the
 /// `SATURATION` boundary search — across `pool`'s workers. With a
 /// single-threaded pool the result is identical to [`execute`]; wider
@@ -63,22 +118,13 @@ pub fn execute_with(req: &AnalysisRequest, pool: &Pool) -> String {
     let bw = Bandwidth::from_mbps(req.mbps);
     let stations = req.effective_stations();
     let set = &req.set;
-    let mut body = format!(
-        "OK cmd={} protocol={} mbps={} stations={stations} streams={} utilization={:.6}",
-        req.command.token(),
-        req.protocol,
-        req.mbps,
-        set.len(),
-        set.utilization(bw),
-    );
     match req.command {
-        CommandKind::Check => {
-            let verdict = analyzer_for(req.protocol, stations, bw).is_schedulable(set);
-            let _ = write!(body, " schedulable={verdict}");
-        }
+        CommandKind::Check => execute_check(req, &mut Budget::unlimited())
+            .expect("an unlimited budget never runs out"),
         CommandKind::Saturation => {
             let analyzer = analyzer_for(req.protocol, stations, bw);
             let verdict = analyzer.is_schedulable(set);
+            let mut body = header(req, bw, stations);
             let _ = write!(body, " schedulable={verdict}");
             match SaturationSearch::default().saturate_with(analyzer.as_ref(), set, bw, pool) {
                 Some(sat) => {
@@ -92,15 +138,15 @@ pub fn execute_with(req: &AnalysisRequest, pool: &Pool) -> String {
                     let _ = write!(body, " scale=nan breakdown_util=nan");
                 }
             }
+            body
         }
         CommandKind::Simulate => match simulate(req, set, bw, stations) {
-            Ok(extra) => body.push_str(&extra),
-            Err(msg) => return format!("ERR {msg}"),
+            Ok(extra) => header(req, bw, stations) + &extra,
+            Err(msg) => format!("ERR {msg}"),
         },
         CommandKind::Abu => unreachable!("ABU has its own request type"),
         CommandKind::Sleep => unreachable!("SLEEP is not an analysis command"),
     }
-    body
 }
 
 /// Runs one `ABU` request: Monte-Carlo average-breakdown-utilization
@@ -180,13 +226,6 @@ fn simulate(
         report.medium_utilization,
         report.events,
     ))
-}
-
-fn ring_for(protocol: ProtocolKind, stations: usize, bw: Bandwidth) -> RingConfig {
-    match protocol {
-        ProtocolKind::Ieee8025 | ProtocolKind::Modified => RingConfig::ieee_802_5(stations, bw),
-        ProtocolKind::Fddi => RingConfig::fddi(stations, bw),
-    }
 }
 
 #[cfg(test)]

@@ -3,10 +3,11 @@
 //!
 //! The loop accepts connections, parses newline-framed requests out of
 //! whatever byte fragments arrive, answers cheap requests inline
-//! ([`handle_request`]), and hands analysis work to the shared worker
-//! queue and stored-ring commands to the registry thread; both push the
-//! finished text onto the server's completion queue and wake the loop
-//! through a pipe.
+//! ([`handle_request`]) — cache hits, and cache-missing `CHECK`s that fit
+//! the work budget of an uncontended pass — and hands other analysis work
+//! to the shared worker queue and stored-ring commands to the registry
+//! thread; both push the finished text onto the server's completion
+//! queue and wake the loop through a pipe.
 //!
 //! # fd ownership
 //!
@@ -58,6 +59,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use ringrt_core::rm::Budget;
 use ringrt_net::{ConnTable, Event, IdleWheel, Interest, LineBuffer, Poller, Token, WriteBuffer};
 use ringrt_registry::ShipSubscription;
 
@@ -65,7 +67,7 @@ use crate::metrics::Stage;
 use crate::protocol::{CommandKind, MAX_LINE_BYTES};
 use crate::server::{
     handle_request, record_completed, serve_ship, Completion, Handled, ReplyTo, Response, Shared,
-    EXECUTION_GRACE, POLL_INTERVAL,
+    EXECUTION_GRACE, INLINE_CHECK_BUDGET, POLL_INTERVAL,
 };
 
 /// Reserved tokens for the wakeup pipe and the listener; connection tokens
@@ -174,6 +176,12 @@ struct Conn {
     /// thread: input is neither read nor parsed until it lands, so the
     /// connection's next request sees the command's effect.
     ordered: Option<u64>,
+    /// What this connection's cache-missing `CHECK`s may still spend on
+    /// the loop in loop pass `budget_pass`; refilled in its first request
+    /// of a later pass: to [`INLINE_CHECK_BUDGET`], or to nothing when
+    /// that pass is contended.
+    budget: Budget,
+    budget_pass: u64,
     /// The peer finished sending: lines already buffered are still
     /// served, then the connection closes once its replies are written.
     eof: bool,
@@ -198,6 +206,8 @@ impl Conn {
             interest: Interest::READ,
             paused: false,
             ordered: None,
+            budget: Budget::terms(INLINE_CHECK_BUDGET),
+            budget_pass: 0,
             eof: false,
             closing: false,
         }
@@ -457,6 +467,14 @@ pub(crate) struct EventLoop {
     completed: Vec<Completion>,
     /// Detached `SYNC` ship threads, joined when the loop exits.
     ships: Vec<JoinHandle<()>>,
+    /// Loop passes so far: each return from the poller starts one, and
+    /// each connection's inline work budget lasts one.
+    pass: u64,
+    /// The poller reported more than one connection ready in this pass.
+    /// The loop's time is then shared, so cache-missing `CHECK`s go to the
+    /// workers, which run on other cores while the loop serves the rest;
+    /// answering them inline would make every other client wait for them.
+    contended: bool,
 }
 
 impl EventLoop {
@@ -483,6 +501,8 @@ impl EventLoop {
             read_buf: vec![0; READ_CHUNK],
             completed: Vec::new(),
             ships: Vec::new(),
+            pass: 0,
+            contended: false,
         })
     }
 
@@ -501,6 +521,12 @@ impl EventLoop {
                 .poller
                 .wait(&mut events, timed.then_some(POLL_INTERVAL))
                 .unwrap_or(0);
+            self.pass += 1;
+            self.contended = events
+                .iter()
+                .filter(|e| e.token != WAKE_TOKEN && e.token != LISTEN_TOKEN)
+                .nth(1)
+                .is_some();
             if n > 0 {
                 let conns = &self.shared.metrics.conns;
                 conns.loop_wakeups.fetch_add(1, Ordering::Relaxed);
@@ -620,12 +646,21 @@ impl EventLoop {
                 return true;
             }
             let slot = conn.next_slot;
+            if conn.budget_pass != self.pass {
+                conn.budget_pass = self.pass;
+                conn.budget = Budget::terms(if self.contended {
+                    0
+                } else {
+                    INLINE_CHECK_BUDGET
+                });
+            }
             let (handled, slow) = match conn.input.next_line() {
                 Ok(Some(line)) => {
                     let slow =
                         (self.shared.config.slow_ms).map(|_| (Instant::now(), Box::from(&*line)));
                     let reply = ReplyTo { conn: token, slot };
-                    (handle_request(&line, &self.shared, reply), slow)
+                    let handled = handle_request(&line, &self.shared, reply, &mut conn.budget);
+                    (handled, slow)
                 }
                 Ok(None) => {
                     if conn.eof {

@@ -156,6 +156,16 @@ pub struct Metrics {
     pub readonly: AtomicU64,
     /// Requests answered `ERR` because they overstayed their queue deadline.
     pub deadline_expired: AtomicU64,
+    /// Cache-missing `CHECK`s the event loop answered itself, within its
+    /// work budget.
+    pub inline_checks: AtomicU64,
+    /// Cache-missing `CHECK`s that did not fit the event loop's work
+    /// budget — used up, or not granted in a contended loop pass — and were
+    /// queued for a worker instead.
+    pub inline_budget_exceeded: AtomicU64,
+    /// Panics caught where request code runs — the event loop, a worker,
+    /// the registry thread — each answered `ERR internal`.
+    pub panics: AtomicU64,
     /// Deepest the admission queue has been since the last `STATS RESET`
     /// (windowed high-water mark).
     pub queue_peak: HighWater,
@@ -189,6 +199,9 @@ impl Metrics {
             busy: AtomicU64::new(0),
             readonly: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
+            inline_checks: AtomicU64::new(0),
+            inline_budget_exceeded: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
             queue_peak: HighWater::new(),
             conns: ConnCounters::default(),
             hit_fast: ShardedCounter::new(),
@@ -252,6 +265,9 @@ impl Metrics {
             &self.busy,
             &self.readonly,
             &self.deadline_expired,
+            &self.inline_checks,
+            &self.inline_budget_exceeded,
+            &self.panics,
         ] {
             c.store(0, Ordering::Relaxed);
         }

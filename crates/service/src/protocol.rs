@@ -39,7 +39,13 @@
 //! # Responses
 //!
 //! One line per request: `OK key=value …`, `BUSY queue_capacity=<n>` when
-//! the admission queue is full (load shedding), or `ERR <message>`.
+//! the admission queue is full (load shedding), or `ERR <message>`
+//! (`ERR internal` when the request's code panicked).
+//!
+//! Only queued work is shed or expires: `deadline_ms` bounds the time a
+//! request waits in the queue. A `CHECK` the server answers without
+//! queueing — a cached verdict, or a cache miss whose analysis fits the
+//! event loop's work budget — is never answered `BUSY` and never expires.
 //!
 //! Two commands answer with a framed multi-line body after the `OK` line:
 //! `METRICS` (`OK cmd=metrics lines=<n>` followed by `n` Prometheus text
@@ -485,13 +491,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 ],
             )?;
             let mbps: f64 = required(&pairs, "mbps")?;
-            if !(mbps.is_finite() && mbps > 0.0) {
-                return Err(format!("mbps must be positive, got {mbps}"));
-            }
             let stations: usize = required(&pairs, "stations")?;
-            if stations == 0 {
-                return Err("stations must be at least 1".to_owned());
-            }
             let samples: usize = optional(&pairs, "samples")?.unwrap_or(DEFAULT_ABU_SAMPLES);
             if samples == 0 || samples > MAX_ABU_SAMPLES {
                 return Err(format!("samples must be in 1..={MAX_ABU_SAMPLES}"));
@@ -500,6 +500,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 Some(p) => ProtocolKind::parse(p)?,
                 None => ProtocolKind::default(),
             };
+            RingSpec {
+                protocol,
+                mbps,
+                stations: Some(stations),
+            }
+            .validate()
+            .map_err(|e| e.to_string())?;
             return Ok(Request::Abu(AbuRequest {
                 protocol,
                 mbps,
@@ -551,9 +558,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     check_keys(&pairs, allowed)?;
 
     let mbps: f64 = required(&pairs, "mbps")?;
-    if !(mbps.is_finite() && mbps > 0.0) {
-        return Err(format!("mbps must be positive, got {mbps}"));
-    }
     let set_text = lookup(&pairs, "set").ok_or_else(|| "set is required".to_owned())?;
     let set = ringrt_model::parse_message_set(&set_text.replace(';', "\n"))
         .map_err(|e| format!("invalid set: {e}"))?;
@@ -561,13 +565,24 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some(p) => ProtocolKind::parse(p)?,
         None => ProtocolKind::default(),
     };
+    let stations = optional(&pairs, "stations")?;
+    // The ring the analysis will build, built once here: a bandwidth or
+    // station count the ring model cannot hold is an error reply, not a
+    // panic where the request runs.
+    RingSpec {
+        protocol,
+        mbps,
+        stations,
+    }
+    .ring_config(set.len())
+    .map_err(|e| e.to_string())?;
     let (seconds, async_load) = sim_params(&pairs)?;
     Ok(Request::Analysis(AnalysisRequest {
         command,
         protocol,
         mbps,
         set,
-        stations: optional(&pairs, "stations")?,
+        stations,
         seconds,
         async_load,
         seed: optional(&pairs, "seed")?.unwrap_or(1),

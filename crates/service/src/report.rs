@@ -139,6 +139,15 @@ pub(crate) const SCALARS: &[Scalar] = &[
     counter("deadline_expired", "ringrt_deadline_expired_total",
         "Requests answered ERR because they overstayed their queue deadline.",
         |x| load(&x.s.metrics.deadline_expired)),
+    counter("inline_checks", "ringrt_inline_checks_total",
+        "Cache-missing CHECKs the event loop answered itself within its work budget.",
+        |x| load(&x.s.metrics.inline_checks)),
+    counter("inline_budget_exceeded", "ringrt_inline_budget_exceeded_total",
+        "Cache-missing CHECKs that did not fit the event loop's work budget and were queued instead.",
+        |x| load(&x.s.metrics.inline_budget_exceeded)),
+    counter("panics", "ringrt_panics_total",
+        "Panics caught where request code runs; each request was answered ERR internal.",
+        |x| load(&x.s.metrics.panics)),
     counter("cache_hits", "ringrt_cache_hits_total", "Result-cache hits.", |x| x.s.cache.hits() as f64),
     counter("cache_misses", "ringrt_cache_misses_total", "Result-cache misses.", |x| x.s.cache.misses() as f64),
     gauge("cache_entries", "ringrt_cache_entries", "Distinct result-cache entries currently stored.",

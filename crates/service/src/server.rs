@@ -8,7 +8,8 @@
 //!                     │  │   ▲                                   │
 //!                     │  │   └────── completions + waker ◀───────┤
 //!                     │  └──ring commands──▶ registry thread ────┘
-//!                     └─ inline: PING / STATS / cache hits
+//!                     └─ inline: PING / STATS / cache hits /
+//!                                CHECK misses within the work budget
 //! ```
 //!
 //! * One `ringrt-loop` thread ([`crate::event`]) owns the listener and
@@ -17,10 +18,16 @@
 //!   whatever fragments arrive, and writes replies in request order. This
 //!   is the shape that holds 10⁴–10⁵ mostly idle station controllers.
 //! * Cheap requests (PING, STATS, SHUTDOWN, malformed lines, cache hits)
-//!   are answered on the loop without touching the queue; analysis work
-//!   goes through the bounded queue, and a full queue sheds load with an
-//!   immediate `BUSY` line — the client is never left hanging, inside a
-//!   `BATCH` or not.
+//!   are answered on the loop without touching the queue, and so is a
+//!   cache-missing `CHECK` whose analysis fits in
+//!   `INLINE_CHECK_BUDGET` demand terms: its hand-off to a worker would
+//!   cost more than the test. Each connection spends at most one budget
+//!   per loop pass, so a pipelined burst or a `BATCH` of `CHECK`s queues
+//!   the rest, and none in a pass where other connections are ready too:
+//!   then a worker on another core runs the analysis while the loop
+//!   serves them. Other analysis work goes through the bounded queue, and
+//!   a full queue sheds load with an immediate `BUSY` line — the client is
+//!   never left hanging, inside a `BATCH` or not.
 //! * Commands on a stored ring (`REGISTER`, `ADMIT`, `REMOVE`,
 //!   `UNREGISTER`, `COMPACT`, `SHOW ring=`, `CHECK ring=`) may fsync the
 //!   journal or walk every stream, so they run on one `ringrt-registry`
@@ -30,6 +37,9 @@
 //! * Workers pop jobs; a job that waited past its deadline is answered
 //!   `ERR deadline expired` without being executed. Finished replies go
 //!   onto the server's completion queue, and a pipe wakes the loop.
+//! * Request code runs inside `catch_unwind` on the loop, the workers and
+//!   the registry thread: a panic answers `ERR internal`, counts `panics`,
+//!   and the thread keeps serving.
 //! * Shutdown (`SHUTDOWN` request or [`ServerHandle::shutdown`]) closes the
 //!   listener, lets workers **drain** everything already queued, and
 //!   closes each connection once its replies are written — in-flight
@@ -41,6 +51,7 @@
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -48,6 +59,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use ringrt_core::rm::{Budget, Unfinished};
 use ringrt_exec::Pool;
 use ringrt_obs::{trace::render_chrome_trace, Measured, Recorder};
 use ringrt_registry::{
@@ -70,6 +82,42 @@ pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// How long shutdown waits for in-flight replies before force-closing
 /// their connections.
 pub(crate) const EXECUTION_GRACE: Duration = Duration::from_secs(60);
+
+/// Demand terms (see [`Budget`]) the event loop may spend, per connection
+/// and uncontended loop pass, answering cache-missing `CHECK`s itself; a
+/// `CHECK` whose analysis needs more is queued for a worker, and so is
+/// every one in a pass where other connections wait too. On a 2-vCPU
+/// x86-64 host a call that used up this budget took at most 28 µs over
+/// 2 700 random sets, one to two cache hits' worth of loop time, while
+/// every `CHECK` of perfbench's check-miss mix (≤ 1 000 terms) fits
+/// (DESIGN §5g).
+pub(crate) const INLINE_CHECK_BUDGET: u64 = 2_048;
+
+/// The reply to a request whose code panicked.
+const INTERNAL_ERROR: &str = "ERR internal";
+
+/// Test builds panic where request code runs for a request with this queue
+/// deadline — how the tests reach the panic containment without a wire
+/// command for it.
+#[cfg(test)]
+const PANIC_DEADLINE_MS: u64 = 424_242;
+
+#[cfg(test)]
+fn injected_panic(deadline_ms: Option<u64>) {
+    assert_ne!(deadline_ms, Some(PANIC_DEADLINE_MS), "injected panic");
+}
+
+/// Runs request code so that a panic in it costs one `ERR internal` reply,
+/// not the thread: the panic is counted and `None` returned.
+fn contained<T>(shared: &Shared, run: impl FnOnce() -> T) -> Option<T> {
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(value) => Some(value),
+        Err(_) => {
+            shared.metrics.panics.fetch_add(1, Ordering::Relaxed);
+            None
+        }
+    }
+}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -566,7 +614,15 @@ pub(crate) enum Handled {
 
 /// Handles one request line: everything answerable inline is answered
 /// inline; queue-bound work is submitted with `reply` as its reply target.
-pub(crate) fn handle_request(line: &str, shared: &Arc<Shared>, reply: ReplyTo) -> Handled {
+/// A cache-missing `CHECK` is answered inline when its analysis fits in
+/// what is left of `budget`, the connection's work budget for this loop
+/// pass (none when the pass is contended).
+pub(crate) fn handle_request(
+    line: &str,
+    shared: &Arc<Shared>,
+    reply: ReplyTo,
+    budget: &mut Budget,
+) -> Handled {
     let ready = |response: Response| Handled::Ready(response);
     shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
     // Parse is timed with plain clock reads, not an eager span: the
@@ -706,15 +762,13 @@ pub(crate) fn handle_request(line: &str, shared: &Arc<Shared>, reply: ReplyTo) -
                 deadline_ms,
             };
             let key = CacheKey::for_request(&req).map(|k| k.with_ring_generation(generation));
-            let deadline_ms = req.deadline_ms;
             run_cached(
                 shared,
                 Request::Analysis(req),
                 key,
-                command,
-                deadline_ms,
                 reply,
                 (t0, parse_dur),
+                budget,
             )
         }
         Request::Sleep { ms, deadline_ms } => submit(
@@ -727,29 +781,24 @@ pub(crate) fn handle_request(line: &str, shared: &Arc<Shared>, reply: ReplyTo) -
         ),
         Request::Abu(req) => {
             let key = Some(CacheKey::for_abu(&req));
-            let deadline_ms = req.deadline_ms;
             run_cached(
                 shared,
                 Request::Abu(req),
                 key,
-                CommandKind::Abu,
-                deadline_ms,
                 reply,
                 (t0, parse_dur),
+                budget,
             )
         }
         Request::Analysis(req) => {
             let key = CacheKey::for_request(&req);
-            let command = req.command;
-            let deadline_ms = req.deadline_ms;
             run_cached(
                 shared,
                 Request::Analysis(req),
                 key,
-                command,
-                deadline_ms,
                 reply,
                 (t0, parse_dur),
+                budget,
             )
         }
     }
@@ -763,25 +812,32 @@ fn record_parse(shared: &Shared, t0: Instant, dur: Duration) {
     shared.metrics.record_stage(Stage::Parse, dur);
 }
 
-/// Cache-checks one queueable request, then submits it.
+/// Cache-checks one queueable request, then answers it inline or submits
+/// it.
 ///
 /// `parse` carries the request's arrival instant and measured parse
 /// duration. On a cache **hit** this is the zero-span fast path: no
 /// per-stage spans, no stage-histogram locks — two sharded-counter adds
 /// ([`Metrics::note_hit`]), the per-command latency record, and (one hit
 /// in [`crate::metrics::HIT_SPAN_SAMPLE`]) a single sampled
-/// `request`/`hit` span covering the whole parse→reply interval. On a
-/// **miss** the deferred parse stage and the cache probe are recorded
-/// together in one recorder round trip before the job is submitted.
+/// `request`/`hit` span covering the whole parse→reply interval. A
+/// **missing** inline-set `CHECK` then runs on the loop if it fits what is
+/// left of `budget` ([`check_inline`]). Otherwise the deferred parse stage
+/// and the cache probe are recorded together in one recorder round trip
+/// before the job is submitted.
 fn run_cached(
     shared: &Arc<Shared>,
     request: Request,
     key: Option<CacheKey>,
-    command: CommandKind,
-    deadline_ms: Option<u64>,
     reply: ReplyTo,
     parse: (Instant, Duration),
+    budget: &mut Budget,
 ) -> Handled {
+    let (command, deadline_ms) = match &request {
+        Request::Analysis(req) => (req.command, req.deadline_ms),
+        Request::Abu(req) => (CommandKind::Abu, req.deadline_ms),
+        other => unreachable!("only analyses are cached: {other:?}"),
+    };
     let (t0, parse_dur) = parse;
     if let Some(k) = &key {
         let cache_start = Instant::now();
@@ -795,7 +851,7 @@ fn run_cached(
             return Handled::Ready(Response::Hit(format!("{body} cached=true")));
         }
         let cache_dur = cache_start.elapsed();
-        shared.recorder.record_many(&[
+        let stages = [
             Measured {
                 cat: "request",
                 name: "parse",
@@ -808,7 +864,15 @@ fn run_cached(
                 start: cache_start,
                 dur: cache_dur,
             },
-        ]);
+        ];
+        if let Request::Analysis(req) = &request {
+            if req.command == CommandKind::Check {
+                if let Some(text) = check_inline(shared, req, k, budget, stages) {
+                    return Handled::Ready(Response::Line(text));
+                }
+            }
+        }
+        shared.recorder.record_many(&stages);
         shared.metrics.record_stage(Stage::Parse, parse_dur);
         shared.metrics.record_stage(Stage::Cache, cache_dur);
     } else {
@@ -817,6 +881,57 @@ fn run_cached(
         record_parse(shared, t0, parse_dur);
     }
     submit(shared, request, key, command, deadline_ms, reply)
+}
+
+/// Answers a cache-missing `CHECK` on the event loop — analysis, cache
+/// insert and all — if its analysis fits in what is left of `budget`.
+/// `None` means it did not, and the request goes to the queue. `stages`
+/// are the request's parse and cache spans, recorded here together with
+/// the execute span (an inline request has no `queue_wait`).
+fn check_inline(
+    shared: &Arc<Shared>,
+    req: &AnalysisRequest,
+    key: &CacheKey,
+    budget: &mut Budget,
+    stages: [Measured; 2],
+) -> Option<String> {
+    let exec_started = Instant::now();
+    let outcome = contained(shared, || {
+        #[cfg(test)]
+        injected_panic(req.deadline_ms);
+        engine::execute_check(req, budget).map(|body| finish_cacheable(shared, body, Some(key)))
+    });
+    let text = match outcome {
+        Some(Ok(text)) => {
+            shared.metrics.inline_checks.fetch_add(1, Ordering::Relaxed);
+            text
+        }
+        Some(Err(Unfinished)) => {
+            shared
+                .metrics
+                .inline_budget_exceeded
+                .fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        None => INTERNAL_ERROR.to_owned(),
+    };
+    let busy = exec_started.elapsed();
+    let [parse, cache] = stages;
+    shared.recorder.record_many(&[
+        parse,
+        cache,
+        Measured {
+            cat: "request",
+            name: "execute",
+            start: exec_started,
+            dur: busy,
+        },
+    ]);
+    shared.metrics.record_stage(Stage::Parse, parse.dur);
+    shared.metrics.record_stage(Stage::Cache, cache.dur);
+    shared.metrics.record_stage(Stage::Execute, busy);
+    record_completed(shared, CommandKind::Check, parse.start, &text);
+    Some(text)
 }
 
 fn fmt_stations(stations: Option<usize>) -> String {
@@ -975,7 +1090,14 @@ fn submit_ring(shared: &Shared, request: Request, reply: ReplyTo) -> Handled {
 /// shutdown has drained them.
 fn registry_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.ring_jobs.pop(&shared.shutdown) {
-        let text = execute_ring(shared, job.request);
+        let text = contained(shared, || {
+            #[cfg(test)]
+            if let Request::RingAnalysis { deadline_ms, .. } = &job.request {
+                injected_panic(*deadline_ms);
+            }
+            execute_ring(shared, job.request)
+        })
+        .unwrap_or_else(|| INTERNAL_ERROR.to_owned());
         shared.complete(job.reply, text);
     }
 }
@@ -1087,7 +1209,12 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         }
         shared.inflight.fetch_add(1, Ordering::Relaxed);
         let exec_started = Instant::now();
-        let text = execute_request(shared, &job.request, job.cache_key.as_ref());
+        let text = contained(shared, || {
+            #[cfg(test)]
+            injected_panic(u64::try_from(job.deadline.as_millis()).ok());
+            execute_request(shared, &job.request, job.cache_key.as_ref())
+        })
+        .unwrap_or_else(|| INTERNAL_ERROR.to_owned());
         let busy = exec_started.elapsed();
         // Both finished stages go into the recorder under one shard lock.
         shared.recorder.record_many(&[
@@ -2577,13 +2704,16 @@ mod tests {
         // A distinct value per source, so a row that reads the wrong one
         // renders the wrong number. No client connects: the loop stays
         // asleep and nothing else moves these between the two renders.
-        let sources: [(&str, &AtomicU64); 16] = [
+        let sources: [(&str, &AtomicU64); 19] = [
             ("requests", &m.requests),
             ("ok", &m.ok),
             ("errors", &m.errors),
             ("busy", &m.busy),
             ("readonly", &m.readonly),
             ("deadline_expired", &m.deadline_expired),
+            ("inline_checks", &m.inline_checks),
+            ("inline_budget_exceeded", &m.inline_budget_exceeded),
+            ("panics", &m.panics),
             ("inflight", &shared.inflight),
             ("connections_open", &m.conns.open),
             ("connections_accepted", &m.conns.accepted),
@@ -2735,11 +2865,283 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(100));
         let mut c = Client::connect(addr);
-        let resp = c.roundtrip("CHECK mbps=16 set=20,20000 deadline_ms=50");
+        // Work that still queues: a small CHECK would be answered on the
+        // loop, where no queue deadline applies.
+        let resp = c.roundtrip("SLEEP ms=1 deadline_ms=50");
         assert!(resp.starts_with("ERR deadline expired"), "{resp}");
         blocker.join().unwrap();
         let stats = c.roundtrip("STATS");
         assert!(stats.contains("deadline_expired=1"), "{stats}");
         server.join();
+    }
+
+    /// A `CHECK` request line for the modified protocol over `streams`
+    /// light streams with periods from 20 ms up: schedulable, and costing
+    /// about `8·n + n²` demand terms (two response-time iterations per
+    /// rank), so its size picks which side of the inline budget it lands.
+    fn check_line(streams: usize, bits: usize) -> String {
+        let set: Vec<String> = (0..streams).map(|i| format!("{},{bits}", 20 + i)).collect();
+        format!("CHECK mbps=16 protocol=modified set={}", set.join(";"))
+    }
+
+    fn analysis(line: &str) -> AnalysisRequest {
+        match parse_request(line).expect("parses") {
+            Request::Analysis(req) => req,
+            other => panic!("not an analysis: {other:?}"),
+        }
+    }
+
+    fn stat(stats: &str, key: &str) -> u64 {
+        stats
+            .split_whitespace()
+            .find_map(|f| f.strip_prefix(key)?.strip_prefix('='))
+            .unwrap_or_else(|| panic!("STATS lacks `{key}`: {stats}"))
+            .parse()
+            .expect("numeric STATS value")
+    }
+
+    #[test]
+    fn small_check_is_answered_while_the_queue_is_full() {
+        let server = test_server(1, 1);
+        let addr = server.addr();
+        let blocker = std::thread::spawn(move || Client::connect(addr).roundtrip("SLEEP ms=400"));
+        let mut c = Client::connect(addr);
+        await_contains(&mut c, "STATS", " inflight=1 ");
+        let filler = std::thread::spawn(move || Client::connect(addr).roundtrip("SLEEP ms=10"));
+        await_contains(&mut c, "STATS", " queue_len=1 ");
+        assert_eq!(c.roundtrip("SLEEP ms=1"), "BUSY queue_capacity=1");
+        let check = c.roundtrip("CHECK mbps=16 set=20,20000;50,60000");
+        assert!(check.starts_with("OK cmd=check"), "{check}");
+        assert!(check.ends_with("schedulable=true cached=false"), "{check}");
+        let stats = c.roundtrip("STATS");
+        assert_eq!(stat(&stats, "inline_checks"), 1, "{stats}");
+        assert_eq!(stat(&stats, "busy"), 1, "{stats}");
+        assert_eq!(blocker.join().unwrap(), "OK cmd=sleep ms=400");
+        assert_eq!(filler.join().unwrap(), "OK cmd=sleep ms=10");
+        server.join();
+    }
+
+    #[test]
+    fn check_over_the_budget_is_queued_with_the_same_bytes() {
+        let line = check_line(60, 100);
+        let req = analysis(&line);
+        assert_eq!(
+            engine::execute_check(&req, &mut Budget::terms(INLINE_CHECK_BUDGET)),
+            Err(Unfinished),
+            "the set must need more than one budget"
+        );
+        let expected = engine::execute_check(&req, &mut Budget::unlimited()).unwrap();
+        let server = test_server(1, 4);
+        let mut c = Client::connect(server.addr());
+        assert_eq!(c.roundtrip(&line), format!("{expected} cached=false"));
+        let stats = c.roundtrip("STATS");
+        assert_eq!(stat(&stats, "inline_budget_exceeded"), 1, "{stats}");
+        assert_eq!(stat(&stats, "inline_checks"), 0, "{stats}");
+        assert!(stats.contains(" worker_jobs=1 "), "{stats}");
+        // Cached by the worker: the repeat is a hit with the same body.
+        assert_eq!(c.roundtrip(&line), format!("{expected} cached=true"));
+        server.join();
+    }
+
+    #[test]
+    fn batch_of_checks_spends_at_most_one_budget_on_the_loop() {
+        let lines: Vec<String> = (0..10).map(|k| check_line(15, 100 + k)).collect();
+        // What one budget pays for, replayed in-process: every CHECK runs
+        // until the budget is spent, the rest are queued.
+        let mut budget = Budget::terms(INLINE_CHECK_BUDGET);
+        let mut expected = Vec::new();
+        let mut inline = 0u64;
+        for line in &lines {
+            let req = analysis(line);
+            if engine::execute_check(&req, &mut budget).is_ok() {
+                inline += 1;
+            }
+            let body = engine::execute_check(&req, &mut Budget::unlimited()).unwrap();
+            expected.push(format!("{body} cached=false"));
+        }
+        assert!(
+            (1..lines.len() as u64).contains(&inline),
+            "one budget must pay for some but not all: {inline}"
+        );
+        let server = test_server(2, 16);
+        let mut c = Client::connect(server.addr());
+        let batch = format!("BATCH {}\n{}\n", lines.len(), lines.join("\n"));
+        c.writer.write_all(batch.as_bytes()).expect("send batch");
+        for want in &expected {
+            let mut got = String::new();
+            c.reader.read_line(&mut got).expect("recv");
+            assert_eq!(got.trim_end(), want);
+        }
+        let stats = c.roundtrip("STATS");
+        assert_eq!(stat(&stats, "inline_checks"), inline, "{stats}");
+        assert_eq!(
+            stat(&stats, "inline_budget_exceeded"),
+            lines.len() as u64 - inline,
+            "{stats}"
+        );
+        server.join();
+    }
+
+    #[test]
+    fn checks_in_a_contended_pass_go_to_the_workers() {
+        let server = test_server(2, 8);
+        let (mut a, mut b, mut c) = (
+            Client::connect(server.addr()),
+            Client::connect(server.addr()),
+            Client::connect(server.addr()),
+        );
+        assert_eq!(a.roundtrip("PING"), "OK cmd=ping");
+        assert_eq!(b.roundtrip("PING"), "OK cmd=ping");
+        // Stall the loop on the ring-command queue's lock while two other
+        // connections send, so its next pass finds both ready at once.
+        let held = server.shared.ring_jobs.lock();
+        c.writer.write_all(b"SHOW ring=none\n").expect("send");
+        std::thread::sleep(Duration::from_millis(200));
+        a.writer
+            .write_all(b"CHECK mbps=16 set=20,20000;50,60000\n")
+            .expect("send");
+        b.writer.write_all(b"PING\n").expect("send");
+        std::thread::sleep(Duration::from_millis(50));
+        drop(held);
+        let mut reply = String::new();
+        a.reader.read_line(&mut reply).expect("recv");
+        assert!(reply.trim_end().ends_with("cached=false"), "{reply}");
+        let mut reply = String::new();
+        b.reader.read_line(&mut reply).expect("recv");
+        assert_eq!(reply.trim_end(), "OK cmd=ping");
+        let mut reply = String::new();
+        c.reader.read_line(&mut reply).expect("recv");
+        assert!(reply.starts_with("ERR "), "{reply}");
+        let stats = a.roundtrip("STATS");
+        assert_eq!(stat(&stats, "inline_checks"), 0, "{stats}");
+        assert_eq!(stat(&stats, "inline_budget_exceeded"), 1, "{stats}");
+        assert!(stats.contains(" worker_jobs=1,0 ") || stats.contains(" worker_jobs=0,1 "));
+        // Alone in its pass, the same kind of request runs on the loop.
+        let alone = a.roundtrip("CHECK mbps=16 set=20,20000;50,60001");
+        assert!(alone.ends_with("cached=false"), "{alone}");
+        assert_eq!(stat(&a.roundtrip("STATS"), "inline_checks"), 1);
+        server.join();
+    }
+
+    #[test]
+    fn panics_in_request_code_are_contained() {
+        let server = test_server(1, 4);
+        let mut c = Client::connect(server.addr());
+        c.reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let trigger = format!("deadline_ms={PANIC_DEADLINE_MS}");
+        // On the event loop: an inline CHECK.
+        assert_eq!(
+            c.roundtrip(&format!("CHECK mbps=16 set=20,20000 {trigger}")),
+            INTERNAL_ERROR
+        );
+        assert_eq!(c.roundtrip("PING"), "OK cmd=ping");
+        // On the only worker: it must survive to run the next job.
+        assert_eq!(
+            c.roundtrip(&format!("SLEEP ms=1 {trigger}")),
+            INTERNAL_ERROR
+        );
+        assert_eq!(c.roundtrip("SLEEP ms=1"), "OK cmd=sleep ms=1");
+        // On the registry thread: later ring commands still run.
+        assert!(c
+            .roundtrip("REGISTER ring=lab protocol=fddi mbps=100 stations=4")
+            .starts_with("OK"));
+        assert!(c
+            .roundtrip("ADMIT ring=lab stream=a period_ms=20 bits=1000")
+            .contains("admitted=true"));
+        assert_eq!(
+            c.roundtrip(&format!("CHECK ring=lab {trigger}")),
+            INTERNAL_ERROR
+        );
+        assert!(c.roundtrip("CHECK ring=lab").contains("schedulable=true"));
+        let stats = c.roundtrip("STATS");
+        assert_eq!(stat(&stats, "panics"), 3, "{stats}");
+        assert_eq!(stat(&stats, "inflight"), 0, "{stats}");
+        assert_eq!(stat(&stats, "workers"), 1, "{stats}");
+        assert!(stats.contains(" worker_jobs=2 "), "{stats}");
+        let (header, body) = {
+            let header = c.roundtrip("METRICS");
+            let lines: usize = header.rsplit('=').next().unwrap().parse().unwrap();
+            let body: Vec<String> = (0..lines)
+                .map(|_| {
+                    let mut l = String::new();
+                    c.reader.read_line(&mut l).expect("recv");
+                    l.trim_end().to_owned()
+                })
+                .collect();
+            (header, body)
+        };
+        assert!(
+            body.iter().any(|l| l == "ringrt_panics_total 3"),
+            "{header}: {body:?}"
+        );
+        server.join();
+    }
+
+    /// Sends one wire input that used to panic a thread and checks it is
+    /// refused with `ERR` and that this connection and a new one are still
+    /// served.
+    fn refused_then_served(config: impl FnOnce(&mut ServiceConfig), line: &str) {
+        let server = custom_server(config);
+        let mut c = Client::connect(server.addr());
+        c.reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let reply = c.roundtrip(line);
+        assert!(reply.starts_with("ERR "), "{line} -> {reply}");
+        assert_eq!(c.roundtrip("PING"), "OK cmd=ping", "after {line}");
+        let mut other = Client::connect(server.addr());
+        assert_eq!(other.roundtrip("PING"), "OK cmd=ping", "after {line}");
+        let stats = c.roundtrip("STATS");
+        assert_eq!(stat(&stats, "panics"), 0, "{stats}");
+        assert_eq!(stat(&stats, "rings"), 0, "{stats}");
+        server.join();
+    }
+
+    #[test]
+    fn check_with_a_bandwidth_that_overflows_is_refused() {
+        refused_then_served(|_| {}, "CHECK mbps=1e308 set=20,1000");
+    }
+
+    #[test]
+    fn check_with_a_station_count_that_overflows_is_refused() {
+        for protocol in ["802.5", "modified", "fddi"] {
+            refused_then_served(
+                |_| {},
+                &format!(
+                    "CHECK mbps=16 set=20,1000 protocol={protocol} stations=18446744073709551615"
+                ),
+            );
+        }
+    }
+
+    #[test]
+    fn register_with_a_bandwidth_that_overflows_is_refused_and_not_journaled() {
+        let dir = temp_state_dir("overflow-mbps");
+        let state = dir.clone();
+        refused_then_served(
+            move |c| c.state_dir = Some(state),
+            "REGISTER ring=a protocol=fddi mbps=1e308",
+        );
+        // Nothing reached the journal: the directory reopens with no rings.
+        let reopened = RingRegistry::open(&dir).expect("state dir reopens");
+        assert!(reopened.ring_names().is_empty());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn register_with_a_station_count_that_overflows_is_refused_and_not_journaled() {
+        let dir = temp_state_dir("overflow-stations");
+        let state = dir.clone();
+        refused_then_served(
+            move |c| c.state_dir = Some(state),
+            "REGISTER ring=b protocol=modified mbps=16 stations=18446744073709551615",
+        );
+        let reopened = RingRegistry::open(&dir).expect("state dir reopens");
+        assert!(reopened.ring_names().is_empty());
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -151,9 +151,11 @@ fn metrics_exposition_is_wellformed_and_buckets_are_cumulative() {
 fn trace_captures_the_request_lifecycle_stages() {
     let server = test_server();
     let mut c = Client::connect(server.addr());
-    // One uncached analysis: parse → cache miss → queue wait → execute.
+    // One uncached analysis: parse → cache miss → execute, on the loop.
     let check = c.roundtrip("CHECK mbps=16 set=20,20000");
     assert!(check.ends_with("cached=false"), "{check}");
+    // One request that queues: queue wait → execute on a worker.
+    assert_eq!(c.roundtrip("SLEEP ms=1"), "OK cmd=sleep ms=1");
     let (_header, json) = c.trace("TRACE 4096");
     let events = validate_chrome_trace(&json).expect("valid Chrome trace JSON");
     assert!(events > 0, "no events captured");
@@ -171,6 +173,8 @@ fn stats_reset_starts_a_fresh_window() {
     let server = test_server();
     let mut c = Client::connect(server.addr());
     c.roundtrip("CHECK mbps=16 set=20,20000");
+    // The CHECK is answered on the loop; a SLEEP still passes the queue.
+    c.roundtrip("SLEEP ms=1");
     let before = c.roundtrip("STATS");
     assert!(before.contains(" check_count=1"), "{before}");
     assert!(before.contains(" cache_misses=1"), "{before}");

@@ -24,7 +24,51 @@ use crate::{Bits, Seconds};
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Bandwidth(f64);
 
+/// A rate that is not a finite, strictly positive number of bits per
+/// second — after unit scaling, so `1e308` Mbps is rejected too.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InvalidBandwidth {
+    /// The rejected rate in bits per second.
+    pub bps: f64,
+}
+
+impl fmt::Display for InvalidBandwidth {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "bandwidth must be finite and positive, got {} bit/s",
+            self.bps
+        )
+    }
+}
+
+impl std::error::Error for InvalidBandwidth {}
+
 impl Bandwidth {
+    /// Creates a rate from bits per second.
+    ///
+    /// # Errors
+    ///
+    /// [`InvalidBandwidth`] if `bps` is not a finite, strictly positive
+    /// number.
+    pub fn try_from_bps(bps: f64) -> Result<Self, InvalidBandwidth> {
+        if bps.is_finite() && bps > 0.0 {
+            Ok(Bandwidth(bps))
+        } else {
+            Err(InvalidBandwidth { bps })
+        }
+    }
+
+    /// Creates a rate from megabits per second (10⁶ bits/s).
+    ///
+    /// # Errors
+    ///
+    /// [`InvalidBandwidth`] if the rate in bits per second is not a
+    /// finite, strictly positive number.
+    pub fn try_from_mbps(mbps: f64) -> Result<Self, InvalidBandwidth> {
+        Self::try_from_bps(mbps * 1e6)
+    }
+
     /// Creates a rate from bits per second.
     ///
     /// # Panics
@@ -32,11 +76,7 @@ impl Bandwidth {
     /// Panics if `bps` is not a finite, strictly positive number.
     #[must_use]
     pub fn from_bps(bps: f64) -> Self {
-        assert!(
-            bps.is_finite() && bps > 0.0,
-            "bandwidth must be finite and positive, got {bps}"
-        );
-        Bandwidth(bps)
+        Self::try_from_bps(bps).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Creates a rate from kilobits per second (10³ bits/s).
@@ -46,6 +86,11 @@ impl Bandwidth {
     }
 
     /// Creates a rate from megabits per second (10⁶ bits/s).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rate in bits per second is not a finite, strictly
+    /// positive number.
     #[must_use]
     pub fn from_mbps(mbps: f64) -> Self {
         Self::from_bps(mbps * 1e6)
@@ -122,6 +167,27 @@ mod tests {
         assert_eq!(Bandwidth::from_mbps(1.0).as_bps(), 1e6);
         assert_eq!(Bandwidth::from_gbps(1.0).as_bps(), 1e9);
         assert_eq!(Bandwidth::from_gbps(1.0).as_mbps(), 1e3);
+    }
+
+    #[test]
+    fn fallible_constructors_reject_what_the_panicking_ones_would() {
+        assert_eq!(
+            Bandwidth::try_from_mbps(16.0),
+            Ok(Bandwidth::from_mbps(16.0))
+        );
+        // Finite in Mbps, infinite once scaled to bit/s.
+        let err = Bandwidth::try_from_mbps(1e308).unwrap_err();
+        assert!(err.bps.is_infinite());
+        assert!(err.to_string().contains("finite and positive"), "{err}");
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(Bandwidth::try_from_bps(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn from_mbps_panics_on_overflow() {
+        let _ = Bandwidth::from_mbps(1e308);
     }
 
     #[test]

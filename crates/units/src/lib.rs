@@ -39,7 +39,7 @@ mod data;
 mod sim_time;
 mod time;
 
-pub use bandwidth::Bandwidth;
+pub use bandwidth::{Bandwidth, InvalidBandwidth};
 pub use data::{Bits, Bytes};
 pub use sim_time::{SimDuration, SimTime, PICOS_PER_SEC};
 pub use time::Seconds;
