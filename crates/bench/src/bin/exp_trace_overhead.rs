@@ -14,7 +14,7 @@
 //! * **cachehit** — one warm request list replayed, so every answer is a
 //!   cache hit. These are the *cheapest* requests the server can answer,
 //!   making any fixed per-request recorder cost maximally visible. Hits
-//!   travel the zero-span fast path (pre-aggregated sharded counters +
+//!   travel the zero-span fast path (two pre-aggregated counters +
 //!   one sampled span per 64 hits — see `run_cached`), so this phase is
 //!   held to its own **< 0.5 %** overhead target.
 //!
@@ -317,7 +317,7 @@ fn main() {
     println!("# overheads are medians over slice-interleaved same-workload rounds; a small");
     println!("# negative value means the recorder cost sits below residual timing jitter.");
     println!("# cache-hit requests are the cheapest the server answers; their zero-span");
-    println!("# fast path (sharded counters + 1-in-64 sampled spans) is held to <0.5%.");
+    println!("# fast path (two counters + 1-in-64 sampled spans) is held to <0.5%.");
 
     drop(on);
     drop(off);

@@ -1,42 +1,10 @@
 //! Argument parsing (hand-rolled; the surface is small enough that a CLI
 //! framework dependency is not warranted).
 
-use core::fmt;
+use std::path::PathBuf;
 
-/// Which protocol a command targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProtocolChoice {
-    /// Standard IEEE 802.5.
-    Ieee8025,
-    /// Modified IEEE 802.5 (the paper's more efficient variant).
-    #[default]
-    Modified,
-    /// FDDI timed token with the local allocation scheme.
-    Fddi,
-}
-
-impl ProtocolChoice {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "802.5" | "8025" | "ieee802.5" | "standard" => Ok(ProtocolChoice::Ieee8025),
-            "modified" | "mod" => Ok(ProtocolChoice::Modified),
-            "fddi" | "ttp" | "timed-token" => Ok(ProtocolChoice::Fddi),
-            other => Err(format!(
-                "unknown protocol `{other}` (expected 802.5, modified, or fddi)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for ProtocolChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolChoice::Ieee8025 => f.write_str("IEEE 802.5"),
-            ProtocolChoice::Modified => f.write_str("Modified IEEE 802.5"),
-            ProtocolChoice::Fddi => f.write_str("FDDI"),
-        }
-    }
-}
+use ringrt_core::ProtocolKind;
+use ringrt_service::ServiceConfig;
 
 /// Output mode for `check`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,7 +44,7 @@ pub enum Command {
         /// Ring bandwidth in Mbps.
         mbps: f64,
         /// Protocol to test.
-        protocol: ProtocolChoice,
+        protocol: ProtocolKind,
         /// Ring stations (defaults to the stream count).
         stations: Option<usize>,
         /// Output mode.
@@ -89,7 +57,7 @@ pub enum Command {
         /// Ring bandwidth in Mbps.
         mbps: f64,
         /// Protocol to simulate.
-        protocol: ProtocolChoice,
+        protocol: ProtocolKind,
         /// Ring stations (defaults to the stream count).
         stations: Option<usize>,
         /// Simulated seconds.
@@ -119,45 +87,7 @@ pub enum Command {
         mbps: Vec<f64>,
     },
     /// Run the online admission-control service (`ringrt-service`).
-    Serve {
-        /// Bind address (`host:port`; port 0 picks an ephemeral one).
-        addr: String,
-        /// Worker threads executing analyses.
-        workers: usize,
-        /// Bounded queue depth before requests are answered `BUSY`.
-        queue_depth: usize,
-        /// Default per-request queue deadline in milliseconds.
-        deadline_ms: u64,
-        /// Persistent registry state directory (`None` = in-memory).
-        state_dir: Option<String>,
-        /// Result-cache entry capacity (`None` = service default).
-        cache_entries: Option<usize>,
-        /// Log requests slower than this many milliseconds to stderr
-        /// (`None` disables the slow-request log).
-        slow_ms: Option<u64>,
-        /// Whether the flight recorder captures spans (`--trace on|off`,
-        /// default on). Off, spans cost one atomic load and `TRACE`
-        /// returns an empty document.
-        trace: bool,
-        /// Run as a warm standby replicating the primary at this address
-        /// (requires `--state-dir`).
-        follow: Option<String>,
-        /// Journal segment rotation threshold in bytes (`None` = the
-        /// registry default).
-        segment_bytes: Option<u64>,
-        /// Auto-promote after the primary has been silent this long
-        /// (`None` = promote only on an explicit `PROMOTE`).
-        promote_timeout_ms: Option<u64>,
-        /// Open-connection cap; accepts beyond it answer `BUSY` (0 = the
-        /// event loop's own table bound).
-        max_conns: usize,
-        /// Close connections idle this long (`None` keeps idle clients
-        /// forever).
-        idle_timeout_ms: Option<u64>,
-        /// Close connections stalled mid-line this long (slow-loris guard;
-        /// `None` = service default, 0 disables).
-        read_deadline_ms: Option<u64>,
-    },
+    Serve(ServiceConfig),
     /// Drain a running server's flight recorder as Chrome trace JSON.
     Trace {
         /// Server address (`host:port`).
@@ -196,7 +126,7 @@ pub enum RegistryAction {
         /// Ring bandwidth in Mbps.
         mbps: f64,
         /// Protocol the ring runs.
-        protocol: ProtocolChoice,
+        protocol: ProtocolKind,
         /// Pinned station count (defaults to the stream count).
         stations: Option<usize>,
     },
@@ -336,30 +266,43 @@ impl Cli {
             "serve" => {
                 let flags = flags_only(&mut it)?;
                 known_flags(&flags, SERVE_FLAGS)?;
-                let workers = optional_usize(&flags, "--workers")?.unwrap_or(4);
-                let queue_depth = optional_usize(&flags, "--queue-depth")?.unwrap_or(64);
-                if workers == 0 || queue_depth == 0 {
+                let defaults = ServiceConfig::default();
+                let config = ServiceConfig {
+                    addr: flag_value(&flags, "--addr")
+                        .unwrap_or("127.0.0.1:7400")
+                        .to_owned(),
+                    workers: optional_usize(&flags, "--workers")?.unwrap_or(defaults.workers),
+                    queue_depth: optional_usize(&flags, "--queue-depth")?
+                        .unwrap_or(defaults.queue_depth),
+                    default_deadline_ms: optional_u64(&flags, "--deadline-ms")?
+                        .unwrap_or(defaults.default_deadline_ms),
+                    state_dir: flag_value(&flags, "--state-dir")
+                        .map(PathBuf::from)
+                        .or(defaults.state_dir),
+                    cache_entries: optional_usize(&flags, "--cache-entries")?
+                        .unwrap_or(defaults.cache_entries),
+                    slow_ms: optional_u64(&flags, "--slow-ms")?.or(defaults.slow_ms),
+                    trace_enabled: optional_switch(&flags, "--trace")?
+                        .unwrap_or(defaults.trace_enabled),
+                    follow: flag_value(&flags, "--follow")
+                        .map(str::to_owned)
+                        .or(defaults.follow),
+                    segment_bytes: optional_u64(&flags, "--segment-bytes")?
+                        .or(defaults.segment_bytes),
+                    promote_timeout_ms: optional_u64(&flags, "--promote-timeout-ms")?
+                        .or(defaults.promote_timeout_ms),
+                    max_conns: optional_usize(&flags, "--max-conns")?.unwrap_or(defaults.max_conns),
+                    idle_timeout_ms: optional_u64(&flags, "--idle-timeout-ms")?
+                        .or(defaults.idle_timeout_ms),
+                    read_deadline_ms: optional_u64(&flags, "--read-deadline-ms")?
+                        .unwrap_or(defaults.read_deadline_ms),
+                    ..defaults
+                };
+                if config.workers == 0 || config.queue_depth == 0 {
                     return Err("--workers and --queue-depth must be at least 1".into());
                 }
                 Ok(Cli {
-                    command: Command::Serve {
-                        addr: flag_value(&flags, "--addr")
-                            .unwrap_or("127.0.0.1:7400")
-                            .to_owned(),
-                        workers,
-                        queue_depth,
-                        deadline_ms: optional_u64(&flags, "--deadline-ms")?.unwrap_or(2_000),
-                        state_dir: flag_value(&flags, "--state-dir").map(str::to_owned),
-                        cache_entries: optional_usize(&flags, "--cache-entries")?,
-                        slow_ms: optional_u64(&flags, "--slow-ms")?,
-                        trace: optional_switch(&flags, "--trace")?.unwrap_or(true),
-                        follow: flag_value(&flags, "--follow").map(str::to_owned),
-                        segment_bytes: optional_u64(&flags, "--segment-bytes")?,
-                        promote_timeout_ms: optional_u64(&flags, "--promote-timeout-ms")?,
-                        max_conns: optional_usize(&flags, "--max-conns")?.unwrap_or(0),
-                        idle_timeout_ms: optional_u64(&flags, "--idle-timeout-ms")?,
-                        read_deadline_ms: optional_u64(&flags, "--read-deadline-ms")?,
-                    },
+                    command: Command::Serve(config),
                 })
             }
             "trace" => {
@@ -582,11 +525,14 @@ fn required_f64(flags: &Flags, name: &str) -> Result<f64, String> {
     optional_f64(flags, name)?.ok_or_else(|| format!("{name} is required"))
 }
 
+/// Parses a number flag; `NaN` is refused, as no quantity holds one.
 fn optional_f64(flags: &Flags, name: &str) -> Result<Option<f64>, String> {
     flag_value(flags, name)
         .map(|v| {
             v.parse::<f64>()
-                .map_err(|_| format!("invalid value `{v}` for {name}"))
+                .ok()
+                .filter(|x| !x.is_nan())
+                .ok_or_else(|| format!("invalid value `{v}` for {name}"))
         })
         .transpose()
 }
@@ -622,9 +568,9 @@ fn optional_usize(flags: &Flags, name: &str) -> Result<Option<usize>, String> {
         .transpose()
 }
 
-fn optional_protocol(flags: &Flags) -> Result<ProtocolChoice, String> {
+fn optional_protocol(flags: &Flags) -> Result<ProtocolKind, String> {
     flag_value(flags, "--protocol")
-        .map(ProtocolChoice::parse)
+        .map(ProtocolKind::parse)
         .transpose()
         .map(Option::unwrap_or_default)
 }
@@ -652,7 +598,7 @@ mod tests {
             Command::Check {
                 file: "set.txt".into(),
                 mbps: 16.0,
-                protocol: ProtocolChoice::Fddi,
+                protocol: ProtocolKind::Fddi,
                 stations: None,
                 format: OutputFormat::Plain,
             }
@@ -674,22 +620,23 @@ mod tests {
         let cli = parse(&["serve"]).unwrap();
         assert_eq!(
             cli.command,
-            Command::Serve {
+            Command::Serve(ServiceConfig {
                 addr: "127.0.0.1:7400".into(),
                 workers: 4,
                 queue_depth: 64,
-                deadline_ms: 2_000,
+                default_deadline_ms: 2_000,
                 state_dir: None,
-                cache_entries: None,
+                cache_entries: ringrt_service::cache::DEFAULT_CAPACITY,
+                exec_threads: None,
                 slow_ms: None,
-                trace: true,
+                trace_enabled: true,
                 follow: None,
                 segment_bytes: None,
                 promote_timeout_ms: None,
                 max_conns: 0,
                 idle_timeout_ms: None,
-                read_deadline_ms: None,
-            }
+                read_deadline_ms: 30_000,
+            })
         );
         let cli = parse(&[
             "serve",
@@ -725,22 +672,23 @@ mod tests {
         .unwrap();
         assert_eq!(
             cli.command,
-            Command::Serve {
+            Command::Serve(ServiceConfig {
                 addr: "0.0.0.0:9000".into(),
                 workers: 2,
                 queue_depth: 8,
-                deadline_ms: 500,
+                default_deadline_ms: 500,
                 state_dir: Some("/tmp/rings".into()),
-                cache_entries: Some(128),
+                cache_entries: 128,
+                exec_threads: None,
                 slow_ms: Some(250),
-                trace: false,
+                trace_enabled: false,
                 follow: Some("10.0.0.9:7400".into()),
                 segment_bytes: Some(65536),
                 promote_timeout_ms: Some(3000),
                 max_conns: 20000,
                 idle_timeout_ms: Some(60000),
-                read_deadline_ms: Some(5000),
-            }
+                read_deadline_ms: 5000,
+            })
         );
         assert!(parse(&["serve", "--workers", "0"]).is_err());
         assert!(parse(&["serve", "stray"]).is_err());
@@ -825,7 +773,7 @@ mod tests {
                 action: RegistryAction::Register {
                     ring: "lab".into(),
                     mbps: 16.0,
-                    protocol: ProtocolChoice::Fddi,
+                    protocol: ProtocolKind::Fddi,
                     stations: Some(12),
                 },
             }
@@ -923,6 +871,22 @@ mod tests {
         ])
         .unwrap_err()
         .contains("--bits"));
+        assert!(parse(&[
+            "registry",
+            "admit",
+            "lab",
+            "v",
+            "--state-dir",
+            "/tmp/s",
+            "--period-ms",
+            "20",
+            "--bits",
+            "1",
+            "--deadline-ms",
+            "NaN"
+        ])
+        .unwrap_err()
+        .contains("--deadline-ms"));
         // Positionals after flags are rejected.
         assert!(parse(&["registry", "remove", "lab", "--state-dir", "/tmp/s", "v"]).is_err());
     }
@@ -939,7 +903,7 @@ mod tests {
                 stations,
                 ..
             } => {
-                assert_eq!(protocol, ProtocolChoice::Modified);
+                assert_eq!(protocol, ProtocolKind::Modified);
                 assert_eq!(seconds, 1.0);
                 assert_eq!(async_load, 0.0);
                 assert_eq!(seed, 1);
@@ -964,10 +928,10 @@ mod tests {
     #[test]
     fn protocol_aliases() {
         for (alias, want) in [
-            ("802.5", ProtocolChoice::Ieee8025),
-            ("standard", ProtocolChoice::Ieee8025),
-            ("mod", ProtocolChoice::Modified),
-            ("TTP", ProtocolChoice::Fddi),
+            ("802.5", ProtocolKind::Ieee8025),
+            ("standard", ProtocolKind::Ieee8025),
+            ("mod", ProtocolKind::Modified),
+            ("TTP", ProtocolKind::Fddi),
         ] {
             let cli = parse(&["check", "f", "--mbps", "1", "--protocol", alias]).unwrap();
             match cli.command {
@@ -984,6 +948,8 @@ mod tests {
         assert!(parse(&["check"]).is_err());
         assert!(parse(&["check", "f"]).unwrap_err().contains("--mbps"));
         assert!(parse(&["check", "f", "--mbps", "NaNx"]).is_err());
+        assert!(parse(&["check", "f", "--mbps", "NaN"]).is_err());
+        assert!(parse(&["simulate", "f", "--mbps", "1", "--seconds", "nan"]).is_err());
         assert!(parse(&["check", "f", "--mbps", "1", "--protocol", "atm"]).is_err());
         assert!(parse(&["sweep", "f", "--mbps", "1,-2"]).is_err());
         assert!(parse(&["check", "f", "--mbps"])
@@ -1035,8 +1001,8 @@ mod tests {
 
     #[test]
     fn display() {
-        assert_eq!(ProtocolChoice::Fddi.to_string(), "FDDI");
-        assert_eq!(ProtocolChoice::Ieee8025.to_string(), "IEEE 802.5");
-        assert_eq!(ProtocolChoice::default(), ProtocolChoice::Modified);
+        assert_eq!(ProtocolKind::Fddi.to_string(), "fddi");
+        assert_eq!(ProtocolKind::Ieee8025.to_string(), "802.5");
+        assert_eq!(ProtocolKind::default(), ProtocolKind::Modified);
     }
 }

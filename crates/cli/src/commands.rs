@@ -1,19 +1,20 @@
 //! Command execution.
 
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use ringrt_breakdown::SaturationSearch;
-use ringrt_core::pdp::{PdpAnalyzer, PdpVariant};
+use ringrt_core::pdp::PdpAnalyzer;
 use ringrt_core::ttp::TtpAnalyzer;
-use ringrt_core::SchedulabilityTest;
-use ringrt_model::{FrameFormat, MessageSet, RingConfig, SyncStream};
-use ringrt_registry::{ProtocolKind, RingRegistry, RingSpec};
-use ringrt_sim::{PdpSimulator, Phasing, SimConfig, TtpSimulator};
+use ringrt_core::ProtocolKind;
+use ringrt_model::{FrameFormat, MessageSet, SyncStream};
+use ringrt_registry::{RingRegistry, RingSpec};
+use ringrt_service::ServiceConfig;
+use ringrt_sim::{Phasing, SimConfig};
 use ringrt_units::{Bandwidth, Bits, Seconds};
 
 use crate::args::{RegistryAction, USAGE};
-use crate::{Cli, Command, ExitCode, OutputFormat, ProtocolChoice};
+use crate::{Cli, Command, ExitCode, OutputFormat};
 
 /// Executes a parsed command line, writing human-readable output to `out`.
 ///
@@ -61,40 +62,7 @@ pub fn run<W: Write>(cli: &Cli, out: &mut W) -> ExitCode {
             samples,
             seed,
         } => abu(*mbps, *stations, *samples, *seed, out),
-        Command::Serve {
-            addr,
-            workers,
-            queue_depth,
-            deadline_ms,
-            state_dir,
-            cache_entries,
-            slow_ms,
-            trace,
-            follow,
-            segment_bytes,
-            promote_timeout_ms,
-            max_conns,
-            idle_timeout_ms,
-            read_deadline_ms,
-        } => serve(
-            ServeOptions {
-                addr,
-                workers: *workers,
-                queue_depth: *queue_depth,
-                deadline_ms: *deadline_ms,
-                state_dir: state_dir.as_deref(),
-                cache_entries: *cache_entries,
-                slow_ms: *slow_ms,
-                trace: *trace,
-                follow: follow.as_deref(),
-                segment_bytes: *segment_bytes,
-                promote_timeout_ms: *promote_timeout_ms,
-                max_conns: *max_conns,
-                idle_timeout_ms: *idle_timeout_ms,
-                read_deadline_ms: *read_deadline_ms,
-            },
-            out,
-        ),
+        Command::Serve(config) => serve(config, out),
         Command::Trace { addr, events } => trace(addr, *events, out),
         Command::Promote { addr } => remote_line(addr, "PROMOTE", out),
         Command::Replication { addr } => remote_line(addr, "REPLICATION", out),
@@ -102,68 +70,16 @@ pub fn run<W: Write>(cli: &Cli, out: &mut W) -> ExitCode {
     }
 }
 
-/// The `serve` parameters, bundled so the signature stays readable as
-/// flags accrete.
-struct ServeOptions<'a> {
-    addr: &'a str,
-    workers: usize,
-    queue_depth: usize,
-    deadline_ms: u64,
-    state_dir: Option<&'a str>,
-    cache_entries: Option<usize>,
-    slow_ms: Option<u64>,
-    trace: bool,
-    follow: Option<&'a str>,
-    segment_bytes: Option<u64>,
-    promote_timeout_ms: Option<u64>,
-    max_conns: usize,
-    idle_timeout_ms: Option<u64>,
-    read_deadline_ms: Option<u64>,
-}
-
-fn serve<W: Write>(opts: ServeOptions<'_>, out: &mut W) -> ExitCode {
-    let ServeOptions {
-        addr,
-        workers,
-        queue_depth,
-        deadline_ms,
-        state_dir,
-        cache_entries,
-        slow_ms,
-        trace,
-        follow,
-        segment_bytes,
-        promote_timeout_ms,
-        max_conns,
-        idle_timeout_ms,
-        read_deadline_ms,
-    } = opts;
-    let defaults = ringrt_service::ServiceConfig::default();
-    let config = ringrt_service::ServiceConfig {
-        addr: addr.to_owned(),
-        workers,
-        queue_depth,
-        default_deadline_ms: deadline_ms,
-        state_dir: state_dir.map(PathBuf::from),
-        cache_entries: cache_entries.unwrap_or(defaults.cache_entries),
-        slow_ms,
-        trace_enabled: trace,
-        follow: follow.map(str::to_owned),
-        segment_bytes,
-        promote_timeout_ms,
-        max_conns,
-        idle_timeout_ms,
-        read_deadline_ms: read_deadline_ms.unwrap_or(defaults.read_deadline_ms),
-        ..defaults
-    };
-    let server = match ringrt_service::spawn(config) {
+fn serve<W: Write>(config: &ServiceConfig, out: &mut W) -> ExitCode {
+    let server = match ringrt_service::spawn(config.clone()) {
         Ok(s) => s,
         Err(e) => {
-            let _ = writeln!(out, "error: cannot bind `{addr}`: {e}");
+            let _ = writeln!(out, "error: cannot bind `{}`: {e}", config.addr);
             return ExitCode::UsageError;
         }
     };
-    let _ = match follow {
+    let (workers, queue_depth) = (config.workers, config.queue_depth);
+    let _ = match &config.follow {
         Some(primary) => writeln!(
             out,
             "listening on {} as a standby of {primary} ({workers} workers, queue depth \
@@ -257,15 +173,6 @@ fn remote_line<W: Write>(addr: &str, line: &str, out: &mut W) -> ExitCode {
     }
 }
 
-/// The registry-side protocol enum for a CLI protocol choice.
-fn registry_protocol(choice: ProtocolChoice) -> ProtocolKind {
-    match choice {
-        ProtocolChoice::Ieee8025 => ProtocolKind::Ieee8025,
-        ProtocolChoice::Modified => ProtocolKind::Modified,
-        ProtocolChoice::Fddi => ProtocolKind::Fddi,
-    }
-}
-
 fn registry<W: Write>(state_dir: &str, action: &RegistryAction, out: &mut W) -> ExitCode {
     let reg = match RingRegistry::open(Path::new(state_dir)) {
         Ok(r) => r,
@@ -282,7 +189,7 @@ fn registry<W: Write>(state_dir: &str, action: &RegistryAction, out: &mut W) -> 
             stations,
         } => {
             let spec = RingSpec {
-                protocol: registry_protocol(*protocol),
+                protocol: *protocol,
                 mbps: *mbps,
                 stations: *stations,
             };
@@ -291,7 +198,7 @@ fn registry<W: Write>(state_dir: &str, action: &RegistryAction, out: &mut W) -> 
                     let _ = writeln!(
                         out,
                         "registered ring `{ring}`: protocol={} mbps={mbps} stations={}",
-                        registry_protocol(*protocol).token(),
+                        protocol.token(),
                         stations.map_or("-".to_owned(), |s| s.to_string()),
                     );
                     ExitCode::Success
@@ -309,24 +216,15 @@ fn registry<W: Write>(state_dir: &str, action: &RegistryAction, out: &mut W) -> 
             bits,
             deadline_ms,
         } => {
-            let candidate =
-                match SyncStream::try_new(Seconds::from_millis(*period_ms), Bits::new(*bits)) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        let _ = writeln!(out, "error: invalid stream: {e}");
-                        return ExitCode::UsageError;
-                    }
-                };
-            let candidate = match deadline_ms {
-                None => candidate,
-                Some(d) if *d > 0.0 && *d <= *period_ms => {
-                    candidate.with_relative_deadline(Seconds::from_millis(*d))
-                }
-                Some(d) => {
-                    let _ = writeln!(
-                        out,
-                        "error: --deadline-ms must be in (0, period_ms={period_ms}], got {d}"
-                    );
+            let candidate = SyncStream::try_new(Seconds::from_millis(*period_ms), Bits::new(*bits))
+                .and_then(|s| match deadline_ms {
+                    None => Ok(s),
+                    Some(d) => s.try_with_relative_deadline(Seconds::from_millis(*d)),
+                });
+            let candidate = match candidate {
+                Ok(s) => s,
+                Err(e) => {
+                    let _ = writeln!(out, "error: invalid stream: {e}");
                     return ExitCode::UsageError;
                 }
             };
@@ -468,35 +366,14 @@ fn abu<W: Write>(mbps: f64, stations: usize, samples: usize, seed: u64, out: &mu
     let bw = Bandwidth::from_mbps(mbps);
     let estimator =
         BreakdownEstimator::new(MessageSetGenerator::paper_population(stations), samples);
-    let frame = FrameFormat::paper_default();
     let _ = writeln!(
         out,
         "average breakdown utilization at {bw}, {stations} stations, {samples} samples:"
     );
-    let candidates: Vec<(&str, Box<dyn SchedulabilityTest + Sync>)> = vec![
-        (
-            "802.5",
-            Box::new(PdpAnalyzer::new(
-                RingConfig::ieee_802_5(stations, bw),
-                frame,
-                PdpVariant::Standard,
-            )),
-        ),
-        (
-            "modified",
-            Box::new(PdpAnalyzer::new(
-                RingConfig::ieee_802_5(stations, bw),
-                frame,
-                PdpVariant::Modified,
-            )),
-        ),
-        (
-            "fddi",
-            Box::new(TtpAnalyzer::with_defaults(RingConfig::fddi(stations, bw))),
-        ),
-    ];
     let pool = ringrt_exec::Pool::from_env();
-    for (name, analyzer) in candidates {
+    for protocol in ProtocolKind::ALL {
+        let name = protocol.token();
+        let analyzer = protocol.analyzer(protocol.ring(stations, bw));
         let est = estimator.estimate_parallel(&*analyzer, bw, seed, &pool);
         let _ = writeln!(out, "  {name:<9} {:.4} ± {:.4}", est.mean, est.ci95);
     }
@@ -524,34 +401,17 @@ fn with_set<W: Write>(
     }
 }
 
-fn ring_for(choice: ProtocolChoice, stations: usize, bw: Bandwidth) -> RingConfig {
-    match choice {
-        ProtocolChoice::Ieee8025 | ProtocolChoice::Modified => RingConfig::ieee_802_5(stations, bw),
-        ProtocolChoice::Fddi => RingConfig::fddi(stations, bw),
-    }
-}
-
-/// Canonical lower-case protocol token, shared with the admission
-/// service's wire protocol and the csv output.
-fn protocol_token(protocol: ProtocolChoice) -> &'static str {
-    match protocol {
-        ProtocolChoice::Ieee8025 => "802.5",
-        ProtocolChoice::Modified => "modified",
-        ProtocolChoice::Fddi => "fddi",
-    }
-}
-
 fn check<W: Write>(
     set: &MessageSet,
     mbps: f64,
-    protocol: ProtocolChoice,
+    protocol: ProtocolKind,
     stations: Option<usize>,
     format: OutputFormat,
     out: &mut W,
 ) -> ExitCode {
     let bw = Bandwidth::from_mbps(mbps);
     let stations = stations.unwrap_or(set.len()).max(set.len());
-    let ring = ring_for(protocol, stations, bw);
+    let ring = protocol.ring(stations, bw);
     if format == OutputFormat::Plain {
         let _ = writeln!(
             out,
@@ -560,20 +420,15 @@ fn check<W: Write>(
             set.utilization(bw)
         );
     }
-    let schedulable = match protocol {
-        ProtocolChoice::Ieee8025 | ProtocolChoice::Modified => {
-            let variant = if protocol == ProtocolChoice::Ieee8025 {
-                PdpVariant::Standard
-            } else {
-                PdpVariant::Modified
-            };
+    let schedulable = match protocol.pdp_variant() {
+        Some(variant) => {
             let report = PdpAnalyzer::new(ring, FrameFormat::paper_default(), variant).analyze(set);
             if format == OutputFormat::Plain {
                 let _ = write!(out, "{report}");
             }
             report.schedulable
         }
-        ProtocolChoice::Fddi => {
+        None => {
             let report = TtpAnalyzer::with_defaults(ring).analyze(set);
             if format == OutputFormat::Plain {
                 let _ = write!(out, "{report}");
@@ -589,7 +444,7 @@ fn check<W: Write>(
         let _ = writeln!(
             out,
             "{},{mbps},{stations},{},{:.6},{schedulable}",
-            protocol_token(protocol),
+            protocol.token(),
             set.len(),
             set.utilization(bw),
         );
@@ -605,47 +460,32 @@ fn check<W: Write>(
 fn simulate<W: Write>(
     set: &MessageSet,
     mbps: f64,
-    protocol: ProtocolChoice,
+    protocol: ProtocolKind,
     stations: Option<usize>,
     seconds: f64,
     async_load: f64,
     seed: u64,
     out: &mut W,
 ) -> ExitCode {
-    if !(seconds.is_finite() && seconds > 0.0) {
-        let _ = writeln!(out, "error: --seconds must be positive");
-        return ExitCode::UsageError;
-    }
-    if !(0.0..1.0).contains(&async_load) {
-        let _ = writeln!(out, "error: --async-load must be in [0, 1)");
+    if let Err(e) = SimConfig::check_run(Seconds::new(seconds), async_load) {
+        let _ = writeln!(out, "error: {e}");
         return ExitCode::UsageError;
     }
     let bw = Bandwidth::from_mbps(mbps);
     let stations = stations.unwrap_or(set.len()).max(set.len());
-    let ring = ring_for(protocol, stations, bw);
-    let config = SimConfig::new(ring, Seconds::new(seconds))
+    let config = SimConfig::new(protocol.ring(stations, bw), Seconds::new(seconds))
         .with_phasing(Phasing::Synchronized)
         .with_async_load(async_load)
         .with_seed(seed);
-    let report = match protocol {
-        ProtocolChoice::Ieee8025 | ProtocolChoice::Modified => {
-            let variant = if protocol == ProtocolChoice::Ieee8025 {
-                PdpVariant::Standard
-            } else {
-                PdpVariant::Modified
-            };
-            PdpSimulator::new(set, config, FrameFormat::paper_default(), variant).run()
+    let report = match ringrt_sim::simulate(protocol, set, config) {
+        Ok(report) => report,
+        Err(e) => {
+            let _ = writeln!(
+                out,
+                "FDDI cannot even allocate synchronous bandwidth for this set: {e}"
+            );
+            return ExitCode::Unschedulable;
         }
-        ProtocolChoice::Fddi => match TtpSimulator::from_analysis(set, config) {
-            Ok(sim) => sim.run(),
-            Err(e) => {
-                let _ = writeln!(
-                    out,
-                    "FDDI cannot even allocate synchronous bandwidth for this set: {e}"
-                );
-                return ExitCode::Unschedulable;
-            }
-        },
     };
     let _ = write!(out, "{report}");
     if report.all_deadlines_met() {
@@ -664,31 +504,9 @@ fn sweep<W: Write>(set: &MessageSet, mbps_list: &[f64], out: &mut W) -> ExitCode
     let _ = writeln!(out, "mbps,protocol,schedulable,headroom,breakdown_util");
     for &mbps in mbps_list {
         let bw = Bandwidth::from_mbps(mbps);
-        let n = set.len();
-        let frame = FrameFormat::paper_default();
-        let candidates: Vec<(&str, Box<dyn SchedulabilityTest>)> = vec![
-            (
-                "802.5",
-                Box::new(PdpAnalyzer::new(
-                    RingConfig::ieee_802_5(n, bw),
-                    frame,
-                    PdpVariant::Standard,
-                )),
-            ),
-            (
-                "modified",
-                Box::new(PdpAnalyzer::new(
-                    RingConfig::ieee_802_5(n, bw),
-                    frame,
-                    PdpVariant::Modified,
-                )),
-            ),
-            (
-                "fddi",
-                Box::new(TtpAnalyzer::with_defaults(RingConfig::fddi(n, bw))),
-            ),
-        ];
-        for (name, analyzer) in candidates {
+        for protocol in ProtocolKind::ALL {
+            let name = protocol.token();
+            let analyzer = protocol.analyzer(protocol.ring(set.len(), bw));
             let verdict = analyzer.is_schedulable(set);
             match search.saturate(analyzer.as_ref(), set, bw) {
                 Some(sat) => {
@@ -836,6 +654,77 @@ mod tests {
         assert_eq!(code, ExitCode::Unschedulable);
         assert!(out.contains("802.5,1,2,2,"), "{out}");
         assert!(out.trim_end().ends_with(",false"), "{out}");
+    }
+
+    #[test]
+    fn check_csv_agrees_with_the_wire_check() {
+        use ringrt_service::{engine, parse_request, Request};
+
+        let aliases: [(ProtocolKind, &[&str]); 3] = [
+            (
+                ProtocolKind::Ieee8025,
+                &["802.5", "8025", "ieee802.5", "standard", "STANDARD"],
+            ),
+            (ProtocolKind::Modified, &["modified", "mod", "Mod"]),
+            (ProtocolKind::Fddi, &["fddi", "ttp", "timed-token", "TTP"]),
+        ];
+        // Schedulable everywhere, unschedulable everywhere (120 % at
+        // 1 Mbps), and one set the protocols disagree on.
+        let cases = [
+            ("20,20000;50,60000", "16", None),
+            ("10,60000;10,60000", "1", None),
+            ("20,400000;40,800000", "100", Some("50")),
+        ];
+        let field = |line: &str, key: &str| -> String {
+            line.split_whitespace()
+                .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+                .unwrap_or_else(|| panic!("no {key} in {line}"))
+                .to_owned()
+        };
+        let mut verdicts = std::collections::BTreeSet::new();
+        for (protocol, names) in aliases {
+            for alias in names {
+                for (set, mbps, stations) in cases {
+                    let (_g, path) = write_set(&set.replace(';', "\n"));
+                    let mut args = vec![
+                        "check",
+                        &path,
+                        "--mbps",
+                        mbps,
+                        "--protocol",
+                        alias,
+                        "--format",
+                        "csv",
+                    ];
+                    let mut line = format!("CHECK mbps={mbps} set={set} protocol={alias}");
+                    if let Some(n) = stations {
+                        args.extend(["--stations", n]);
+                        line.push_str(&format!(" stations={n}"));
+                    }
+                    let (_, csv) = run_cli(&args);
+                    let row: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
+                    let reply = match parse_request(&line).unwrap() {
+                        Request::Analysis(req) => engine::execute(&req),
+                        other => panic!("unexpected {other:?}"),
+                    };
+                    assert_eq!(row[0], protocol.token(), "{alias}");
+                    for (column, key) in [
+                        (0, "protocol"),
+                        (2, "stations"),
+                        (4, "utilization"),
+                        (5, "schedulable"),
+                    ] {
+                        assert_eq!(row[column], field(&reply, key), "{line} vs {csv}");
+                    }
+                    verdicts.insert((set, row[5].to_owned()));
+                }
+            }
+        }
+        assert_eq!(
+            verdicts.len(),
+            4,
+            "one set splits the protocols: {verdicts:?}"
+        );
     }
 
     #[test]
@@ -1045,6 +934,44 @@ mod tests {
         let (_, out) = run_cli(&["registry", "show", "slow", "--state-dir", &d]);
         assert!(out.contains("streams=0"), "{out}");
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn registry_admit_refuses_a_deadline_outside_its_period() {
+        let dir = std::env::temp_dir().join(format!("ringrt-cli-dl-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = dir.to_string_lossy().into_owned();
+        let (code, _) = run_cli(&[
+            "registry",
+            "register",
+            "lab",
+            "--state-dir",
+            &d,
+            "--mbps",
+            "16",
+        ]);
+        assert_eq!(code, ExitCode::Success);
+        for deadline in ["25", "0", "-1"] {
+            let (code, out) = run_cli(&[
+                "registry",
+                "admit",
+                "lab",
+                "late",
+                "--state-dir",
+                &d,
+                "--period-ms",
+                "20",
+                "--bits",
+                "1000",
+                "--deadline-ms",
+                deadline,
+            ]);
+            assert_eq!(code, ExitCode::UsageError, "{deadline}: {out}");
+            assert!(out.contains("0 < D ≤ P"), "{deadline}: {out}");
+        }
+        let (_, out) = run_cli(&["registry", "show", "lab", "--state-dir", &d]);
+        assert!(out.contains("streams=0"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

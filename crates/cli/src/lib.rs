@@ -30,7 +30,7 @@
 mod args;
 mod commands;
 
-pub use args::{Cli, Command, OutputFormat, ProtocolChoice, RegistryAction};
+pub use args::{Cli, Command, OutputFormat, RegistryAction};
 pub use commands::run;
 // The set-file parser lives in `ringrt-model` (shared with the admission
 // service's wire protocol); re-exported here for backward compatibility.

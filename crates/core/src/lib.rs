@@ -21,7 +21,9 @@
 //!
 //! The [`SchedulabilityTest`] trait gives the two protocols a common
 //! interface so the Monte-Carlo breakdown-utilization machinery (crate
-//! `ringrt-breakdown`) can drive either one.
+//! `ringrt-breakdown`) can drive either one. [`ProtocolKind`] names the
+//! three protocols the paper compares — IEEE 802.5, the modified 802.5 and
+//! FDDI — and builds each one's ring and test.
 //!
 //! # Examples
 //!
@@ -57,5 +59,5 @@ pub mod ttp;
 
 mod protocol;
 
-pub use protocol::{Protocol, SchedulabilityTest};
+pub use protocol::{ProtocolKind, SchedulabilityTest};
 pub use ringrt_model::SetView;

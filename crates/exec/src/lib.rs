@@ -8,7 +8,7 @@
 //! no channel machinery: a [`Pool`] is a thread-count policy plus an
 //! arbitration counter, and each [`Pool::map`] call spawns scoped
 //! workers, seeds each with its own contiguous index range (a
-//! [`shard`](crate::map) packed into one `AtomicU64`), and lets idle
+//! shard packed into one `AtomicU64`), and lets idle
 //! workers steal half-ranges from the busiest victim when their own
 //! shard runs dry.
 //!

@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use ringrt_units::Seconds;
+
 /// Errors raised when constructing or validating model objects.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -11,6 +13,13 @@ pub enum ModelError {
         /// Index of the offending stream within the candidate set.
         index: usize,
         /// The rejected period value in seconds.
+        period_secs: f64,
+    },
+    /// A relative deadline was outside `(0, period]`.
+    InvalidDeadline {
+        /// The rejected deadline in seconds.
+        deadline_secs: f64,
+        /// The stream's period in seconds.
         period_secs: f64,
     },
     /// A stream payload length was zero bits.
@@ -42,6 +51,15 @@ impl fmt::Display for ModelError {
             ModelError::InvalidPeriod { index, period_secs } => write!(
                 f,
                 "stream {index} has invalid period {period_secs} s (must be finite and positive)"
+            ),
+            ModelError::InvalidDeadline {
+                deadline_secs,
+                period_secs,
+            } => write!(
+                f,
+                "relative deadline must satisfy 0 < D ≤ P (D = {}, P = {})",
+                Seconds::new(*deadline_secs),
+                Seconds::new(*period_secs)
             ),
             ModelError::EmptyMessage { index } => {
                 write!(f, "stream {index} has a zero-length message")

@@ -93,18 +93,31 @@ impl SyncStream {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < deadline ≤ period`.
+    /// Panics unless `0 < deadline ≤ period`. Use
+    /// [`SyncStream::try_with_relative_deadline`] for fallible
+    /// construction.
     #[must_use]
     pub fn with_relative_deadline(&self, deadline: Seconds) -> SyncStream {
-        assert!(
-            deadline > Seconds::ZERO && deadline <= self.period,
-            "relative deadline must satisfy 0 < D ≤ P (D = {deadline}, P = {})",
-            self.period
-        );
-        SyncStream {
+        self.try_with_relative_deadline(deadline)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`SyncStream::with_relative_deadline`].
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InvalidDeadline`] unless `0 < deadline ≤ period`.
+    pub fn try_with_relative_deadline(&self, deadline: Seconds) -> Result<SyncStream, ModelError> {
+        if !(deadline > Seconds::ZERO && deadline <= self.period) {
+            return Err(ModelError::InvalidDeadline {
+                deadline_secs: deadline.as_secs_f64(),
+                period_secs: self.period.as_secs_f64(),
+            });
+        }
+        Ok(SyncStream {
             deadline: Some(deadline),
             ..*self
-        }
+        })
     }
 
     /// The relative deadline `D_i`: the explicit one if set, otherwise the
@@ -493,6 +506,27 @@ mod tests {
     #[should_panic(expected = "0 < D ≤ P")]
     fn deadline_beyond_period_rejected() {
         let _ = ms(50.0, 100).with_relative_deadline(Seconds::from_millis(60.0));
+    }
+
+    #[test]
+    fn fallible_deadline_refuses_outside_zero_to_period() {
+        let s = ms(50.0, 100);
+        assert_eq!(
+            s.try_with_relative_deadline(Seconds::from_millis(50.0)),
+            Ok(s.with_relative_deadline(Seconds::from_millis(50.0)))
+        );
+        // A positive deadline in ms that is zero in seconds is refused
+        // too: the rule is checked on the value the stream stores.
+        for d_ms in [60.0, f64::INFINITY, 0.0, -5.0, 5e-324] {
+            let err = s
+                .try_with_relative_deadline(Seconds::from_millis(d_ms))
+                .unwrap_err();
+            assert!(
+                matches!(err, ModelError::InvalidDeadline { .. }),
+                "{d_ms}: {err}"
+            );
+            assert!(err.to_string().contains("0 < D ≤ P"), "{err}");
+        }
     }
 
     #[test]

@@ -11,10 +11,6 @@
 //! - [`Span`] is a drop guard created by [`Recorder::span`]; when the
 //!   recorder is disabled the guard is inert and the cost is one relaxed
 //!   atomic load plus one clock read.
-//! - [`ShardedCounter`] is the tier below spans: a cache-padded relaxed
-//!   counter (no clock read at all) for paths where even one span per
-//!   event is too much — the service's cache-hit fast path aggregates
-//!   into these and samples one span per 64 hits.
 //! - [`trace`] renders drained events as Chrome trace-event JSON, loadable
 //!   in Perfetto / `chrome://tracing`.
 //! - [`prom`] renders counters, gauges, and [`ringrt_des::stats::DurationHistogram`]
@@ -26,13 +22,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counter;
 mod highwater;
 pub mod json;
 pub mod prom;
 mod recorder;
 pub mod trace;
 
-pub use counter::ShardedCounter;
 pub use highwater::HighWater;
 pub use recorder::{Measured, Recorder, RecorderStats, Span, SpanEvent, DEFAULT_SHARD_CAPACITY};

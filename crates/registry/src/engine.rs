@@ -33,13 +33,13 @@
 //! `MessageSet` path; the randomized equivalence sweep in the workspace
 //! tests exercises the same properties in release builds.
 
-use ringrt_core::pdp::{PdpAnalyzer, PdpVariant};
+use ringrt_core::pdp::PdpAnalyzer;
 use ringrt_core::ttp::TtpAnalyzer;
-use ringrt_model::{FrameFormat, RingConfig, SyncStream};
+use ringrt_model::{FrameFormat, SyncStream};
 use ringrt_store::StreamStore;
 use ringrt_units::Seconds;
 
-use crate::spec::{ProtocolKind, RingSpec};
+use crate::spec::RingSpec;
 
 /// Verdict of one admission-control run, with the work it took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,26 +119,6 @@ impl CacheUpdate {
     }
 }
 
-fn pdp_analyzer(spec: &RingSpec, stations: usize, variant: PdpVariant) -> PdpAnalyzer {
-    PdpAnalyzer::new(
-        RingConfig::ieee_802_5(stations, spec.bandwidth()),
-        FrameFormat::paper_default(),
-        variant,
-    )
-}
-
-fn ttp_analyzer(spec: &RingSpec, stations: usize) -> TtpAnalyzer {
-    TtpAnalyzer::with_defaults(RingConfig::fddi(stations, spec.bandwidth()))
-}
-
-fn pdp_variant(protocol: ProtocolKind) -> Option<PdpVariant> {
-    match protocol {
-        ProtocolKind::Ieee8025 => Some(PdpVariant::Standard),
-        ProtocolKind::Modified => Some(PdpVariant::Modified),
-        ProtocolKind::Fddi => None,
-    }
-}
-
 /// Sums terms left to right from zero — the exact accumulation order of
 /// the full path, so incremental sums are bit-identical.
 fn fold_terms(terms: impl IntoIterator<Item = Seconds>) -> Seconds {
@@ -155,16 +135,18 @@ fn fold_terms(terms: impl IntoIterator<Item = Seconds>) -> Seconds {
 /// against the materialized path.
 pub(crate) fn full_check(spec: &RingSpec, store: &StreamStore) -> (CheckOutcome, Option<TtpCache>) {
     let stations = spec.effective_stations(store.len());
-    match pdp_variant(spec.protocol) {
+    let ring = spec.protocol.ring(stations, spec.bandwidth());
+    match spec.protocol.pdp_variant() {
         Some(variant) => {
-            let counted = pdp_analyzer(spec, stations, variant).check_from_rank_view(store, 0);
+            let analyzer = PdpAnalyzer::new(ring, FrameFormat::paper_default(), variant);
+            let counted = analyzer.check_from_rank_view(store, 0);
             #[cfg(debug_assertions)]
             {
                 let set = store
                     .message_set()
                     .expect("stored streams are valid")
                     .expect("full_check requires a non-empty store");
-                let legacy = pdp_analyzer(spec, stations, variant).check_from_rank(&set, 0);
+                let legacy = analyzer.check_from_rank(&set, 0);
                 debug_assert_eq!(
                     (counted.schedulable, counted.evaluations),
                     (legacy.schedulable, legacy.evaluations),
@@ -181,7 +163,7 @@ pub(crate) fn full_check(spec: &RingSpec, store: &StreamStore) -> (CheckOutcome,
             )
         }
         None => {
-            let analyzer = ttp_analyzer(spec, stations);
+            let analyzer = TtpAnalyzer::with_defaults(ring);
             let ttrt = analyzer.ttrt_for_view(store);
             #[cfg(debug_assertions)]
             {
@@ -248,10 +230,11 @@ pub(crate) fn admit_check(
         return (outcome, CacheUpdate::Replace(cache));
     }
     let stations = spec.effective_stations(store.len());
-    match pdp_variant(spec.protocol) {
+    let ring = spec.protocol.ring(stations, spec.bandwidth());
+    match spec.protocol.pdp_variant() {
         Some(variant) => {
             // Only DM ranks at or below the newcomer's can have changed.
-            let analyzer = pdp_analyzer(spec, stations, variant);
+            let analyzer = PdpAnalyzer::new(ring, FrameFormat::paper_default(), variant);
             let seq = store.seq_of(new_name).expect("candidate is stored");
             let rank = store.dm_rank_of(seq);
             let counted = analyzer.check_from_rank_view(store, rank);
@@ -268,7 +251,7 @@ pub(crate) fn admit_check(
             (outcome, CacheUpdate::Keep)
         }
         None => {
-            let analyzer = ttp_analyzer(spec, stations);
+            let analyzer = TtpAnalyzer::with_defaults(ring);
             let ttrt = analyzer.ttrt_for_view(store);
             let Some(cache) = cache.filter(|c| {
                 c.ttrt.as_secs_f64().to_bits() == ttrt.as_secs_f64().to_bits()
@@ -334,7 +317,7 @@ pub(crate) fn remove_check(
             CacheUpdate::Replace(None),
         );
     }
-    if pdp_variant(spec.protocol).is_some() {
+    if spec.protocol.pdp_variant().is_some() {
         // Removing a stream only removes interference (and can only shrink
         // the ring overheads), so a schedulable PDP set stays schedulable
         // with no work at all.
@@ -353,7 +336,7 @@ pub(crate) fn remove_check(
     let stations_unchanged =
         spec.effective_stations(old_len) == spec.effective_stations(store.len());
     let stations = spec.effective_stations(store.len());
-    let analyzer = ttp_analyzer(spec, stations);
+    let analyzer = TtpAnalyzer::with_defaults(spec.protocol.ring(stations, spec.bandwidth()));
     let ttrt = analyzer.ttrt_for_view(store);
     let valid_cache = cache.filter(|c| {
         stations_unchanged
@@ -398,6 +381,7 @@ pub(crate) fn remove_check(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ProtocolKind;
     use ringrt_units::{Bits, Seconds};
 
     fn stream(period_ms: f64, bits: u64) -> SyncStream {

@@ -234,8 +234,9 @@ fn build_stream(period_s: f64, bits: u64, deadline_s: Option<f64>) -> Result<Syn
         .map_err(|e| format!("bad stream: {e}"))?;
     match deadline_s {
         None => Ok(stream),
-        Some(d) if d > 0.0 && d <= period_s => Ok(stream.with_relative_deadline(Seconds::new(d))),
-        Some(d) => Err(format!("bad deadline {d} for period {period_s}")),
+        Some(d) => stream
+            .try_with_relative_deadline(Seconds::new(d))
+            .map_err(|e| format!("bad deadline: {e}")),
     }
 }
 
@@ -265,9 +266,12 @@ fn kv<'a>(word: &'a str, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("expected {key}=…, found `{word}`"))
 }
 
+/// Parses a number; `NaN` is refused, as no quantity holds one.
 fn parse_f64(text: &str, what: &str) -> Result<f64, String> {
     text.parse::<f64>()
-        .map_err(|_| format!("bad {what} `{text}`"))
+        .ok()
+        .filter(|v| !v.is_nan())
+        .ok_or_else(|| format!("bad {what} `{text}`"))
 }
 
 fn parse_opt_f64(text: &str, what: &str) -> Result<Option<f64>, String> {
@@ -1447,6 +1451,35 @@ mod tests {
         }
         let err = refused(&dir);
         assert!(err.contains("snapshot.dat passes its checksum"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_refuses_a_checksum_valid_deadline_outside_its_period() {
+        // `SyncStream` owns the `0 < D ≤ P` rule; a record breaking it
+        // was not torn, so replay refuses instead of truncating.
+        let dir = temp_dir("invalid-deadline");
+        {
+            let (mut store, _, _) = Store::open(&dir).unwrap();
+            store
+                .append(&JournalOp::Register {
+                    ring: "r".into(),
+                    spec: spec(),
+                })
+                .unwrap();
+        }
+        let segment = dir.join(segment_file(1));
+        let registered = fs::read(&segment).unwrap();
+        for (deadline, why) in [("0.05", "0 < D ≤ P"), ("NaN", "bad deadline `NaN`")] {
+            let mut bytes = registered.clone();
+            let payload = format!("2 admit r late period_s=0.02 bits=1000 deadline_s={deadline}");
+            bytes.extend(format!("{:08x} {payload}\n", crc32(payload.as_bytes())).bytes());
+            fs::write(&segment, &bytes).unwrap();
+            let err = refused(&dir);
+            assert!(err.contains("passes its checksum"), "{err}");
+            assert!(err.contains(why), "{err}");
+            assert_eq!(fs::read(&segment).unwrap(), bytes, "nothing truncated");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -4,75 +4,10 @@
 use core::fmt;
 use std::collections::BTreeMap;
 
-use ringrt_model::{MessageSet, ModelError, RingConfig, SyncStream};
+pub use ringrt_core::ProtocolKind;
+use ringrt_model::{MessageSet, RingConfig, SyncStream};
 use ringrt_store::StreamStore;
 use ringrt_units::Bandwidth;
-
-/// Protocol selector shared by the registry, the admission service's wire
-/// protocol, and the CLI. The canonical tokens (`802.5`, `modified`,
-/// `fddi`) are what `ringrt check --format csv` emits and what the journal
-/// persists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ProtocolKind {
-    /// Standard IEEE 802.5 priority-driven protocol.
-    Ieee8025,
-    /// The paper's modified (token-holding) 802.5 variant.
-    #[default]
-    Modified,
-    /// FDDI timed token protocol with the local allocation scheme.
-    Fddi,
-}
-
-impl ProtocolKind {
-    /// Parses the same aliases the CLI accepts.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message for an unrecognized token.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "802.5" | "8025" | "ieee802.5" | "standard" => Ok(ProtocolKind::Ieee8025),
-            "modified" | "mod" => Ok(ProtocolKind::Modified),
-            "fddi" | "ttp" | "timed-token" => Ok(ProtocolKind::Fddi),
-            other => Err(format!(
-                "unknown protocol `{other}` (expected 802.5, modified, or fddi)"
-            )),
-        }
-    }
-
-    /// The paper's evaluation ring for this protocol: the IEEE 802.5
-    /// preset for both priority-driven variants, the FDDI preset for the
-    /// timed token protocol.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::InvalidRing`] for a station count the ring model
-    /// cannot hold (zero, or a ring latency that overflows).
-    pub fn try_ring(self, stations: usize, bandwidth: Bandwidth) -> Result<RingConfig, ModelError> {
-        match self {
-            ProtocolKind::Ieee8025 | ProtocolKind::Modified => {
-                RingConfig::try_ieee_802_5(stations, bandwidth)
-            }
-            ProtocolKind::Fddi => RingConfig::try_fddi(stations, bandwidth),
-        }
-    }
-
-    /// The canonical wire token.
-    #[must_use]
-    pub fn token(self) -> &'static str {
-        match self {
-            ProtocolKind::Ieee8025 => "802.5",
-            ProtocolKind::Modified => "modified",
-            ProtocolKind::Fddi => "fddi",
-        }
-    }
-}
-
-impl fmt::Display for ProtocolKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.token())
-    }
-}
 
 /// The long-lived configuration of one registered ring: protocol,
 /// bandwidth, and (optionally pinned) station count.
@@ -325,20 +260,6 @@ mod tests {
     use ringrt_units::{Bits, Seconds};
 
     #[test]
-    fn protocol_tokens_round_trip() {
-        for p in [
-            ProtocolKind::Ieee8025,
-            ProtocolKind::Modified,
-            ProtocolKind::Fddi,
-        ] {
-            assert_eq!(ProtocolKind::parse(p.token()).unwrap(), p);
-            assert_eq!(p.to_string(), p.token());
-        }
-        assert!(ProtocolKind::parse("atm").is_err());
-        assert_eq!(ProtocolKind::default(), ProtocolKind::Modified);
-    }
-
-    #[test]
     fn effective_stations_floor() {
         let pinned = RingSpec {
             protocol: ProtocolKind::Fddi,
@@ -384,11 +305,7 @@ mod tests {
             huge_bw.to_string().contains("mbps out of range"),
             "{huge_bw}"
         );
-        for protocol in [
-            ProtocolKind::Ieee8025,
-            ProtocolKind::Modified,
-            ProtocolKind::Fddi,
-        ] {
+        for protocol in ProtocolKind::ALL {
             let spec = RingSpec {
                 protocol,
                 stations: Some(usize::MAX),

@@ -8,56 +8,16 @@
 use std::fmt::Write as _;
 
 use ringrt_breakdown::{BreakdownEstimator, SaturationSearch};
-use ringrt_core::pdp::{PdpAnalyzer, PdpVariant};
+use ringrt_core::pdp::PdpAnalyzer;
 use ringrt_core::rm::{Budget, Unfinished};
 use ringrt_core::ttp::TtpAnalyzer;
-use ringrt_core::SchedulabilityTest;
 use ringrt_exec::Pool;
-use ringrt_model::{FrameFormat, MessageSet, RingConfig};
-use ringrt_sim::{PdpSimulator, Phasing, SimConfig, TtpSimulator};
+use ringrt_model::FrameFormat;
+use ringrt_sim::{Phasing, SimConfig};
 use ringrt_units::{Bandwidth, Seconds};
 use ringrt_workload::MessageSetGenerator;
 
-use crate::protocol::{AbuRequest, AnalysisRequest, CommandKind, ProtocolKind};
-
-/// Hard cap on SIMULATE length; requests beyond it are rejected so a single
-/// client cannot pin a worker for minutes.
-pub const MAX_SIM_SECONDS: f64 = 5.0;
-
-fn analyzer_for(
-    protocol: ProtocolKind,
-    stations: usize,
-    bw: Bandwidth,
-) -> Box<dyn SchedulabilityTest + Sync> {
-    let ring = ring_for(protocol, stations, bw);
-    match pdp_variant(protocol) {
-        Some(variant) => Box::new(PdpAnalyzer::new(
-            ring,
-            FrameFormat::paper_default(),
-            variant,
-        )),
-        None => Box::new(TtpAnalyzer::with_defaults(ring)),
-    }
-}
-
-/// The priority-driven variant a protocol runs; `None` for the timed
-/// token protocol.
-fn pdp_variant(protocol: ProtocolKind) -> Option<PdpVariant> {
-    match protocol {
-        ProtocolKind::Ieee8025 => Some(PdpVariant::Standard),
-        ProtocolKind::Modified => Some(PdpVariant::Modified),
-        ProtocolKind::Fddi => None,
-    }
-}
-
-/// The request's ring. `parse_request` built it once already (and
-/// `RingSpec::validate` did for a stored ring), so a request from the wire
-/// cannot fail here.
-fn ring_for(protocol: ProtocolKind, stations: usize, bw: Bandwidth) -> RingConfig {
-    protocol
-        .try_ring(stations, bw)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
+use crate::protocol::{AbuRequest, AnalysisRequest, CommandKind};
 
 /// The reply prefix every analysis command shares.
 fn header(req: &AnalysisRequest, bw: Bandwidth, stations: usize) -> String {
@@ -95,8 +55,8 @@ pub fn execute(req: &AnalysisRequest) -> String {
 pub fn execute_check(req: &AnalysisRequest, budget: &mut Budget) -> Result<String, Unfinished> {
     let bw = Bandwidth::from_mbps(req.mbps);
     let stations = req.effective_stations();
-    let ring = ring_for(req.protocol, stations, bw);
-    let verdict = match pdp_variant(req.protocol) {
+    let ring = req.protocol.ring(stations, bw);
+    let verdict = match req.protocol.pdp_variant() {
         Some(variant) => {
             PdpAnalyzer::new(ring, FrameFormat::paper_default(), variant)
                 .check_within(&req.set, budget)?
@@ -122,7 +82,7 @@ pub fn execute_with(req: &AnalysisRequest, pool: &Pool) -> String {
         CommandKind::Check => execute_check(req, &mut Budget::unlimited())
             .expect("an unlimited budget never runs out"),
         CommandKind::Saturation => {
-            let analyzer = analyzer_for(req.protocol, stations, bw);
+            let analyzer = req.protocol.analyzer(req.protocol.ring(stations, bw));
             let verdict = analyzer.is_schedulable(set);
             let mut body = header(req, bw, stations);
             let _ = write!(body, " schedulable={verdict}");
@@ -140,7 +100,7 @@ pub fn execute_with(req: &AnalysisRequest, pool: &Pool) -> String {
             }
             body
         }
-        CommandKind::Simulate => match simulate(req, set, bw, stations) {
+        CommandKind::Simulate => match simulate(req, bw, stations) {
             Ok(extra) => header(req, bw, stations) + &extra,
             Err(msg) => format!("ERR {msg}"),
         },
@@ -157,7 +117,7 @@ pub fn execute_with(req: &AnalysisRequest, pool: &Pool) -> String {
 #[must_use]
 pub fn execute_abu(req: &AbuRequest, pool: &Pool) -> String {
     let bw = Bandwidth::from_mbps(req.mbps);
-    let analyzer = analyzer_for(req.protocol, req.stations, bw);
+    let analyzer = req.protocol.analyzer(req.protocol.ring(req.stations, bw));
     let estimator = BreakdownEstimator::new(
         MessageSetGenerator::paper_population(req.stations),
         req.samples,
@@ -177,44 +137,13 @@ pub fn execute_abu(req: &AbuRequest, pool: &Pool) -> String {
     )
 }
 
-fn simulate(
-    req: &AnalysisRequest,
-    set: &MessageSet,
-    bw: Bandwidth,
-    stations: usize,
-) -> Result<String, String> {
-    if req.seconds > MAX_SIM_SECONDS {
-        return Err(format!(
-            "seconds={} exceeds the server limit of {MAX_SIM_SECONDS}",
-            req.seconds
-        ));
-    }
-    let config = SimConfig::new(
-        ring_for(req.protocol, stations, bw),
-        Seconds::new(req.seconds),
-    )
-    .with_phasing(Phasing::Synchronized)
-    .with_async_load(req.async_load)
-    .with_seed(req.seed);
-    let report = match req.protocol {
-        ProtocolKind::Ieee8025 => PdpSimulator::new(
-            set,
-            config,
-            FrameFormat::paper_default(),
-            PdpVariant::Standard,
-        )
-        .run(),
-        ProtocolKind::Modified => PdpSimulator::new(
-            set,
-            config,
-            FrameFormat::paper_default(),
-            PdpVariant::Modified,
-        )
-        .run(),
-        ProtocolKind::Fddi => TtpSimulator::from_analysis(set, config)
-            .map_err(|e| format!("FDDI cannot allocate synchronous bandwidth: {e}"))?
-            .run(),
-    };
+fn simulate(req: &AnalysisRequest, bw: Bandwidth, stations: usize) -> Result<String, String> {
+    let config = SimConfig::new(req.protocol.ring(stations, bw), Seconds::new(req.seconds))
+        .with_phasing(Phasing::Synchronized)
+        .with_async_load(req.async_load)
+        .with_seed(req.seed);
+    let report = ringrt_sim::simulate(req.protocol, &req.set, config)
+        .map_err(|e| format!("FDDI cannot allocate synchronous bandwidth: {e}"))?;
     Ok(format!(
         " seconds={} seed={} schedulable={} completed={} deadline_misses={} \
          medium_utilization={:.6} events={}",
@@ -232,6 +161,9 @@ fn simulate(
 mod tests {
     use super::*;
     use crate::protocol::{parse_request, Request};
+    use ringrt_core::pdp::PdpVariant;
+    use ringrt_core::SchedulabilityTest;
+    use ringrt_model::RingConfig;
 
     fn exec(line: &str) -> String {
         match parse_request(line).unwrap() {
@@ -282,13 +214,6 @@ mod tests {
         assert!(body.contains(" completed="), "{body}");
         assert!(body.contains(" deadline_misses=0"), "{body}");
         assert!(body.contains(" seed=7"), "{body}");
-    }
-
-    #[test]
-    fn simulate_rejects_overlong_runs() {
-        let body = exec("SIMULATE mbps=4 set=20,4000 seconds=3600");
-        assert!(body.starts_with("ERR"), "{body}");
-        assert!(body.contains("server limit"), "{body}");
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod server;
 pub use cache::{CacheKey, ResultCache};
 pub use protocol::{
     parse_request, AbuRequest, AnalysisRequest, CommandKind, ProtocolKind, Request, RingSpec,
-    DEFAULT_ABU_SAMPLES, MAX_ABU_SAMPLES, MAX_BATCH, MAX_LINE_BYTES,
+    DEFAULT_ABU_SAMPLES, MAX_ABU_SAMPLES, MAX_BATCH, MAX_LINE_BYTES, MAX_SIM_SECONDS, MAX_STATIONS,
 };
 pub use replication::{ReplicationState, Role};
 pub use server::{spawn, ServerHandle, ServiceConfig};

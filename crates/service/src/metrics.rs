@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use ringrt_des::stats::DurationHistogram;
 use ringrt_obs::prom::PromWriter;
-use ringrt_obs::{HighWater, ShardedCounter};
+use ringrt_obs::HighWater;
 use ringrt_units::SimDuration;
 
 use crate::protocol::CommandKind;
@@ -39,10 +39,10 @@ struct CommandStats {
     histogram: Mutex<DurationHistogram>,
 }
 
-/// One fast-path hit span is sampled per this many hits (per counter
-/// shard): enough to keep hits visible in `TRACE` output while the
-/// recorder's per-event cost disappears into the noise (<0.5% instead
-/// of the ~2% a span per hit would cost on a ~2 µs hit).
+/// One fast-path hit span is sampled per this many hits: enough to keep
+/// hits visible in `TRACE` output while the recorder's per-event cost
+/// disappears into the noise (<0.5% instead of the ~2% a span per hit
+/// would cost on a ~2 µs hit).
 pub const HIT_SPAN_SAMPLE: u64 = 64;
 
 /// A request-lifecycle stage timed by the server.
@@ -50,7 +50,7 @@ pub const HIT_SPAN_SAMPLE: u64 = 64;
 /// Every request passes through `parse → cache → queue_wait → execute →
 /// respond`; cache hits skip the queue and execute stages — and skip
 /// per-stage recording entirely: the hit fast path aggregates into
-/// [`Metrics::note_hit`]'s sharded counters instead. Each stage has
+/// [`Metrics::note_hit`]'s two counters instead. Each stage has
 /// its own latency histogram so the `METRICS` exposition (and the `TRACE`
 /// flight recorder, which uses the same stage names as span names) can
 /// attribute end-to-end latency to a pipeline phase.
@@ -171,11 +171,11 @@ pub struct Metrics {
     pub queue_peak: HighWater,
     /// Accept-path and event-loop counters.
     pub conns: ConnCounters,
-    /// Cache hits answered on the zero-span fast path (pre-aggregated
-    /// sharded counter; see [`Metrics::note_hit`]).
-    hit_fast: ShardedCounter,
+    /// Cache hits answered on the zero-span fast path (see
+    /// [`Metrics::note_hit`]).
+    hit_fast: AtomicU64,
     /// Cumulative fast-path hit latency (parse→reply), microseconds.
-    hit_fast_us: ShardedCounter,
+    hit_fast_us: AtomicU64,
     per_command: [CommandStats; CommandKind::ALL.len()],
     per_stage: [CommandStats; Stage::ALL.len()],
     per_worker: Vec<WorkerStats>,
@@ -204,8 +204,8 @@ impl Metrics {
             panics: AtomicU64::new(0),
             queue_peak: HighWater::new(),
             conns: ConnCounters::default(),
-            hit_fast: ShardedCounter::new(),
-            hit_fast_us: ShardedCounter::new(),
+            hit_fast: AtomicU64::new(0),
+            hit_fast_us: AtomicU64::new(0),
             per_command: Default::default(),
             per_stage: Default::default(),
             per_worker: (0..workers).map(|_| WorkerStats::default()).collect(),
@@ -218,22 +218,31 @@ impl Metrics {
         self.queue_peak.observe(depth as u64);
     }
 
-    /// Records one zero-span fast-path cache hit: two relaxed sharded
-    /// adds (count and parse→reply microseconds), no clock reads, no
-    /// locks. Returns `true` roughly once per [`HIT_SPAN_SAMPLE`] hits
-    /// per counter shard — the caller's cue to emit the *one* sampled
-    /// `request`/`hit` span that keeps hits visible in `TRACE` output.
+    /// Records one zero-span fast-path cache hit: two relaxed adds
+    /// (count and parse→reply microseconds), no clock reads, no locks.
+    /// Only the event loop answers hits, so the counters have one writer
+    /// and nothing to shard. Returns `true` once per [`HIT_SPAN_SAMPLE`]
+    /// hits — the caller's cue to emit the *one* sampled `request`/`hit`
+    /// span that keeps hits visible in `TRACE` output.
     pub fn note_hit(&self, elapsed: Duration) -> bool {
-        self.hit_fast_us
-            .add(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
-        self.hit_fast.add(1).is_multiple_of(HIT_SPAN_SAMPLE)
+        self.hit_fast_us.fetch_add(
+            u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
+        let hits = self
+            .hit_fast
+            .fetch_add(1, Ordering::Relaxed)
+            .wrapping_add(1);
+        hits.is_multiple_of(HIT_SPAN_SAMPLE)
     }
 
-    /// Fast-path hit totals: `(hits, cumulative_micros)`, each summed
-    /// across counter shards in one pass.
+    /// Fast-path hit totals: `(hits, cumulative_micros)`.
     #[must_use]
     pub fn hit_fast_totals(&self) -> (u64, u64) {
-        (self.hit_fast.sum(), self.hit_fast_us.sum())
+        (
+            self.hit_fast.load(Ordering::Relaxed),
+            self.hit_fast_us.load(Ordering::Relaxed),
+        )
     }
 
     /// Records one stage's elapsed time in that stage's histogram.
@@ -268,6 +277,8 @@ impl Metrics {
             &self.inline_checks,
             &self.inline_budget_exceeded,
             &self.panics,
+            &self.hit_fast,
+            &self.hit_fast_us,
         ] {
             c.store(0, Ordering::Relaxed);
         }
@@ -286,8 +297,6 @@ impl Metrics {
             c.store(0, Ordering::Relaxed);
         }
         self.queue_peak.reset(0);
-        self.hit_fast.reset();
-        self.hit_fast_us.reset();
         for stats in self.per_command.iter().chain(self.per_stage.iter()) {
             stats
                 .histogram

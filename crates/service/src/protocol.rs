@@ -72,6 +72,7 @@
 //! adopt yours".
 
 use ringrt_model::{MessageSet, SyncStream};
+use ringrt_sim::SimConfig;
 use ringrt_units::{Bits, Seconds};
 
 pub use ringrt_registry::{ProtocolKind, RingSpec};
@@ -90,6 +91,19 @@ pub const MAX_ABU_SAMPLES: usize = 5_000;
 
 /// `ABU` sample count when the request does not say.
 pub const DEFAULT_ABU_SAMPLES: usize = 100;
+
+/// Longest `SIMULATE` run, in simulated seconds: a longer one would pin a
+/// worker for minutes.
+pub const MAX_SIM_SECONDS: f64 = 5.0;
+
+/// Largest ring an `ABU` or `SIMULATE` request may run on, far above the
+/// 250 stations of an 802.5 ring or the 500 of an FDDI ring. `ABU` draws
+/// one stream per station for every sample, and the simulators keep
+/// per-station state and walk the token past every station; a count the
+/// ring model still holds can ask either for more memory than the host
+/// has, or overflow the simulator's picosecond clock. `CHECK`,
+/// `SATURATION` and `REGISTER` take any count the ring model holds.
+pub const MAX_STATIONS: usize = 10_000;
 
 /// Largest event count a single `TRACE` request may drain.
 pub const MAX_TRACE_EVENTS: usize = 65_536;
@@ -436,14 +450,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .map_err(|e| format!("invalid stream: {e}"))?;
             let candidate = match optional::<f64>(&pairs, "deadline_ms")? {
                 None => candidate,
-                Some(d) if d > 0.0 && d <= period_ms => {
-                    candidate.with_relative_deadline(Seconds::from_millis(d))
-                }
-                Some(d) => {
-                    return Err(format!(
-                        "deadline_ms must be in (0, period_ms={period_ms}], got {d}"
-                    ))
-                }
+                Some(d) => candidate
+                    .try_with_relative_deadline(Seconds::from_millis(d))
+                    .map_err(|e| format!("invalid deadline_ms: {e}"))?,
             };
             return Ok(Request::Admit {
                 ring: required_name(&pairs, "ring")?,
@@ -507,6 +516,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
             .validate()
             .map_err(|e| e.to_string())?;
+            check_stations(stations)?;
             return Ok(Request::Abu(AbuRequest {
                 protocol,
                 mbps,
@@ -577,7 +587,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     .ring_config(set.len())
     .map_err(|e| e.to_string())?;
     let (seconds, async_load) = sim_params(&pairs)?;
-    Ok(Request::Analysis(AnalysisRequest {
+    let req = AnalysisRequest {
         command,
         protocol,
         mbps,
@@ -587,17 +597,32 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         async_load,
         seed: optional(&pairs, "seed")?.unwrap_or(1),
         deadline_ms: optional(&pairs, "deadline_ms")?,
-    }))
+    };
+    if command == CommandKind::Simulate {
+        check_stations(req.effective_stations())?;
+    }
+    Ok(Request::Analysis(req))
+}
+
+/// Refuses a ring larger than [`MAX_STATIONS`]; the server checks a
+/// stored ring's count again when `SIMULATE ring=` resolves it.
+pub(crate) fn check_stations(stations: usize) -> Result<(), String> {
+    if stations > MAX_STATIONS {
+        return Err(format!(
+            "stations={stations} exceeds the server limit of {MAX_STATIONS}"
+        ));
+    }
+    Ok(())
 }
 
 fn sim_params(pairs: &[(&str, &str)]) -> Result<(f64, f64), String> {
     let seconds: f64 = optional(pairs, "seconds")?.unwrap_or(0.5);
-    if !(seconds.is_finite() && seconds > 0.0) {
-        return Err(format!("seconds must be positive, got {seconds}"));
-    }
     let async_load: f64 = optional(pairs, "async_load")?.unwrap_or(0.0);
-    if !(0.0..1.0).contains(&async_load) {
-        return Err(format!("async_load must be in [0, 1), got {async_load}"));
+    SimConfig::check_run(Seconds::new(seconds), async_load).map_err(|e| e.to_string())?;
+    if seconds > MAX_SIM_SECONDS {
+        return Err(format!(
+            "seconds={seconds} exceeds the server limit of {MAX_SIM_SECONDS}"
+        ));
     }
     Ok((seconds, async_load))
 }
@@ -637,8 +662,12 @@ fn required<T: std::str::FromStr>(pairs: &[(&str, &str)], key: &str) -> Result<T
 fn optional<T: std::str::FromStr>(pairs: &[(&str, &str)], key: &str) -> Result<Option<T>, String> {
     lookup(pairs, key)
         .map(|v| {
+            // `f64` parses `NaN`, which no parameter takes.
+            let nan = v.trim_start_matches(['+', '-']).eq_ignore_ascii_case("nan");
             v.parse::<T>()
-                .map_err(|_| format!("invalid value `{v}` for {key}"))
+                .ok()
+                .filter(|_| !nan)
+                .ok_or_else(|| format!("invalid value `{v}` for {key}"))
         })
         .transpose()
 }
@@ -905,9 +934,60 @@ mod tests {
                 .contains("deadline_ms")
         );
         assert!(parse_request("ADMIT ring=r stream=s period_ms=-3 bits=1000").is_err());
+        // NaN parses as an f64 but is no duration: refused before it
+        // reaches a constructor that would panic on it.
+        for line in [
+            "ADMIT ring=r stream=s period_ms=NaN bits=1000",
+            "ADMIT ring=r stream=s period_ms=20 bits=1000 deadline_ms=nan",
+            "SIMULATE mbps=4 set=20,1000 seconds=-NaN",
+            "SIMULATE ring=lab seconds=NaN",
+            "CHECK mbps=NaN set=20,1000",
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert!(err.starts_with("invalid value"), "{line}: {err}");
+        }
         assert!(parse_request("REGISTER protocol=fddi mbps=100")
             .unwrap_err()
             .contains("ring"));
+    }
+
+    #[test]
+    fn simulate_rejects_overlong_runs_before_they_queue() {
+        for line in [
+            "SIMULATE mbps=4 set=20,4000 seconds=3600",
+            "SIMULATE ring=lab seconds=3600",
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert!(err.contains("server limit"), "{line}: {err}");
+        }
+        assert!(parse_request(&format!(
+            "SIMULATE mbps=4 set=20,4000 seconds={MAX_SIM_SECONDS}"
+        ))
+        .is_ok());
+    }
+
+    #[test]
+    fn abu_and_simulate_refuse_rings_past_the_station_limit() {
+        let over = MAX_STATIONS + 1;
+        for line in [
+            format!("ABU mbps=100 stations={over} samples=1"),
+            format!("SIMULATE mbps=16 set=20,1000 stations={over} seconds=0.01"),
+        ] {
+            let err = parse_request(&line).unwrap_err();
+            assert!(err.contains("server limit"), "{line}: {err}");
+        }
+        assert!(parse_request(&format!("ABU mbps=100 stations={MAX_STATIONS}")).is_ok());
+        assert!(parse_request(&format!(
+            "SIMULATE mbps=16 set=20,1000 stations={MAX_STATIONS}"
+        ))
+        .is_ok());
+        // The analyses take any station count the ring model holds.
+        assert!(parse_request(&format!("CHECK mbps=16 set=20,1000 stations={over}")).is_ok());
+        assert!(parse_request(&format!(
+            "REGISTER ring=big protocol=fddi mbps=100 stations={}",
+            10 * MAX_STATIONS
+        ))
+        .is_ok());
     }
 
     #[test]
@@ -923,18 +1003,6 @@ mod tests {
         match parse_request("CHECK mbps=4 mbps=8 set=20,1000").unwrap() {
             Request::Analysis(a) => assert_eq!(a.mbps, 8.0),
             other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn protocol_tokens_round_trip() {
-        for p in [
-            ProtocolKind::Ieee8025,
-            ProtocolKind::Modified,
-            ProtocolKind::Fddi,
-        ] {
-            assert_eq!(ProtocolKind::parse(p.token()).unwrap(), p);
-            assert_eq!(p.to_string(), p.token());
         }
     }
 }

@@ -12,7 +12,7 @@
 //!                                CHECK misses within the work budget
 //! ```
 //!
-//! * One `ringrt-loop` thread ([`crate::event`]) owns the listener and
+//! * One `ringrt-loop` thread (`event.rs`) owns the listener and
 //!   every client socket: it accepts (shedding past `--max-conns` with one
 //!   `BUSY max_conns=…` line), parses newline-framed requests out of
 //!   whatever fragments arrive, and writes replies in request order. This
@@ -73,7 +73,7 @@ use crate::cache::{CacheKey, ResultCache};
 use crate::engine;
 use crate::event::EventLoop;
 use crate::metrics::{Metrics, Stage};
-use crate::protocol::{parse_request, AnalysisRequest, CommandKind, Request};
+use crate::protocol::{self, parse_request, AnalysisRequest, CommandKind, Request};
 use crate::replication::{self, ReplicationState, ShipFrame};
 
 /// How long ship streams and the follower block before they re-check for
@@ -119,8 +119,11 @@ fn contained<T>(shared: &Shared, run: impl FnOnce() -> T) -> Option<T> {
     }
 }
 
+/// Cap on the diagnostic `SLEEP` command, milliseconds.
+const MAX_SLEEP_MS: u64 = 10_000;
+
 /// Server tuning knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Bind address, e.g. `127.0.0.1:7400` (port 0 picks an ephemeral one).
     pub addr: String,
@@ -130,8 +133,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Default per-request queue deadline, milliseconds.
     pub default_deadline_ms: u64,
-    /// Cap on the diagnostic `SLEEP` command, milliseconds.
-    pub max_sleep_ms: u64,
     /// Directory for the persistent ring registry's journal and snapshot;
     /// `None` keeps the registry in memory only.
     pub state_dir: Option<PathBuf>,
@@ -145,11 +146,10 @@ pub struct ServiceConfig {
     /// Whether the flight recorder captures spans (the `TRACE` command
     /// returns nothing when off). Per-span cost when on is two clock reads
     /// and one nearly-uncontended mutex push; `exp_trace_overhead`
-    /// measures the end-to-end impact.
+    /// measures the end-to-end impact. The recorder keeps
+    /// [`ringrt_obs::DEFAULT_SHARD_CAPACITY`] events per shard and
+    /// overwrites the oldest, never blocking on them.
     pub trace_enabled: bool,
-    /// Span events retained **per recorder shard** (16 shards); older
-    /// events are overwritten, never blocked on.
-    pub trace_capacity: usize,
     /// Log any request line slower than this many milliseconds (from its
     /// arrival to its reply) to stderr. `None` disables the log.
     pub slow_ms: Option<u64>,
@@ -185,12 +185,10 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_depth: 64,
             default_deadline_ms: 2_000,
-            max_sleep_ms: 10_000,
             state_dir: None,
             cache_entries: crate::cache::DEFAULT_CAPACITY,
             exec_threads: None,
             trace_enabled: true,
-            trace_capacity: ringrt_obs::DEFAULT_SHARD_CAPACITY,
             slow_ms: None,
             follow: None,
             segment_bytes: None,
@@ -488,7 +486,7 @@ pub fn spawn(mut config: ServiceConfig) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
 
     let recorder = Arc::new(if config.trace_enabled {
-        Recorder::with_shard_capacity(config.trace_capacity.max(1))
+        Recorder::new()
     } else {
         Recorder::disabled()
     });
@@ -750,11 +748,18 @@ pub(crate) fn handle_request(
                 record_parse(shared, t0, parse_dur);
                 return ready(Response::Line(format!("ERR ring `{ring}` has no streams")));
             };
+            let stations = state.spec.effective_stations(set.len());
+            if command == CommandKind::Simulate {
+                if let Err(e) = protocol::check_stations(stations) {
+                    record_parse(shared, t0, parse_dur);
+                    return ready(Response::Line(format!("ERR {e}")));
+                }
+            }
             let req = AnalysisRequest {
                 command,
                 protocol: state.spec.protocol,
                 mbps: state.spec.mbps,
-                stations: Some(state.spec.effective_stations(set.len())),
+                stations: Some(stations),
                 set,
                 seconds,
                 async_load,
@@ -817,7 +822,7 @@ fn record_parse(shared: &Shared, t0: Instant, dur: Duration) {
 ///
 /// `parse` carries the request's arrival instant and measured parse
 /// duration. On a cache **hit** this is the zero-span fast path: no
-/// per-stage spans, no stage-histogram locks — two sharded-counter adds
+/// per-stage spans, no stage-histogram locks — two relaxed counter adds
 /// ([`Metrics::note_hit`]), the per-command latency record, and (one hit
 /// in [`crate::metrics::HIT_SPAN_SAMPLE`]) a single sampled
 /// `request`/`hit` span covering the whole parse→reply interval. A
@@ -1246,7 +1251,7 @@ fn execute_request(
 ) -> String {
     match request {
         Request::Sleep { ms, .. } => {
-            let ms = (*ms).min(shared.config.max_sleep_ms);
+            let ms = (*ms).min(MAX_SLEEP_MS);
             std::thread::sleep(Duration::from_millis(ms));
             format!("OK cmd=sleep ms={ms}")
         }
@@ -3116,6 +3121,63 @@ mod tests {
                 ),
             );
         }
+    }
+
+    #[test]
+    fn abu_past_the_station_limit_is_refused() {
+        // Used to pass parsing and abort the process allocating 10^17
+        // streams per sample.
+        refused_then_served(|_| {}, "ABU mbps=100 stations=100000000000000000 samples=1");
+    }
+
+    #[test]
+    fn simulate_past_the_station_limit_is_refused() {
+        // Used to panic a worker: the ring's token rotation overflows the
+        // simulator's picosecond clock.
+        refused_then_served(
+            |_| {},
+            "SIMULATE mbps=16 set=20,1000 stations=100000000000000000 seconds=0.01",
+        );
+    }
+
+    #[test]
+    fn durations_that_killed_the_event_loop_are_refused() {
+        // Each used to panic inside `parse_request`, which runs on the
+        // event loop outside `catch_unwind`: `NaN` reached
+        // `Seconds::from_millis`, and a deadline of 5e-324 ms passed the
+        // parser's own `d > 0` check but is 0 s, which
+        // `with_relative_deadline` asserted against.
+        for line in [
+            "ADMIT ring=r stream=a period_ms=NaN bits=1000",
+            "ADMIT ring=r stream=a period_ms=20 bits=1000 deadline_ms=NaN",
+            "ADMIT ring=r stream=a period_ms=20 bits=1000 deadline_ms=5e-324",
+            "SIMULATE mbps=16 set=20,1000 seconds=NaN",
+        ] {
+            refused_then_served(|_| {}, line);
+        }
+    }
+
+    #[test]
+    fn simulate_ring_past_the_station_limit_is_refused() {
+        // A stored ring may pin more stations than a simulation may run
+        // on; `SIMULATE ring=` checks the count it resolves.
+        let server = test_server(1, 4);
+        let mut c = Client::connect(server.addr());
+        let register = c.roundtrip(&format!(
+            "REGISTER ring=big protocol=modified mbps=16 stations={}",
+            crate::MAX_STATIONS + 1
+        ));
+        assert!(register.starts_with("OK"), "{register}");
+        let admit = c.roundtrip("ADMIT ring=big stream=s period_ms=1000 bits=1000");
+        assert!(admit.contains("admitted=true"), "{admit}");
+        let reply = c.roundtrip("SIMULATE ring=big seconds=0.01");
+        assert!(reply.starts_with("ERR "), "{reply}");
+        assert!(reply.contains("server limit"), "{reply}");
+        assert_eq!(c.roundtrip("PING"), "OK cmd=ping");
+        let check = c.roundtrip("CHECK ring=big");
+        assert!(check.contains("schedulable=true"), "{check}");
+        assert_eq!(stat(&c.roundtrip("STATS"), "panics"), 0);
+        server.join();
     }
 
     #[test]

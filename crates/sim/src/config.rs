@@ -1,5 +1,7 @@
 //! Simulation run configuration.
 
+use core::fmt;
+
 use ringrt_model::RingConfig;
 use ringrt_units::{Seconds, SimDuration};
 
@@ -48,19 +50,72 @@ pub struct SimConfig {
     trace_capacity: usize,
 }
 
+/// A run parameter [`SimConfig`] refuses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SimConfigError {
+    /// The simulated duration, in seconds, is not finite and positive.
+    Duration(f64),
+    /// The offered asynchronous load is outside `[0, 1)`.
+    AsyncLoad(f64),
+}
+
+impl fmt::Display for SimConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimConfigError::Duration(secs) => {
+                write!(f, "simulation duration must be positive, got {secs} s")
+            }
+            SimConfigError::AsyncLoad(load) => {
+                write!(f, "async load must be in [0, 1), got {load}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SimConfigError {}
+
+fn check_duration(duration: Seconds) -> Result<(), SimConfigError> {
+    if duration.is_finite() && duration > Seconds::ZERO {
+        Ok(())
+    } else {
+        Err(SimConfigError::Duration(duration.as_secs_f64()))
+    }
+}
+
+fn check_async_load(load: f64) -> Result<(), SimConfigError> {
+    if (0.0..1.0).contains(&load) {
+        Ok(())
+    } else {
+        Err(SimConfigError::AsyncLoad(load))
+    }
+}
+
 impl SimConfig {
+    /// Checks the two run parameters a user supplies — the simulated
+    /// duration and the offered asynchronous load — against the rules
+    /// [`SimConfig::new`] and [`SimConfig::with_async_load`] enforce. A
+    /// front end calls it before it has a ring to build a configuration
+    /// for.
+    ///
+    /// # Errors
+    ///
+    /// [`SimConfigError`] for a duration that is not finite and positive,
+    /// or a load outside `[0, 1)`.
+    pub fn check_run(duration: Seconds, async_load: f64) -> Result<(), SimConfigError> {
+        check_duration(duration)?;
+        check_async_load(async_load)
+    }
+
     /// Creates a configuration simulating `duration` of ring time with no
     /// asynchronous background load and synchronized phasing.
     ///
     /// # Panics
     ///
-    /// Panics if `duration` is not strictly positive and finite.
+    /// Panics if `duration` is not strictly positive and finite (see
+    /// [`SimConfig::check_run`]).
     #[must_use]
     pub fn new(ring: RingConfig, duration: Seconds) -> Self {
-        assert!(
-            duration.is_finite() && duration > Seconds::ZERO,
-            "simulation duration must be positive"
-        );
+        check_duration(duration).unwrap_or_else(|e| panic!("{e}"));
         SimConfig {
             ring,
             duration: duration.to_sim_duration(),
@@ -87,10 +142,10 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 ≤ load < 1`.
+    /// Panics unless `0 ≤ load < 1` (see [`SimConfig::check_run`]).
     #[must_use]
     pub fn with_async_load(mut self, load: f64) -> Self {
-        assert!((0.0..1.0).contains(&load), "async load must be in [0, 1)");
+        check_async_load(load).unwrap_or_else(|e| panic!("{e}"));
         self.async_load = load;
         self
     }
@@ -265,6 +320,23 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_duration_rejected() {
         let _ = SimConfig::new(ring(), Seconds::ZERO);
+    }
+
+    #[test]
+    fn check_run_names_the_parameter_out_of_range() {
+        assert_eq!(SimConfig::check_run(Seconds::new(0.5), 0.0), Ok(()));
+        for secs in [0.0, -1.0, f64::INFINITY] {
+            assert!(matches!(
+                SimConfig::check_run(Seconds::new(secs), 0.0),
+                Err(SimConfigError::Duration(_))
+            ));
+        }
+        for load in [-0.1, 1.0, f64::NAN] {
+            assert!(matches!(
+                SimConfig::check_run(Seconds::new(1.0), load),
+                Err(SimConfigError::AsyncLoad(_))
+            ));
+        }
     }
 
     #[test]

@@ -51,9 +51,33 @@ mod trace;
 mod traffic;
 mod ttp;
 
-pub use config::{Phasing, SimConfig};
+pub use config::{Phasing, SimConfig, SimConfigError};
 pub use metrics::{SimReport, StreamStats};
 pub use pdp::PdpSimulator;
 pub use trace::{render_timeline, TraceEvent, TraceKind};
 pub use traffic::{AsyncTraffic, SyncTraffic};
 pub use ttp::{TtpSimError, TtpSimulator};
+
+use ringrt_core::ProtocolKind;
+use ringrt_model::{FrameFormat, MessageSet};
+
+/// Runs `set` on `protocol`'s simulator: the priority-driven MAC in the
+/// protocol's variant with the paper's frame format, or the timed token
+/// MAC with the synchronous bandwidths Theorem 5.1's analysis allocates.
+///
+/// # Errors
+///
+/// [`TtpSimError`] when FDDI cannot allocate synchronous bandwidth to
+/// every stream of `set`.
+pub fn simulate(
+    protocol: ProtocolKind,
+    set: &MessageSet,
+    config: SimConfig,
+) -> Result<SimReport, TtpSimError> {
+    Ok(match protocol.pdp_variant() {
+        Some(variant) => {
+            PdpSimulator::new(set, config, FrameFormat::paper_default(), variant).run()
+        }
+        None => TtpSimulator::from_analysis(set, config)?.run(),
+    })
+}
