@@ -1,13 +1,13 @@
-//! Criterion benchmarks of the substrate crates: frame codecs, the event
-//! queue, and statistics — the inner loops under the simulators.
+//! Criterion benchmarks of the substrate crates: the journal's CRC-32, the
+//! event queue, and statistics — the inner loops under the registry and
+//! the simulators.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use ringrt_des::stats::DurationHistogram;
 use ringrt_des::EventQueue;
-use ringrt_frames::crc::crc32;
-use ringrt_frames::ieee8025::{AccessControl, DataFrame, Priority};
+use ringrt_registry::crc::crc32;
 use ringrt_units::{SimDuration, SimTime};
 
 fn bench_crc32(c: &mut Criterion) {
@@ -19,18 +19,6 @@ fn bench_crc32(c: &mut Criterion) {
             b.iter(|| black_box(crc32(black_box(&data))))
         });
     }
-    group.finish();
-}
-
-fn bench_frame_codec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ieee8025_codec");
-    let ac = AccessControl::frame(Priority::new(5).unwrap(), Priority::new(0).unwrap());
-    let frame = DataFrame::new(ac, [1; 6], [2; 6], vec![0xAB; 64]);
-    let wire = frame.encode();
-    group.bench_function("encode_64B", |b| b.iter(|| black_box(frame.encode())));
-    group.bench_function("decode_64B", |b| {
-        b.iter(|| black_box(DataFrame::decode(black_box(&wire)).unwrap()))
-    });
     group.finish();
 }
 
@@ -71,11 +59,5 @@ fn bench_histogram(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_crc32,
-    bench_frame_codec,
-    bench_event_queue,
-    bench_histogram
-);
+criterion_group!(benches, bench_crc32, bench_event_queue, bench_histogram);
 criterion_main!(benches);

@@ -2,10 +2,10 @@
 //!
 //! The paper's evaluation fixes `F_ovhd^b = 112` bits for both protocols.
 //! The standards' actual fixed framing overheads are larger: 168 bits for
-//! an IEEE 802.5 data frame and 224 bits for an FDDI frame (see the
-//! `ringrt-frames` codecs). This experiment re-runs the bandwidth sweep at
-//! the real overheads to check that the paper's qualitative conclusions do
-//! not hinge on the 112-bit choice.
+//! an IEEE 802.5 data frame and 224 bits for an FDDI frame
+//! ([`FrameFormat::ieee_802_5`] and [`FrameFormat::fddi`]). This experiment
+//! re-runs the bandwidth sweep at the real overheads to check whether the
+//! paper's qualitative conclusions hinge on the 112-bit choice.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,8 +15,8 @@ use ringrt_breakdown::table::{cell, Table};
 use ringrt_breakdown::{BreakdownEstimator, SaturationSearch};
 use ringrt_core::pdp::{PdpAnalyzer, PdpVariant};
 use ringrt_core::ttp::TtpAnalyzer;
-use ringrt_model::RingConfig;
-use ringrt_units::{Bandwidth, Bits};
+use ringrt_model::{FrameFormat, RingConfig};
+use ringrt_units::Bandwidth;
 use ringrt_workload::MessageSetGenerator;
 
 fn main() {
@@ -52,9 +52,8 @@ fn main() {
         let seed = opts.seed ^ i as u64;
 
         let ring = RingConfig::ieee_802_5(opts.stations, bw);
-        let paper_frame = ringrt_model::FrameFormat::paper_default();
-        let real_frame =
-            ringrt_frames::ieee_802_5_frame_format(Bits::new(512)).expect("valid payload");
+        let paper_frame = FrameFormat::paper_default();
+        let real_frame = FrameFormat::ieee_802_5();
         let pdp_paper = estimator.estimate(
             &PdpAnalyzer::new(ring, paper_frame, PdpVariant::Modified),
             bw,
@@ -67,6 +66,7 @@ fn main() {
         );
 
         let ring = RingConfig::fddi(opts.stations, bw);
+        let fddi_frame = FrameFormat::fddi();
         let ttp_paper = estimator.estimate(
             &TtpAnalyzer::with_defaults(ring),
             bw,
@@ -77,8 +77,8 @@ fn main() {
                 ring,
                 ringrt_core::ttp::TtrtPolicy::SqrtHeuristic,
                 ringrt_core::ttp::SbaScheme::Local,
-                Bits::new(ringrt_frames::fddi::OVERHEAD_BITS),
-                Bits::new(512 + ringrt_frames::fddi::OVERHEAD_BITS),
+                fddi_frame.overhead(),
+                fddi_frame.total(),
             ),
             bw,
             &mut StdRng::seed_from_u64(seed),

@@ -48,9 +48,7 @@ use rand::{Rng, SeedableRng};
 use ringrt_bench::{banner, ExpOptions};
 use ringrt_breakdown::sweep::default_bandwidths_mbps;
 use ringrt_breakdown::table::{cell, Table};
-use ringrt_des::stats::DurationHistogram;
 use ringrt_service::{spawn, ServiceConfig};
-use ringrt_units::SimDuration;
 use ringrt_workload::MessageSetGenerator;
 
 /// Builds one request line; `unique` differentiates the payload so the
@@ -69,7 +67,8 @@ fn request_line(i: usize, unique: usize) -> String {
 }
 
 struct PhaseResult {
-    histogram: DurationHistogram,
+    /// Every request's latency in nanoseconds, sorted.
+    samples: Vec<u64>,
     requests: u64,
     errors: u64,
     elapsed_s: f64,
@@ -77,20 +76,21 @@ struct PhaseResult {
 
 /// Joins the per-client worker threads into one merged phase result.
 fn collect(
-    handles: Vec<std::thread::JoinHandle<(DurationHistogram, u64, u64)>>,
+    handles: Vec<std::thread::JoinHandle<(Vec<u64>, u64, u64)>>,
     started: Instant,
 ) -> PhaseResult {
-    let mut histogram = DurationHistogram::new();
+    let mut samples = Vec::new();
     let mut requests = 0;
     let mut errors = 0;
     for h in handles {
-        let (hist, n, e) = h.join().expect("client thread");
-        histogram.merge(&hist);
+        let (client, n, e) = h.join().expect("client thread");
+        samples.extend(client);
         requests += n;
         errors += e;
     }
+    samples.sort_unstable();
     PhaseResult {
-        histogram,
+        samples,
         requests,
         errors,
         elapsed_s: started.elapsed().as_secs_f64(),
@@ -98,8 +98,7 @@ fn collect(
 }
 
 /// Runs `clients` concurrent connections, each sending its share of
-/// `lines` one request per write, and collects the merged latency
-/// histogram.
+/// `lines` one request per write, and collects every request's latency.
 fn run_phase(addr: SocketAddr, clients: usize, lines: &[String]) -> PhaseResult {
     let started = Instant::now();
     let handles: Vec<_> = (0..clients)
@@ -109,7 +108,7 @@ fn run_phase(addr: SocketAddr, clients: usize, lines: &[String]) -> PhaseResult 
                 let stream = TcpStream::connect(addr).expect("connect");
                 let mut writer = stream.try_clone().expect("clone");
                 let mut reader = BufReader::new(stream);
-                let mut hist = DurationHistogram::new();
+                let mut samples = Vec::with_capacity(my_lines.len());
                 let mut errors = 0u64;
                 let mut resp = String::new();
                 for line in &my_lines {
@@ -119,13 +118,12 @@ fn run_phase(addr: SocketAddr, clients: usize, lines: &[String]) -> PhaseResult 
                         .expect("send");
                     resp.clear();
                     reader.read_line(&mut resp).expect("recv");
-                    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    hist.push(SimDuration::from_picos(ns.saturating_mul(1000)));
+                    samples.push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
                     if !resp.starts_with("OK") {
                         errors += 1;
                     }
                 }
-                (hist, my_lines.len() as u64, errors)
+                (samples, my_lines.len() as u64, errors)
             })
         })
         .collect();
@@ -150,7 +148,7 @@ fn run_batched_phase(
                 let stream = TcpStream::connect(addr).expect("connect");
                 let mut writer = stream.try_clone().expect("clone");
                 let mut reader = BufReader::new(stream);
-                let mut hist = DurationHistogram::new();
+                let mut samples = Vec::with_capacity(my_lines.len());
                 let mut errors = 0u64;
                 let mut resp = String::new();
                 for batch in my_lines.chunks(chunk) {
@@ -169,21 +167,13 @@ fn run_batched_phase(
                         }
                     }
                     let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    let per = ns / batch.len() as u64;
-                    for _ in batch {
-                        hist.push(SimDuration::from_picos(per.saturating_mul(1000)));
-                    }
+                    samples.extend(std::iter::repeat_n(ns / batch.len() as u64, batch.len()));
                 }
-                (hist, my_lines.len() as u64, errors)
+                (samples, my_lines.len() as u64, errors)
             })
         })
         .collect();
     collect(handles, started)
-}
-
-fn quantile_us(h: &DurationHistogram, q: f64) -> f64 {
-    h.quantile(q)
-        .map_or(f64::NAN, |d| d.as_picos() as f64 / 1e6)
 }
 
 fn stats_field(addr: SocketAddr, key: &str) -> String {
@@ -668,8 +658,8 @@ fn connection_sweep(opts: &ExpOptions) {
             row.result.requests.to_string(),
             row.result.errors.to_string(),
             cell(row.result.requests as f64 / row.result.elapsed_s, 1),
-            cell(quantile_us(&row.result.histogram, 0.5), 1),
-            cell(quantile_us(&row.result.histogram, 0.99), 1),
+            cell(percentile_us(&row.result.samples, 0.5), 1),
+            cell(percentile_us(&row.result.samples, 0.99), 1),
             row.wakeups.clone(),
             row.ready_events.clone(),
         ]);
@@ -680,16 +670,14 @@ fn connection_sweep(opts: &ExpOptions) {
 
     // The claim is that p99 stays bounded at *every* scale, so judge the
     // worst row against the baseline, not just the largest.
-    let base_p99 = quantile_us(&rows[0].result.histogram, 0.99);
+    let p99 = |row: &SweepRow| percentile_us(&row.result.samples, 0.99);
+    let base_p99 = p99(&rows[0]);
     let worst = rows
         .iter()
         .skip(1)
-        .max_by(|a, b| {
-            quantile_us(&a.result.histogram, 0.99)
-                .total_cmp(&quantile_us(&b.result.histogram, 0.99))
-        })
+        .max_by(|a, b| p99(a).total_cmp(&p99(b)))
         .unwrap_or(&rows[0]);
-    let ratio = quantile_us(&worst.result.histogram, 0.99) / base_p99.max(f64::MIN_POSITIVE);
+    let ratio = p99(worst) / base_p99.max(f64::MIN_POSITIVE);
     let bound = 2.0;
     println!(
         "# worst p99 ({} idle conns) is {ratio:.2}x the {}-conn baseline (bound {bound}x): {}",
@@ -715,8 +703,8 @@ fn connection_sweep(opts: &ExpOptions) {
             row.result.requests,
             row.result.errors,
             row.result.requests as f64 / row.result.elapsed_s,
-            quantile_us(&row.result.histogram, 0.5),
-            quantile_us(&row.result.histogram, 0.99),
+            percentile_us(&row.result.samples, 0.5),
+            percentile_us(&row.result.samples, 0.99),
             row.wakeups,
             row.ready_events,
             row.accept_shed,
@@ -827,8 +815,8 @@ fn main() {
             r.errors.to_string(),
             cell(r.elapsed_s, 3),
             cell(r.requests as f64 / r.elapsed_s, 1),
-            cell(quantile_us(&r.histogram, 0.5), 1),
-            cell(quantile_us(&r.histogram, 0.99), 1),
+            cell(percentile_us(&r.samples, 0.5), 1),
+            cell(percentile_us(&r.samples, 0.99), 1),
             stats_field(addr, "cache_hits"),
         ]);
     };

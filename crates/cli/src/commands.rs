@@ -7,11 +7,11 @@ use ringrt_breakdown::SaturationSearch;
 use ringrt_core::pdp::PdpAnalyzer;
 use ringrt_core::ttp::TtpAnalyzer;
 use ringrt_core::ProtocolKind;
-use ringrt_model::{FrameFormat, MessageSet, SyncStream};
+use ringrt_model::{FrameFormat, MessageSet, RingConfig, SyncStream};
 use ringrt_registry::{RingRegistry, RingSpec};
 use ringrt_service::ServiceConfig;
-use ringrt_sim::{Phasing, SimConfig};
-use ringrt_units::{Bandwidth, Bits, Seconds};
+use ringrt_sim::{Phasing, SimConfig, SimError};
+use ringrt_units::{Bits, Seconds};
 
 use crate::args::{RegistryAction, USAGE};
 use crate::{Cli, Command, ExitCode, OutputFormat};
@@ -363,7 +363,18 @@ fn abu<W: Write>(mbps: f64, stations: usize, samples: usize, seed: u64, out: &mu
         let _ = writeln!(out, "error: --stations and --samples must be at least 1");
         return ExitCode::UsageError;
     }
-    let bw = Bandwidth::from_mbps(mbps);
+    if let Err(e) = ringrt_service::check_stations(stations) {
+        let _ = writeln!(out, "error: {e}");
+        return ExitCode::UsageError;
+    }
+    let mut rings = Vec::with_capacity(ProtocolKind::ALL.len());
+    for protocol in ProtocolKind::ALL {
+        match ring_or_exit(protocol, mbps, Some(stations), stations, out) {
+            Ok(ring) => rings.push((protocol, ring)),
+            Err(code) => return code,
+        }
+    }
+    let bw = rings[0].1.bandwidth();
     let estimator =
         BreakdownEstimator::new(MessageSetGenerator::paper_population(stations), samples);
     let _ = writeln!(
@@ -371,13 +382,35 @@ fn abu<W: Write>(mbps: f64, stations: usize, samples: usize, seed: u64, out: &mu
         "average breakdown utilization at {bw}, {stations} stations, {samples} samples:"
     );
     let pool = ringrt_exec::Pool::from_env();
-    for protocol in ProtocolKind::ALL {
+    for (protocol, ring) in rings {
         let name = protocol.token();
-        let analyzer = protocol.analyzer(protocol.ring(stations, bw));
+        let analyzer = protocol.analyzer(ring);
         let est = estimator.estimate_parallel(&*analyzer, bw, seed, &pool);
         let _ = writeln!(out, "  {name:<9} {:.4} ± {:.4}", est.mean, est.ci95);
     }
     ExitCode::Success
+}
+
+/// Builds `protocol`'s ring for `streams` streams by the rule the wire
+/// uses ([`RingSpec::ring_config`]): a bandwidth or station count the
+/// ring model cannot hold prints the library's message and yields the
+/// usage-error exit code.
+fn ring_or_exit<W: Write>(
+    protocol: ProtocolKind,
+    mbps: f64,
+    stations: Option<usize>,
+    streams: usize,
+    out: &mut W,
+) -> Result<RingConfig, ExitCode> {
+    let spec = RingSpec {
+        protocol,
+        mbps,
+        stations,
+    };
+    spec.ring_config(streams).map_err(|e| {
+        let _ = writeln!(out, "error: {e}");
+        ExitCode::UsageError
+    })
 }
 
 fn with_set<W: Write>(
@@ -409,9 +442,11 @@ fn check<W: Write>(
     format: OutputFormat,
     out: &mut W,
 ) -> ExitCode {
-    let bw = Bandwidth::from_mbps(mbps);
-    let stations = stations.unwrap_or(set.len()).max(set.len());
-    let ring = protocol.ring(stations, bw);
+    let ring = match ring_or_exit(protocol, mbps, stations, set.len(), out) {
+        Ok(ring) => ring,
+        Err(code) => return code,
+    };
+    let (bw, stations) = (ring.bandwidth(), ring.stations());
     if format == OutputFormat::Plain {
         let _ = writeln!(
             out,
@@ -471,20 +506,26 @@ fn simulate<W: Write>(
         let _ = writeln!(out, "error: {e}");
         return ExitCode::UsageError;
     }
-    let bw = Bandwidth::from_mbps(mbps);
-    let stations = stations.unwrap_or(set.len()).max(set.len());
-    let config = SimConfig::new(protocol.ring(stations, bw), Seconds::new(seconds))
+    let ring = match ring_or_exit(protocol, mbps, stations, set.len(), out) {
+        Ok(ring) => ring,
+        Err(code) => return code,
+    };
+    let config = SimConfig::new(ring, Seconds::new(seconds))
         .with_phasing(Phasing::Synchronized)
         .with_async_load(async_load)
         .with_seed(seed);
     let report = match ringrt_sim::simulate(protocol, set, config) {
         Ok(report) => report,
-        Err(e) => {
+        Err(e @ SimError::InfeasibleAllocation { .. }) => {
             let _ = writeln!(
                 out,
                 "FDDI cannot even allocate synchronous bandwidth for this set: {e}"
             );
             return ExitCode::Unschedulable;
+        }
+        Err(e) => {
+            let _ = writeln!(out, "error: {e}");
+            return ExitCode::UsageError;
         }
     };
     let _ = write!(out, "{report}");
@@ -496,29 +537,36 @@ fn simulate<W: Write>(
 }
 
 fn sweep<W: Write>(set: &MessageSet, mbps_list: &[f64], out: &mut W) -> ExitCode {
+    let mut rings = Vec::with_capacity(mbps_list.len() * ProtocolKind::ALL.len());
+    for &mbps in mbps_list {
+        for protocol in ProtocolKind::ALL {
+            match ring_or_exit(protocol, mbps, None, set.len(), out) {
+                Ok(ring) => rings.push((mbps, protocol, ring)),
+                Err(code) => return code,
+            }
+        }
+    }
     let search = SaturationSearch::default();
     let _ = writeln!(
         out,
         "headroom = largest factor the workload can grow before the criterion breaks"
     );
     let _ = writeln!(out, "mbps,protocol,schedulable,headroom,breakdown_util");
-    for &mbps in mbps_list {
-        let bw = Bandwidth::from_mbps(mbps);
-        for protocol in ProtocolKind::ALL {
-            let name = protocol.token();
-            let analyzer = protocol.analyzer(protocol.ring(set.len(), bw));
-            let verdict = analyzer.is_schedulable(set);
-            match search.saturate(analyzer.as_ref(), set, bw) {
-                Some(sat) => {
-                    let _ = writeln!(
-                        out,
-                        "{mbps},{name},{verdict},{:.3},{:.4}",
-                        sat.scale, sat.utilization
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "{mbps},{name},{verdict},-,-");
-                }
+    for (mbps, protocol, ring) in rings {
+        let name = protocol.token();
+        let bw = ring.bandwidth();
+        let analyzer = protocol.analyzer(ring);
+        let verdict = analyzer.is_schedulable(set);
+        match search.saturate(analyzer.as_ref(), set, bw) {
+            Some(sat) => {
+                let _ = writeln!(
+                    out,
+                    "{mbps},{name},{verdict},{:.3},{:.4}",
+                    sat.scale, sat.utilization
+                );
+            }
+            None => {
+                let _ = writeln!(out, "{mbps},{name},{verdict},-,-");
             }
         }
     }
@@ -620,6 +668,82 @@ mod tests {
         assert_eq!(code, ExitCode::Success);
         assert!(out.contains("4,802.5,"), "{out}");
         assert!(out.contains("100,fddi,"), "{out}");
+    }
+
+    /// Exit 2 with `needle` in the message, for an input the library
+    /// refuses.
+    fn assert_refused(args: &[&str], needle: &str) {
+        let (code, out) = run_cli(args);
+        assert_eq!(code, ExitCode::UsageError, "{args:?}: {out}");
+        assert!(
+            out.starts_with("error: ") && out.contains(needle),
+            "{args:?}: {out}"
+        );
+    }
+
+    #[test]
+    fn rings_the_ring_model_cannot_hold_are_usage_errors() {
+        let (_g, path) = write_set("20, 20000\n50, 60000\n");
+        let bad_bw = "bandwidth must be finite and positive";
+        for mbps in ["1e308", "inf", "0", "-5"] {
+            assert_refused(&["check", &path, "--mbps", mbps], bad_bw);
+        }
+        assert_refused(
+            &[
+                "check",
+                &path,
+                "--mbps",
+                "16",
+                "--stations",
+                "18446744073709551615",
+            ],
+            "overflow the ring latency",
+        );
+        assert_refused(&["sweep", &path, "--mbps", "1e308"], bad_bw);
+        assert_refused(&["sweep", &path, "--mbps", "1,-2"], bad_bw);
+        assert_refused(&["abu", "--mbps", "0"], bad_bw);
+        assert_refused(&["abu", "--mbps", "1e308"], bad_bw);
+        assert_refused(
+            &[
+                "abu",
+                "--mbps",
+                "100",
+                "--stations",
+                "100000000000000000",
+                "--samples",
+                "1",
+            ],
+            "exceeds the server limit of 10000",
+        );
+    }
+
+    #[test]
+    fn times_past_the_simulator_clock_are_usage_errors() {
+        let (_g, path) = write_set("20, 1000\n");
+        assert_refused(
+            &["simulate", &path, "--mbps", "16", "--seconds", "1e300"],
+            "simulation duration must be positive and at most",
+        );
+        for protocol in ["modified", "fddi"] {
+            assert_refused(
+                &[
+                    "simulate",
+                    &path,
+                    "--mbps",
+                    "1e-300",
+                    "--seconds",
+                    "0.1",
+                    "--protocol",
+                    protocol,
+                ],
+                "token circulation time",
+            );
+        }
+        let (_g, long) = write_set("1e300, 1000\n");
+        assert_refused(
+            &["simulate", &long, "--mbps", "16", "--seconds", "0.1"],
+            "longest period",
+        );
     }
 
     #[test]

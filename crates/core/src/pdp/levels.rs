@@ -2,8 +2,7 @@
 //!
 //! The paper's rate-monotonic implementation assumes every stream gets its
 //! own priority, but the 802.5 access-control byte carries only **3
-//! priority bits — 8 service levels** (the `ringrt-frames` crate
-//! implements that byte). With `n > 8` streams, several streams must share
+//! priority bits — 8 service levels**. With `n > 8` streams, several streams must share
 //! a level, and the MAC arbitrates between equals by ring position, not by
 //! deadline.
 //!

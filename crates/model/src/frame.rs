@@ -60,6 +60,28 @@ impl FrameFormat {
         }
     }
 
+    /// The IEEE 802.5 standard's fixed data-frame framing around a 64-byte
+    /// payload: SD + AC + FC + DA(6) + SA(6) + FCS(4) + ED + FS = 21
+    /// octets = 168 overhead bits, against the paper's 112.
+    #[must_use]
+    pub fn ieee_802_5() -> Self {
+        FrameFormat {
+            payload: Bytes::new(64).to_bits(),
+            overhead: Bytes::new(21).to_bits(),
+        }
+    }
+
+    /// The FDDI standard's fixed data-frame framing around a 64-byte
+    /// payload: PA(8) + SD + FC + DA(6) + SA(6) + FCS(4) + ED + FS = 28
+    /// octets = 224 overhead bits.
+    #[must_use]
+    pub fn fddi() -> Self {
+        FrameFormat {
+            payload: Bytes::new(64).to_bits(),
+            overhead: Bytes::new(28).to_bits(),
+        }
+    }
+
     /// Same 112-bit overhead with a different payload size (used by the
     /// frame-size trade-off experiment).
     ///
@@ -184,6 +206,23 @@ mod tests {
         assert!((f.frame_time(bw).as_micros() - 624.0).abs() < 1e-9);
         assert!((f.payload_time(bw).as_micros() - 512.0).abs() < 1e-9);
         assert!((f.overhead_time(bw).as_micros() - 112.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn standard_presets_carry_the_standards_overheads() {
+        let (ring, fddi) = (FrameFormat::ieee_802_5(), FrameFormat::fddi());
+        assert_eq!(
+            (ring.payload(), ring.overhead()),
+            (Bits::new(512), Bits::new(168))
+        );
+        assert_eq!(
+            (fddi.payload(), fddi.overhead()),
+            (Bits::new(512), Bits::new(224))
+        );
+        // The paper's 112-bit figure undercuts both standards; the OVHD
+        // experiment measures what that costs in ABU.
+        let paper = FrameFormat::paper_default().overhead();
+        assert!(ring.overhead() > paper && fddi.overhead() > paper);
     }
 
     #[test]

@@ -119,6 +119,22 @@ impl CacheUpdate {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Makes the next [`admit_check`] or [`remove_check`] on this thread
+    /// panic, so tests can check what a panic mid-admission leaves behind.
+    pub(crate) static PANIC_IN_NEXT_CHECK: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
+/// Panics when a test armed [`PANIC_IN_NEXT_CHECK`]; empty outside tests.
+fn injected_panic() {
+    #[cfg(test)]
+    if PANIC_IN_NEXT_CHECK.with(|armed| armed.replace(false)) {
+        panic!("injected panic inside the admission test");
+    }
+}
+
 /// Sums terms left to right from zero — the exact accumulation order of
 /// the full path, so incremental sums are bit-identical.
 fn fold_terms(terms: impl IntoIterator<Item = Seconds>) -> Seconds {
@@ -222,6 +238,7 @@ pub(crate) fn admit_check(
     new_name: &str,
     new_stream: &SyncStream,
 ) -> (CheckOutcome, CacheUpdate) {
+    injected_panic();
     let old_len = store.len() - 1;
     let stations_unchanged =
         old_len > 0 && spec.effective_stations(old_len) == spec.effective_stations(store.len());
@@ -305,6 +322,7 @@ pub(crate) fn remove_check(
     old_len: usize,
     store: &StreamStore,
 ) -> (CheckOutcome, CacheUpdate) {
+    injected_panic();
     debug_assert_eq!(old_len, store.len() + 1);
     if store.is_empty() {
         // An empty ring is vacuously schedulable.

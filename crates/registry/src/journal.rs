@@ -68,16 +68,18 @@
 //! via [`StoreOptions`], so fault-injection tests can kill the store at
 //! any exact operation (see [`crate::failpoint`]).
 
+use std::borrow::{Borrow, BorrowMut};
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ringrt_frames::crc::crc32;
 use ringrt_model::SyncStream;
 use ringrt_obs::Recorder;
 use ringrt_units::{Bits, Seconds};
 
+use crate::crc::crc32;
 use crate::failpoint::FailpointFs;
 use crate::spec::{
     validate_name, NamedStream, ProtocolKind, RegistryError, RingSpec, RingState, Rings,
@@ -160,46 +162,74 @@ pub enum JournalOp {
     },
 }
 
-/// Applies one op to the in-memory ring map; used both by live mutations
-/// and by replay so the two can never drift apart.
-pub(crate) fn apply(rings: &mut Rings, op: &JournalOp) -> Result<(), RegistryError> {
+impl JournalOp {
+    /// The ring the op names.
+    pub(crate) fn ring(&self) -> &str {
+        match self {
+            JournalOp::Register { ring, .. }
+            | JournalOp::Admit { ring, .. }
+            | JournalOp::Remove { ring, .. }
+            | JournalOp::Unregister { ring } => ring,
+        }
+    }
+}
+
+/// Refuses an op that does not apply to `rings`: a ring registered twice,
+/// a stream admitted twice, or a ring or stream that is not there. Replay
+/// checks every record here, and the registry checks every live and
+/// shipped mutation here before journaling it, so the journal never holds
+/// an op that breaks these invariants.
+pub(crate) fn validate<E: Borrow<RingState>>(
+    rings: &BTreeMap<String, E>,
+    op: &JournalOp,
+) -> Result<(), RegistryError> {
+    let ring = || op.ring().to_owned();
+    let state = rings.get(op.ring()).map(Borrow::borrow);
+    match (op, state) {
+        (JournalOp::Register { .. }, Some(_)) => Err(RegistryError::DuplicateRing { ring: ring() }),
+        (JournalOp::Register { .. }, None) => Ok(()),
+        (_, None) => Err(RegistryError::UnknownRing { ring: ring() }),
+        (JournalOp::Admit { stream, .. }, Some(state)) if state.store.contains(&stream.name) => {
+            Err(RegistryError::DuplicateStream {
+                ring: ring(),
+                stream: stream.name.clone(),
+            })
+        }
+        (JournalOp::Remove { stream, .. }, Some(state)) if !state.store.contains(stream) => {
+            Err(RegistryError::UnknownStream {
+                ring: ring(),
+                stream: stream.clone(),
+            })
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Applies one op to a ring map after [`validate`] passes it. Replay
+/// applies records to plain [`Rings`]; the registry applies its live and
+/// shipped mutations through the same function to entries that also carry
+/// derived state, so the two can never drift apart.
+pub(crate) fn apply<E: From<RingState> + BorrowMut<RingState>>(
+    rings: &mut BTreeMap<String, E>,
+    op: &JournalOp,
+) -> Result<(), RegistryError> {
+    validate(rings, op)?;
     match op {
         JournalOp::Register { ring, spec } => {
-            if rings.contains_key(ring) {
-                return Err(RegistryError::DuplicateRing { ring: ring.clone() });
-            }
-            rings.insert(ring.clone(), RingState::new(*spec));
+            rings.insert(ring.clone(), RingState::new(*spec).into());
         }
         JournalOp::Admit { ring, stream } => {
-            let state = rings
-                .get_mut(ring)
-                .ok_or_else(|| RegistryError::UnknownRing { ring: ring.clone() })?;
-            if state.store.contains(&stream.name) {
-                return Err(RegistryError::DuplicateStream {
-                    ring: ring.clone(),
-                    stream: stream.name.clone(),
-                });
-            }
+            let state: &mut RingState = rings.get_mut(ring).expect("validated").borrow_mut();
             state.store.admit(&stream.name, stream.stream);
         }
         JournalOp::Remove { ring, stream } => {
-            let state = rings
-                .get_mut(ring)
-                .ok_or_else(|| RegistryError::UnknownRing { ring: ring.clone() })?;
             // O(log n) index maintenance — replaying a churn-heavy journal
             // used to pay an O(n) `Vec::remove` shift per removal.
-            state
-                .store
-                .remove(stream)
-                .ok_or_else(|| RegistryError::UnknownStream {
-                    ring: ring.clone(),
-                    stream: stream.clone(),
-                })?;
+            let state: &mut RingState = rings.get_mut(ring).expect("validated").borrow_mut();
+            state.store.remove(stream).expect("validated");
         }
         JournalOp::Unregister { ring } => {
-            rings
-                .remove(ring)
-                .ok_or_else(|| RegistryError::UnknownRing { ring: ring.clone() })?;
+            rings.remove(ring);
         }
     }
     Ok(())

@@ -49,6 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod crc;
 mod engine;
 mod failpoint;
 mod journal;

@@ -2,12 +2,14 @@
 //! persistence, incremental admission control, and journal-shipping
 //! replication hooks.
 
+use std::borrow::{Borrow, BorrowMut};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 
 use ringrt_model::SyncStream;
+use ringrt_store::{StreamHandle, StreamStore};
 
 use crate::engine::{self, CheckOutcome, TtpCache};
 use crate::journal::{self, JournalOp, ReplayStats, Store, StoreOptions};
@@ -25,6 +27,53 @@ struct RingEntry {
     /// `(ring, generation)` — the service's result cache, most notably —
     /// can never confuse two distinct states of the same ring name.
     generation: u64,
+}
+
+/// A ring the journal just registered: no derived state yet, and the
+/// generation [`RingRegistry::commit`] stamps on it.
+impl From<RingState> for RingEntry {
+    fn from(state: RingState) -> Self {
+        RingEntry {
+            state,
+            ttp_cache: None,
+            generation: 0,
+        }
+    }
+}
+
+impl Borrow<RingState> for RingEntry {
+    fn borrow(&self) -> &RingState {
+        &self.state
+    }
+}
+
+impl BorrowMut<RingState> for RingEntry {
+    fn borrow_mut(&mut self) -> &mut RingState {
+        &mut self.state
+    }
+}
+
+/// A candidate admitted to a ring's store only while the admission test
+/// runs: dropping it rolls the admission back, so a test that panics
+/// leaves the store as it was committed.
+struct Tentative<'a> {
+    store: &'a mut StreamStore,
+    handle: StreamHandle,
+}
+
+impl<'a> Tentative<'a> {
+    fn admit(store: &'a mut StreamStore, name: &str, stream: SyncStream) -> Self {
+        let handle = store.admit(name, stream);
+        Tentative { store, handle }
+    }
+}
+
+impl Drop for Tentative<'_> {
+    fn drop(&mut self) {
+        // The test only reads the store, so the candidate is still its
+        // newest admission, as `rollback_admit` requires.
+        self.store.rollback_admit(self.handle);
+    }
 }
 
 #[derive(Debug)]
@@ -314,44 +363,23 @@ impl RingRegistry {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Journals `op` (if persistent), applies it to `rings`, and forwards
-    /// the journaled record line to live shipping subscribers. The
-    /// journal write happens first so memory never runs ahead of disk.
+    /// Validates `op`, journals it (if persistent), applies it to the
+    /// rings through the function replay uses, and forwards the journaled
+    /// record line to live shipping subscribers. An op that breaks a
+    /// registry invariant is refused before any byte reaches the journal,
+    /// and the journal write happens before the apply so memory never
+    /// runs ahead of disk.
     fn commit(inner: &mut Inner, op: &JournalOp) -> Result<(), RegistryError> {
+        journal::validate(&inner.rings, op)?;
         let mut frame = None;
         if let Some(store) = inner.store.as_mut() {
             frame = Some(store.append(op)?);
         }
+        journal::apply(&mut inner.rings, op).expect("validated before journaling");
         inner.generation += 1;
-        let generation = inner.generation;
-        match op {
-            JournalOp::Register { ring, spec } => {
-                inner.rings.insert(
-                    ring.clone(),
-                    RingEntry {
-                        state: RingState::new(*spec),
-                        ttp_cache: None,
-                        generation,
-                    },
-                );
-            }
-            JournalOp::Admit { ring, stream } => {
-                let entry = inner.rings.get_mut(ring).expect("caller validated ring");
-                entry.state.store.admit(&stream.name, stream.stream);
-                entry.generation = generation;
-            }
-            JournalOp::Remove { ring, stream } => {
-                let entry = inner.rings.get_mut(ring).expect("caller validated ring");
-                entry
-                    .state
-                    .store
-                    .remove(stream)
-                    .expect("caller validated stream");
-                entry.generation = generation;
-            }
-            JournalOp::Unregister { ring } => {
-                inner.rings.remove(ring);
-            }
+        // Every op but `Unregister` leaves its ring in the map.
+        if let Some(entry) = inner.rings.get_mut(op.ring()) {
+            entry.generation = inner.generation;
         }
         if let Some(frame) = frame {
             inner
@@ -385,14 +413,8 @@ impl RingRegistry {
     pub fn register(&self, ring: &str, spec: RingSpec) -> Result<(), RegistryError> {
         validate_name(ring)?;
         spec.validate()?;
-        let mut inner = self.lock();
-        if inner.rings.contains_key(ring) {
-            return Err(RegistryError::DuplicateRing {
-                ring: ring.to_owned(),
-            });
-        }
         Self::commit(
-            &mut inner,
+            &mut self.lock(),
             &JournalOp::Register {
                 ring: ring.to_owned(),
                 spec,
@@ -406,14 +428,8 @@ impl RingRegistry {
     ///
     /// [`RegistryError::UnknownRing`] or storage failures.
     pub fn unregister(&self, ring: &str) -> Result<(), RegistryError> {
-        let mut inner = self.lock();
-        if !inner.rings.contains_key(ring) {
-            return Err(RegistryError::UnknownRing {
-                ring: ring.to_owned(),
-            });
-        }
         Self::commit(
-            &mut inner,
+            &mut self.lock(),
             &JournalOp::Unregister {
                 ring: ring.to_owned(),
             },
@@ -453,19 +469,21 @@ impl RingRegistry {
         // Tentatively admit in place: the candidate becomes the store's
         // newest admission and the engine analyzes straight off the
         // maintained indexes — no cloned state, no rebuilt `MessageSet`.
-        let handle = entry.state.store.admit(name, stream);
-        let (check, cache_update) = engine::admit_check(
-            &entry.state.spec,
-            entry.ttp_cache.as_ref(),
-            &entry.state.store,
-            name,
-            &stream,
-        );
+        // Dropping the tentative admission rolls it back before journaling
+        // either way (and if the test panics): `commit` re-applies the op
+        // through the same code path replay uses, so live state and crash
+        // recovery can never drift apart.
+        let (check, cache_update) = {
+            let candidate = Tentative::admit(&mut entry.state.store, name, stream);
+            engine::admit_check(
+                &entry.state.spec,
+                entry.ttp_cache.as_ref(),
+                candidate.store,
+                name,
+                &stream,
+            )
+        };
         self.record(&check);
-        // Roll back before journaling either way: `commit` re-applies the
-        // op through the same code path replay uses, so live state and
-        // crash recovery can never drift apart.
-        entry.state.store.rollback_admit(handle);
         if !check.schedulable {
             return Ok(AdmissionOutcome {
                 check,
@@ -527,14 +545,19 @@ impl RingRegistry {
             },
         )?;
         let entry = inner.rings.get_mut(ring).expect("just committed");
+        // The cache still holds the departed stream's term: it stays out
+        // of the ring until the check returns, so a check that panics
+        // leaves no cache and the next check rebuilds it.
+        let mut cache = entry.ttp_cache.take();
         let (check, cache_update) = engine::remove_check(
             &entry.state.spec,
-            entry.ttp_cache.as_ref(),
+            cache.as_ref(),
             index,
             old_len,
             &entry.state.store,
         );
-        cache_update.apply(&mut entry.ttp_cache);
+        cache_update.apply(&mut cache);
+        entry.ttp_cache = cache;
         self.record(&check);
         Ok(AdmissionOutcome {
             check,
@@ -872,45 +895,6 @@ impl RingRegistry {
                 got: seq,
             });
         }
-        // Pre-validate: `commit` journals first and then applies with
-        // `expect`, so an invariant-violating frame must be refused here,
-        // before any byte lands in the journal.
-        match &op {
-            JournalOp::Register { ring, .. } => {
-                if inner.rings.contains_key(ring) {
-                    return Err(RegistryError::DuplicateRing { ring: ring.clone() });
-                }
-            }
-            JournalOp::Admit { ring, stream } => {
-                let entry = inner
-                    .rings
-                    .get(ring)
-                    .ok_or_else(|| RegistryError::UnknownRing { ring: ring.clone() })?;
-                if entry.state.store.contains(&stream.name) {
-                    return Err(RegistryError::DuplicateStream {
-                        ring: ring.clone(),
-                        stream: stream.name.clone(),
-                    });
-                }
-            }
-            JournalOp::Remove { ring, stream } => {
-                let entry = inner
-                    .rings
-                    .get(ring)
-                    .ok_or_else(|| RegistryError::UnknownRing { ring: ring.clone() })?;
-                if !entry.state.store.contains(stream) {
-                    return Err(RegistryError::UnknownStream {
-                        ring: ring.clone(),
-                        stream: stream.clone(),
-                    });
-                }
-            }
-            JournalOp::Unregister { ring } => {
-                if !inner.rings.contains_key(ring) {
-                    return Err(RegistryError::UnknownRing { ring: ring.clone() });
-                }
-            }
-        }
         Self::commit(&mut inner, &op)?;
         // Replicated applies skip the admission engine, so any cached
         // terms are stale; drop them and let the next read rebuild.
@@ -1048,6 +1032,65 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Runs `op` with the admission test armed to panic, and checks the
+    /// panic reached the caller.
+    fn panic_inside_check<T>(op: impl FnOnce() -> T) {
+        engine::PANIC_IN_NEXT_CHECK.with(|armed| armed.set(true));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(op));
+        assert!(caught.is_err(), "the armed check did not run");
+    }
+
+    /// What a panic inside `admit` or `remove` must not change: the stream
+    /// count, the ring state and the verdict of the next admission (of
+    /// `next`) — and a term cache, if any, must hold one term per stream.
+    fn assert_same_ring(panicked: &RingRegistry, clean: &RingRegistry, next: &str) {
+        assert_eq!(panicked.metrics().streams, clean.metrics().streams);
+        assert_eq!(panicked.ring_state("r"), clean.ring_state("r"));
+        {
+            let inner = panicked.lock();
+            let entry = &inner.rings["r"];
+            if let Some(cache) = &entry.ttp_cache {
+                assert_eq!(cache.terms.len(), entry.state.len(), "stale term cache");
+            }
+        }
+        let admit = |reg: &RingRegistry| reg.admit("r", next, stream(40.0, 20_000)).unwrap();
+        assert_eq!(
+            admit(panicked).check.schedulable,
+            admit(clean).check.schedulable
+        );
+        assert_eq!(panicked.ring_state("r"), clean.ring_state("r"));
+    }
+
+    #[test]
+    fn a_panic_inside_admit_or_remove_leaves_the_committed_ring() {
+        for protocol in ProtocolKind::ALL {
+            let spec = RingSpec {
+                protocol,
+                mbps: 16.0,
+                stations: Some(16),
+            };
+            let [panicked, clean] = [(); 2].map(|()| {
+                let reg = RingRegistry::in_memory();
+                reg.register("r", spec).unwrap();
+                for (name, period) in [("a", 20.0), ("b", 50.0)] {
+                    assert!(
+                        reg.admit("r", name, stream(period, 20_000))
+                            .unwrap()
+                            .applied
+                    );
+                }
+                reg
+            });
+            panic_inside_check(|| panicked.admit("r", "c", stream(40.0, 20_000)));
+            assert_same_ring(&panicked, &clean, "c");
+            // A removal commits before its check runs, so the registry
+            // that never panicked removes the stream too.
+            panic_inside_check(|| panicked.remove("r", "a"));
+            clean.remove("r", "a").unwrap();
+            assert_same_ring(&panicked, &clean, "d");
+        }
     }
 
     #[test]

@@ -142,8 +142,7 @@ fn simulate(req: &AnalysisRequest, bw: Bandwidth, stations: usize) -> Result<Str
         .with_phasing(Phasing::Synchronized)
         .with_async_load(req.async_load)
         .with_seed(req.seed);
-    let report = ringrt_sim::simulate(req.protocol, &req.set, config)
-        .map_err(|e| format!("FDDI cannot allocate synchronous bandwidth: {e}"))?;
+    let report = ringrt_sim::simulate(req.protocol, &req.set, config).map_err(|e| e.to_string())?;
     Ok(format!(
         " seconds={} seed={} schedulable={} completed={} deadline_misses={} \
          medium_utilization={:.6} events={}",

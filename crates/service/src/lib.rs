@@ -63,8 +63,9 @@ pub mod server;
 
 pub use cache::{CacheKey, ResultCache};
 pub use protocol::{
-    parse_request, AbuRequest, AnalysisRequest, CommandKind, ProtocolKind, Request, RingSpec,
-    DEFAULT_ABU_SAMPLES, MAX_ABU_SAMPLES, MAX_BATCH, MAX_LINE_BYTES, MAX_SIM_SECONDS, MAX_STATIONS,
+    check_stations, parse_request, AbuRequest, AnalysisRequest, CommandKind, ProtocolKind, Request,
+    RingSpec, DEFAULT_ABU_SAMPLES, MAX_ABU_SAMPLES, MAX_BATCH, MAX_LINE_BYTES, MAX_SIM_SECONDS,
+    MAX_STATIONS,
 };
 pub use replication::{ReplicationState, Role};
 pub use server::{spawn, ServerHandle, ServiceConfig};

@@ -605,8 +605,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 }
 
 /// Refuses a ring larger than [`MAX_STATIONS`]; the server checks a
-/// stored ring's count again when `SIMULATE ring=` resolves it.
-pub(crate) fn check_stations(stations: usize) -> Result<(), String> {
+/// stored ring's count again when `SIMULATE ring=` resolves it, and
+/// `ringrt abu` checks its `--stations` here too.
+///
+/// # Errors
+///
+/// The reply text naming the limit.
+pub fn check_stations(stations: usize) -> Result<(), String> {
     if stations > MAX_STATIONS {
         return Err(format!(
             "stations={stations} exceeds the server limit of {MAX_STATIONS}"

@@ -3158,6 +3158,36 @@ mod tests {
     }
 
     #[test]
+    fn simulate_times_past_the_clock_are_refused() {
+        // Each used to panic a worker converting a ring, stream or frame
+        // time to the simulator's picosecond clock.
+        for line in [
+            "SIMULATE mbps=1e-300 set=20,1000 seconds=0.1",
+            "SIMULATE mbps=1e-300 set=20,1000 seconds=0.1 protocol=fddi",
+            "SIMULATE mbps=16 set=1e300,1000 seconds=0.1",
+            "SIMULATE mbps=16 set=20,1000 seconds=0.1 async_load=1e-300",
+            "SIMULATE mbps=16 set=20,18446744073709551615 seconds=0.1 protocol=fddi",
+        ] {
+            refused_then_served(|_| {}, line);
+        }
+    }
+
+    #[test]
+    fn simulate_ring_with_a_period_past_the_clock_is_refused() {
+        let server = test_server(1, 4);
+        let mut c = Client::connect(server.addr());
+        let register = c.roundtrip("REGISTER ring=p protocol=modified mbps=16");
+        assert!(register.starts_with("OK"), "{register}");
+        let admit = c.roundtrip("ADMIT ring=p stream=a period_ms=1e300 bits=1000");
+        assert!(admit.contains("admitted=true"), "{admit}");
+        let reply = c.roundtrip("SIMULATE ring=p");
+        assert!(reply.starts_with("ERR the longest period"), "{reply}");
+        assert_eq!(c.roundtrip("PING"), "OK cmd=ping");
+        assert_eq!(stat(&c.roundtrip("STATS"), "panics"), 0);
+        server.join();
+    }
+
+    #[test]
     fn simulate_ring_past_the_station_limit_is_refused() {
         // A stored ring may pin more stations than a simulation may run
         // on; `SIMULATE ring=` checks the count it resolves.

@@ -53,7 +53,8 @@ pub struct SimConfig {
 /// A run parameter [`SimConfig`] refuses.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimConfigError {
-    /// The simulated duration, in seconds, is not finite and positive.
+    /// The simulated duration, in seconds, is not positive or is longer
+    /// than the simulator's clock can hold (about 27 days).
     Duration(f64),
     /// The offered asynchronous load is outside `[0, 1)`.
     AsyncLoad(f64),
@@ -62,9 +63,11 @@ pub enum SimConfigError {
 impl fmt::Display for SimConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimConfigError::Duration(secs) => {
-                write!(f, "simulation duration must be positive, got {secs} s")
-            }
+            SimConfigError::Duration(secs) => write!(
+                f,
+                "simulation duration must be positive and at most {:.0} s, got {secs} s",
+                MAX_SPAN.as_seconds().as_secs_f64()
+            ),
             SimConfigError::AsyncLoad(load) => {
                 write!(f, "async load must be in [0, 1), got {load}")
             }
@@ -74,11 +77,82 @@ impl fmt::Display for SimConfigError {
 
 impl std::error::Error for SimConfigError {}
 
-fn check_duration(duration: Seconds) -> Result<(), SimConfigError> {
-    if duration.is_finite() && duration > Seconds::ZERO {
-        Ok(())
-    } else {
-        Err(SimConfigError::Duration(duration.as_secs_f64()))
+/// Why a run cannot be built.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum SimError {
+    /// The analyzer could not allocate bandwidth to every stream (some
+    /// `q_i < 2` at the negotiated TTRT): the protocol cannot guarantee the
+    /// set, so there is nothing meaningful to simulate with these
+    /// allocations.
+    InfeasibleAllocation {
+        /// Index of the first stream without a usable allocation.
+        stream: usize,
+    },
+    /// An explicit allocation vector did not match the stream count.
+    AllocationCountMismatch {
+        /// Number of allocations supplied.
+        got: usize,
+        /// Number of streams in the set.
+        expected: usize,
+    },
+    /// A ring, stream or frame time of the run is longer than the
+    /// simulator's clock can hold (see [`SimConfig::check_run`]).
+    Span {
+        /// Which time.
+        what: &'static str,
+        /// Its length in seconds.
+        secs: f64,
+    },
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::InfeasibleAllocation { stream } => write!(
+                f,
+                "stream {stream} has no usable synchronous bandwidth (q < 2 at the negotiated TTRT)"
+            ),
+            SimError::AllocationCountMismatch { got, expected } => write!(
+                f,
+                "got {got} synchronous bandwidth allocations for {expected} streams"
+            ),
+            SimError::Span { what, secs } => write!(
+                f,
+                "the {what} of {secs:e} s does not fit the simulator's clock (at most {:.0} s)",
+                MAX_SPAN.as_seconds().as_secs_f64()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+/// The longest span a run may hold — its length, or a ring, stream or
+/// frame time it schedules: an eighth of the picosecond clock, about 27
+/// days. An event adds at most five such spans to an instant inside the
+/// horizon (a token visit: an allocation, the TTRT's asynchronous window,
+/// one more frame, the token and a hop), so no event time overflows.
+pub(crate) const MAX_SPAN: SimDuration = SimDuration::from_picos(u64::MAX / 8);
+
+/// Converts a span a run schedules, or `None` when it is negative or
+/// longer than [`MAX_SPAN`].
+pub(crate) fn span(secs: Seconds) -> Option<SimDuration> {
+    SimDuration::checked_from_seconds(secs).filter(|d| *d <= MAX_SPAN)
+}
+
+/// [`span`], naming the time it refuses.
+pub(crate) fn check_span(what: &'static str, secs: Seconds) -> Result<SimDuration, SimError> {
+    span(secs).ok_or(SimError::Span {
+        what,
+        secs: secs.as_secs_f64(),
+    })
+}
+
+fn check_duration(duration: Seconds) -> Result<SimDuration, SimConfigError> {
+    match span(duration) {
+        Some(d) if duration > Seconds::ZERO => Ok(d),
+        _ => Err(SimConfigError::Duration(duration.as_secs_f64())),
     }
 }
 
@@ -97,10 +171,15 @@ impl SimConfig {
     /// front end calls it before it has a ring to build a configuration
     /// for.
     ///
+    /// The duration must fit the simulator's picosecond clock with room
+    /// for the spans its events add: at most an eighth of `u64::MAX`
+    /// picoseconds, about 27 days. [`crate::simulate`] holds the ring,
+    /// stream and frame times of a run to the same bound.
+    ///
     /// # Errors
     ///
-    /// [`SimConfigError`] for a duration that is not finite and positive,
-    /// or a load outside `[0, 1)`.
+    /// [`SimConfigError`] for a duration that is not positive or does not
+    /// fit the clock, or a load outside `[0, 1)`.
     pub fn check_run(duration: Seconds, async_load: f64) -> Result<(), SimConfigError> {
         check_duration(duration)?;
         check_async_load(async_load)
@@ -111,14 +190,13 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `duration` is not strictly positive and finite (see
-    /// [`SimConfig::check_run`]).
+    /// Panics if `duration` is not strictly positive or does not fit the
+    /// clock (see [`SimConfig::check_run`]).
     #[must_use]
     pub fn new(ring: RingConfig, duration: Seconds) -> Self {
-        check_duration(duration).unwrap_or_else(|e| panic!("{e}"));
         SimConfig {
             ring,
-            duration: duration.to_sim_duration(),
+            duration: check_duration(duration).unwrap_or_else(|e| panic!("{e}")),
             phasing: Phasing::Synchronized,
             async_load: 0.0,
             async_payload_bits: 512,
@@ -325,7 +403,7 @@ mod tests {
     #[test]
     fn check_run_names_the_parameter_out_of_range() {
         assert_eq!(SimConfig::check_run(Seconds::new(0.5), 0.0), Ok(()));
-        for secs in [0.0, -1.0, f64::INFINITY] {
+        for secs in [0.0, -1.0, f64::INFINITY, 1e300, 3e6] {
             assert!(matches!(
                 SimConfig::check_run(Seconds::new(secs), 0.0),
                 Err(SimConfigError::Duration(_))

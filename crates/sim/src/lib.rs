@@ -51,15 +51,18 @@ mod trace;
 mod traffic;
 mod ttp;
 
-pub use config::{Phasing, SimConfig, SimConfigError};
+pub use config::{Phasing, SimConfig, SimConfigError, SimError};
 pub use metrics::{SimReport, StreamStats};
 pub use pdp::PdpSimulator;
 pub use trace::{render_timeline, TraceEvent, TraceKind};
 pub use traffic::{AsyncTraffic, SyncTraffic};
-pub use ttp::{TtpSimError, TtpSimulator};
+pub use ttp::TtpSimulator;
 
 use ringrt_core::ProtocolKind;
 use ringrt_model::{FrameFormat, MessageSet};
+use ringrt_units::{Bits, Seconds};
+
+use config::check_span;
 
 /// Runs `set` on `protocol`'s simulator: the priority-driven MAC in the
 /// protocol's variant with the paper's frame format, or the timed token
@@ -67,17 +70,87 @@ use ringrt_model::{FrameFormat, MessageSet};
 ///
 /// # Errors
 ///
-/// [`TtpSimError`] when FDDI cannot allocate synchronous bandwidth to
-/// every stream of `set`.
+/// [`SimError::Span`], before anything is built, when a ring time or a
+/// stream's period, deadline or frame time does not fit the simulator's
+/// clock; [`SimError::InfeasibleAllocation`] when FDDI cannot allocate
+/// synchronous bandwidth to every stream of `set`.
 pub fn simulate(
     protocol: ProtocolKind,
     set: &MessageSet,
     config: SimConfig,
-) -> Result<SimReport, TtpSimError> {
+) -> Result<SimReport, SimError> {
+    check_spans(set, &config)?;
     Ok(match protocol.pdp_variant() {
         Some(variant) => {
             PdpSimulator::new(set, config, FrameFormat::paper_default(), variant).run()
         }
         None => TtpSimulator::from_analysis(set, config)?.run(),
     })
+}
+
+/// Checks, without allocating, that every time a run of `set` schedules
+/// fits the clock: the token circulation time (which bounds the hop and
+/// token times), the longest frame, the asynchronous interarrival mean and
+/// the longest period (which bounds every deadline).
+fn check_spans(set: &MessageSet, config: &SimConfig) -> Result<(), SimError> {
+    let ring = config.ring();
+    let bw = ring.bandwidth();
+    let frame = FrameFormat::paper_default();
+    let async_frame = Bits::new(config.async_payload_bits()) + frame.overhead();
+    check_span("token circulation time", ring.token_circulation_time())?;
+    check_span(
+        "frame time",
+        bw.transmission_time(frame.total().max(async_frame)),
+    )?;
+    if let Some(mean) = AsyncTraffic::mean_interarrival(
+        ring.stations(),
+        config.async_load(),
+        config.async_payload_bits(),
+        bw.as_bps(),
+    ) {
+        check_span("asynchronous interarrival time", mean)?;
+    }
+    let longest = set
+        .iter()
+        .map(|s| s.period())
+        .fold(Seconds::ZERO, Seconds::max);
+    check_span("longest period", longest)?;
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ringrt_model::SyncStream;
+    use ringrt_units::Bandwidth;
+
+    fn run(protocol: ProtocolKind, mbps: f64, period: Seconds, bits: u64, load: f64) -> SimError {
+        let set = MessageSet::new(vec![SyncStream::new(period, Bits::new(bits))]).unwrap();
+        let ring = protocol.ring(1, Bandwidth::from_mbps(mbps));
+        let config = SimConfig::new(ring, Seconds::new(0.1)).with_async_load(load);
+        simulate(protocol, &set, config).expect_err("the run overflows the clock")
+    }
+
+    fn what(err: SimError) -> &'static str {
+        match err {
+            SimError::Span { what, .. } => what,
+            other => panic!("not a clock error: {other}"),
+        }
+    }
+
+    #[test]
+    fn times_past_the_clock_are_errors() {
+        let period = Seconds::from_millis(20.0);
+        for protocol in ProtocolKind::ALL {
+            let slow = run(protocol, 1e-300, period, 1000, 0.0);
+            assert_eq!(what(slow), "token circulation time");
+            let long = run(protocol, 16.0, Seconds::from_millis(1e300), 1000, 0.0);
+            assert_eq!(what(long), "longest period");
+            let sparse = run(protocol, 16.0, period, 1000, 1e-300);
+            assert_eq!(what(sparse), "asynchronous interarrival time");
+        }
+        // Theorem 5.1's allocation for a 2^64-bit message at 16 Mbps.
+        let huge = run(ProtocolKind::Fddi, 16.0, period, u64::MAX, 0.0);
+        assert_eq!(what(huge), "synchronous bandwidth allocation");
+    }
 }

@@ -6,8 +6,9 @@ use std::collections::VecDeque;
 use rand::Rng;
 
 use ringrt_model::MessageSet;
-use ringrt_units::{Bits, SimDuration, SimTime};
+use ringrt_units::{Bits, Seconds, SimDuration, SimTime};
 
+use crate::config::MAX_SPAN;
 use crate::Phasing;
 
 /// One in-flight synchronous message.
@@ -142,6 +143,22 @@ pub struct AsyncTraffic {
 }
 
 impl AsyncTraffic {
+    /// The mean time between one station's frames when the fleet offers
+    /// `load` fraction of `bandwidth_bps` in `frame_bits`-payload frames,
+    /// split evenly across `stations`; `None` without load.
+    pub(crate) fn mean_interarrival(
+        stations: usize,
+        load: f64,
+        frame_bits: u64,
+        bandwidth_bps: f64,
+    ) -> Option<Seconds> {
+        (load > 0.0).then(|| {
+            // Per-station frame rate: load·BW / (frame_bits · stations).
+            let rate = load * bandwidth_bps / (frame_bits as f64 * stations as f64);
+            Seconds::new(1.0 / rate)
+        })
+    }
+
     /// Builds per-station sources so the fleet offers `load` fraction of
     /// `bandwidth_bps` in `frame_bits`-payload frames, split evenly across
     /// `stations`.
@@ -152,15 +169,8 @@ impl AsyncTraffic {
         frame_bits: u64,
         bandwidth_bps: f64,
     ) -> Vec<AsyncTraffic> {
-        let mean = if load > 0.0 {
-            // Per-station frame rate: load·BW / (frame_bits · stations).
-            let rate = load * bandwidth_bps / (frame_bits as f64 * stations as f64);
-            Some(SimDuration::from_seconds(ringrt_units::Seconds::new(
-                1.0 / rate,
-            )))
-        } else {
-            None
-        };
+        let mean = Self::mean_interarrival(stations, load, frame_bits, bandwidth_bps)
+            .map(SimDuration::from_seconds);
         (0..stations)
             .map(|_| AsyncTraffic {
                 mean_interarrival: mean,
@@ -176,12 +186,14 @@ impl AsyncTraffic {
         self.mean_interarrival.is_some()
     }
 
-    /// Draws the next exponential inter-arrival gap.
+    /// Draws the next exponential inter-arrival gap. A draw past
+    /// [`MAX_SPAN`] lands past any run's horizon, so it is cut to
+    /// `MAX_SPAN` to keep the arrival on the clock.
     pub(crate) fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<SimDuration> {
         let mean = self.mean_interarrival?;
         let u: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
         let gap = -u.ln() * mean.as_picos() as f64;
-        Some(SimDuration::from_picos(gap.max(1.0) as u64))
+        Some(SimDuration::from_picos(gap.max(1.0) as u64).min(MAX_SPAN))
     }
 
     /// Registers one frame arrival at `now`.

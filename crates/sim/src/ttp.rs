@@ -1,7 +1,5 @@
 //! Frame-level simulator of the timed token (FDDI) MAC.
 
-use core::fmt;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -10,48 +8,11 @@ use ringrt_des::EventQueue;
 use ringrt_model::MessageSet;
 use ringrt_units::{Bits, Seconds, SimDuration, SimTime};
 
+use crate::config::check_span;
 use crate::metrics::MetricsCollector;
 use crate::trace::TraceRecorder;
 use crate::traffic::{AsyncTraffic, SyncTraffic};
-use crate::{SimConfig, SimReport, TraceKind};
-
-/// Errors constructing a timed-token simulation.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum TtpSimError {
-    /// The analyzer could not allocate bandwidth to every stream (some
-    /// `q_i < 2` at the negotiated TTRT): the protocol cannot guarantee the
-    /// set, so there is nothing meaningful to simulate with these
-    /// allocations.
-    InfeasibleAllocation {
-        /// Index of the first stream without a usable allocation.
-        stream: usize,
-    },
-    /// An explicit allocation vector did not match the stream count.
-    AllocationCountMismatch {
-        /// Number of allocations supplied.
-        got: usize,
-        /// Number of streams in the set.
-        expected: usize,
-    },
-}
-
-impl fmt::Display for TtpSimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TtpSimError::InfeasibleAllocation { stream } => write!(
-                f,
-                "stream {stream} has no usable synchronous bandwidth (q < 2 at the negotiated TTRT)"
-            ),
-            TtpSimError::AllocationCountMismatch { got, expected } => write!(
-                f,
-                "got {got} synchronous bandwidth allocations for {expected} streams"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TtpSimError {}
+use crate::{SimConfig, SimError, SimReport, TraceKind};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
@@ -114,9 +75,9 @@ impl TtpSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`TtpSimError::InfeasibleAllocation`] if any stream gets no
+    /// Returns [`SimError::InfeasibleAllocation`] if any stream gets no
     /// usable bandwidth (`q_i < 2`).
-    pub fn from_analysis(set: &MessageSet, config: SimConfig) -> Result<Self, TtpSimError> {
+    pub fn from_analysis(set: &MessageSet, config: SimConfig) -> Result<Self, SimError> {
         let analyzer = TtpAnalyzer::with_defaults(*config.ring());
         let report = analyzer.analyze(set);
         let allocations: Vec<Seconds> = report.per_stream.iter().map(|s| s.allocation).collect();
@@ -128,27 +89,30 @@ impl TtpSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`TtpSimError::AllocationCountMismatch`] on a length
-    /// mismatch and [`TtpSimError::InfeasibleAllocation`] if a stream with
+    /// Returns [`SimError::AllocationCountMismatch`] on a length
+    /// mismatch and [`SimError::InfeasibleAllocation`] if a stream with
     /// a non-empty message has a zero or overhead-only allocation.
     pub fn with_allocations(
         set: &MessageSet,
         config: SimConfig,
         ttrt: Seconds,
         allocations: &[Seconds],
-    ) -> Result<Self, TtpSimError> {
+    ) -> Result<Self, SimError> {
         if allocations.len() != set.len() {
-            return Err(TtpSimError::AllocationCountMismatch {
+            return Err(SimError::AllocationCountMismatch {
                 got: allocations.len(),
                 expected: set.len(),
             });
         }
         let bw = config.ring().bandwidth();
         let frame_overhead = bw.transmission_time(Bits::new(112)).to_sim_duration();
-        for (i, &h) in allocations.iter().enumerate() {
-            if h.to_sim_duration() <= frame_overhead {
-                return Err(TtpSimError::InfeasibleAllocation { stream: i });
-            }
+        let ttrt = check_span("TTRT", ttrt)?;
+        let allocations = allocations
+            .iter()
+            .map(|&h| check_span("synchronous bandwidth allocation", h))
+            .collect::<Result<Vec<_>, _>>()?;
+        if let Some(i) = allocations.iter().position(|&h| h <= frame_overhead) {
+            return Err(SimError::InfeasibleAllocation { stream: i });
         }
 
         let async_payload = config.async_payload_bits();
@@ -164,8 +128,8 @@ impl TtpSimulator {
         );
         let stations = config.ring().stations();
         Ok(TtpSimulator {
-            ttrt: ttrt.to_sim_duration(),
-            allocations: allocations.iter().map(|h| h.to_sim_duration()).collect(),
+            ttrt,
+            allocations,
             frame_overhead,
             async_frame_time,
             hop_latency: config.ring().hop_latency().to_sim_duration(),
@@ -512,7 +476,7 @@ mod tests {
         let config = SimConfig::new(ring(), Seconds::new(0.1));
         assert!(matches!(
             TtpSimulator::with_allocations(&set, config, Seconds::from_millis(5.0), &[]),
-            Err(TtpSimError::AllocationCountMismatch {
+            Err(SimError::AllocationCountMismatch {
                 got: 0,
                 expected: 4
             })
@@ -520,9 +484,9 @@ mod tests {
         let zero = vec![Seconds::ZERO; 4];
         assert!(matches!(
             TtpSimulator::with_allocations(&set, config, Seconds::from_millis(5.0), &zero),
-            Err(TtpSimError::InfeasibleAllocation { stream: 0 })
+            Err(SimError::InfeasibleAllocation { stream: 0 })
         ));
-        let e = TtpSimError::InfeasibleAllocation { stream: 2 };
+        let e = SimError::InfeasibleAllocation { stream: 2 };
         assert!(e.to_string().contains("stream 2"));
     }
 

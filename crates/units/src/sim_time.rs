@@ -15,7 +15,7 @@ pub const PICOS_PER_SEC: u64 = 1_000_000_000_000;
 /// that runs are reproducible and event ties can be broken deterministically.
 /// One picosecond resolves a single bit time at 1 Tbps — far finer than the
 /// 1–1000 Mbps rings simulated here — while `u64` picoseconds still span
-/// about five years of simulated time.
+/// about 213 days of simulated time.
 ///
 /// Instants and durations are distinct types: `SimTime − SimTime =`
 /// [`SimDuration`], `SimTime + SimDuration = SimTime`, and durations support
@@ -164,25 +164,30 @@ impl SimDuration {
     }
 
     /// Converts from analysis-domain seconds, rounding to the nearest
+    /// picosecond; `None` if `secs` is negative or too large for the
+    /// picosecond timeline (infinity included).
+    #[must_use]
+    pub fn checked_from_seconds(secs: Seconds) -> Option<Self> {
+        let v = secs.as_secs_f64();
+        let ps = v * PICOS_PER_SEC as f64;
+        (v >= 0.0 && ps <= u64::MAX as f64).then(|| SimDuration(ps.round() as u64))
+    }
+
+    /// Converts from analysis-domain seconds, rounding to the nearest
     /// picosecond.
     ///
     /// # Panics
     ///
     /// Panics if `secs` is negative, non-finite, or too large for the
-    /// picosecond timeline.
+    /// picosecond timeline (see [`SimDuration::checked_from_seconds`]).
     #[must_use]
     pub fn from_seconds(secs: Seconds) -> Self {
-        let v = secs.as_secs_f64();
-        assert!(
-            v.is_finite() && v >= 0.0,
-            "simulator durations must be non-negative and finite, got {v} s"
-        );
-        let ps = v * PICOS_PER_SEC as f64;
-        assert!(
-            ps <= u64::MAX as f64,
-            "duration {v} s overflows the picosecond timeline"
-        );
-        SimDuration(ps.round() as u64)
+        Self::checked_from_seconds(secs).unwrap_or_else(|| {
+            panic!(
+                "simulator durations must be non-negative and fit the picosecond timeline, got {} s",
+                secs.as_secs_f64()
+            )
+        })
     }
 
     /// Raw picoseconds.
@@ -345,6 +350,18 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_seconds_rejected() {
         let _ = SimDuration::from_seconds(Seconds::new(-1.0));
+    }
+
+    #[test]
+    fn spans_the_timeline_cannot_hold_are_refused() {
+        let max = u64::MAX as f64 / PICOS_PER_SEC as f64;
+        assert!(SimDuration::checked_from_seconds(Seconds::new(max / 2.0)).is_some());
+        for secs in [-1.0, f64::INFINITY, max * 2.0, 1e300] {
+            assert!(
+                SimDuration::checked_from_seconds(Seconds::new(secs)).is_none(),
+                "{secs}"
+            );
+        }
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl Seconds {
     /// # Panics
     ///
     /// Panics if the value is negative, non-finite, or overflows the
-    /// picosecond range (~5.3e6 seconds).
+    /// picosecond range (~1.8e7 seconds).
     #[must_use]
     pub fn to_sim_duration(self) -> crate::SimDuration {
         crate::SimDuration::from_seconds(self)

@@ -18,7 +18,6 @@
 //! | [`breakdown`] | `ringrt-breakdown` | saturation search, ABU estimation, sweeps |
 //! | [`des`] | `ringrt-des` | deterministic discrete-event engine |
 //! | [`sim`] | `ringrt-sim` | frame-level 802.5 and FDDI simulators |
-//! | [`frames`] | `ringrt-frames` | real 802.5/FDDI wire formats, CRC-32, access control |
 //! | [`net`] | `ringrt-net` | epoll readiness loop, framing buffers, idle wheel, connection slab |
 //! | [`service`] | `ringrt-service` | online admission-control TCP server with result cache |
 //! | [`registry`] | `ringrt-registry` | persistent named-ring registry, journaled state, incremental admission |
@@ -94,9 +93,9 @@ pub mod sim {
     pub use ringrt_sim::*;
 }
 
-/// Wire formats of both MACs (re-export of `ringrt-frames`).
+/// The registry journal's CRC-32, kept at its old `frames::crc` path.
 pub mod frames {
-    pub use ringrt_frames::*;
+    pub use ringrt_registry::crc;
 }
 
 /// Readiness event-loop primitives — epoll poller, wakeup pipe, newline
