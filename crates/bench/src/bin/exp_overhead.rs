@@ -44,10 +44,10 @@ fn main() {
         "fddi_paper112",
         "fddi_real224",
     ]);
-    for (i, mbps) in [2.0f64, 5.623, 10.0, 31.62, 100.0, 1000.0]
-        .into_iter()
-        .enumerate()
-    {
+    // Each row's ABUs as the table prints them: modified 802.5 at 112 and
+    // 168 bits, then FDDI at 112 and 224 bits.
+    let mut rows: Vec<[String; 4]> = Vec::new();
+    for (i, mbps) in BANDWIDTHS_MBPS.into_iter().enumerate() {
         let bw = Bandwidth::from_mbps(mbps);
         let seed = opts.seed ^ i as u64;
 
@@ -84,16 +84,51 @@ fn main() {
             &mut StdRng::seed_from_u64(seed),
         );
 
-        table.push_row(&[
-            cell(mbps, 3),
-            cell(pdp_paper.mean, 4),
-            cell(pdp_real.mean, 4),
-            cell(ttp_paper.mean, 4),
-            cell(ttp_real.mean, 4),
-        ]);
+        let abu = [pdp_paper, pdp_real, ttp_paper, ttp_real].map(|e| cell(e.mean, 4));
+        let mut row = vec![cell(mbps, 3)];
+        row.extend(abu.iter().cloned());
+        table.push_row(&row);
+        rows.push(abu);
     }
     print!("{}", table.to_csv());
     println!();
-    println!("# real overheads shave a few points off both protocols' ABU but preserve");
-    println!("# the crossover and the high-bandwidth collapse of the 802.5 curves.");
+    let abu: Vec<[f64; 4]> = rows
+        .iter()
+        .map(|row| row.each_ref().map(|c| c.parse().expect("a printed number")))
+        .collect();
+    for (overhead, pdp, fddi) in [
+        ("the paper's 112-bit overhead", 0, 2),
+        ("the standards' overheads", 1, 3),
+    ] {
+        println!(
+            "# with {overhead}, modified 802.5's ABU first falls below FDDI's {}",
+            crossover(&abu, pdp, fddi)
+        );
+    }
+    for (protocol, paper, real) in [("modified 802.5", 0, 1), ("FDDI", 2, 3)] {
+        let (mbps, loss) = BANDWIDTHS_MBPS
+            .into_iter()
+            .zip(abu.iter().map(|row| row[paper] - row[real]))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("a swept bandwidth");
+        println!(
+            "# {protocol} loses at most {loss:.4} ABU to its standard's overhead, at {mbps} Mbps"
+        );
+    }
+}
+
+/// The swept bandwidths, in Mbps.
+const BANDWIDTHS_MBPS: [f64; 6] = [2.0, 5.623, 10.0, 31.62, 100.0, 1000.0];
+
+/// Where column `pdp` first drops below column `fddi` along the sweep.
+fn crossover(abu: &[[f64; 4]], pdp: usize, fddi: usize) -> String {
+    match abu.iter().position(|row| row[pdp] < row[fddi]) {
+        None => format!("nowhere up to {} Mbps", BANDWIDTHS_MBPS[abu.len() - 1]),
+        Some(0) => format!("already at {} Mbps", BANDWIDTHS_MBPS[0]),
+        Some(i) => format!(
+            "between {} and {} Mbps",
+            BANDWIDTHS_MBPS[i - 1],
+            BANDWIDTHS_MBPS[i]
+        ),
+    }
 }

@@ -216,6 +216,26 @@ mod tests {
     }
 
     #[test]
+    fn medium_utilization_never_exceeds_one() {
+        // Overloaded sets: the last token visit or frame of each run goes
+        // on past the horizon, and only the run's own time counts.
+        for line in [
+            "SIMULATE mbps=16 set=20,200000000;40,1000 seconds=0.1 protocol=fddi",
+            "SIMULATE mbps=1 set=10,60000;10,60000 protocol=fddi",
+            "SIMULATE mbps=1 set=10,60000;10,60000 protocol=modified",
+        ] {
+            let body = exec(line);
+            let utilization: f64 = body
+                .split(" medium_utilization=")
+                .nth(1)
+                .and_then(|rest| rest.split_whitespace().next())
+                .and_then(|u| u.parse().ok())
+                .unwrap_or_else(|| panic!("{body}"));
+            assert!((0.0..=1.0).contains(&utilization), "{line}: {body}");
+        }
+    }
+
+    #[test]
     fn unschedulable_set_says_so() {
         // 120 % utilization at 1 Mbps: hopeless.
         let body = exec("CHECK mbps=1 set=10,60000;10,60000");

@@ -71,6 +71,7 @@
 //! its orphans cannot split-brain; `epoch=0` means "fresh follower,
 //! adopt yours".
 
+use ringrt_model::setfmt::{scan_message_set, Records};
 use ringrt_model::{MessageSet, SyncStream};
 use ringrt_sim::SimConfig;
 use ringrt_units::{Bits, Seconds};
@@ -398,7 +399,18 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             .ok_or_else(|| format!("expected key=value, found `{w}`"))?;
         pairs.push((k, v));
     }
-    let command = match cmd.to_ascii_uppercase().as_str() {
+    // The command word in upper case, in a stack buffer that holds the
+    // longest command (`REPLICATION`); a longer word is unknown.
+    let mut upper = [0u8; 11];
+    let word = match upper.get_mut(..cmd.len()) {
+        Some(word) => {
+            word.copy_from_slice(cmd.as_bytes());
+            word.make_ascii_uppercase();
+            std::str::from_utf8(word).expect("ASCII upper-casing keeps UTF-8")
+        }
+        None => "",
+    };
+    let command = match word {
         "PING" => return reject_extras(pairs, Request::Ping),
         "METRICS" => return reject_extras(pairs, Request::Metrics),
         "SHUTDOWN" => return reject_extras(pairs, Request::Shutdown),
@@ -529,7 +541,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "CHECK" => CommandKind::Check,
         "SATURATION" => CommandKind::Saturation,
         "SIMULATE" => CommandKind::Simulate,
-        other => return Err(format!("unknown command `{other}`")),
+        _ => return Err(format!("unknown command `{}`", cmd.to_ascii_uppercase())),
     };
     if lookup(&pairs, "ring").is_some() {
         // Stored-ring mode: the set comes from the registry, so the inline
@@ -569,8 +581,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
     let mbps: f64 = required(&pairs, "mbps")?;
     let set_text = lookup(&pairs, "set").ok_or_else(|| "set is required".to_owned())?;
-    let set = ringrt_model::parse_message_set(&set_text.replace(';', "\n"))
-        .map_err(|e| format!("invalid set: {e}"))?;
+    let set =
+        scan_message_set(set_text, Records::Semicolons).map_err(|e| format!("invalid set: {e}"))?;
     let protocol = match lookup(&pairs, "protocol") {
         Some(p) => ProtocolKind::parse(p)?,
         None => ProtocolKind::default(),

@@ -3144,14 +3144,16 @@ mod tests {
     fn durations_that_killed_the_event_loop_are_refused() {
         // Each used to panic inside `parse_request`, which runs on the
         // event loop outside `catch_unwind`: `NaN` reached
-        // `Seconds::from_millis`, and a deadline of 5e-324 ms passed the
-        // parser's own `d > 0` check but is 0 s, which
-        // `with_relative_deadline` asserted against.
+        // `Seconds::from_millis`, and a deadline of 5e-324 ms (or a set's
+        // period of 1e-323 ms) passed the parser's own `> 0` check but is
+        // 0 s, which `with_relative_deadline` (or `SyncStream::new`)
+        // asserted against.
         for line in [
             "ADMIT ring=r stream=a period_ms=NaN bits=1000",
             "ADMIT ring=r stream=a period_ms=20 bits=1000 deadline_ms=NaN",
             "ADMIT ring=r stream=a period_ms=20 bits=1000 deadline_ms=5e-324",
             "SIMULATE mbps=16 set=20,1000 seconds=NaN",
+            "CHECK mbps=16 set=20,1000;1e-323,100",
         ] {
             refused_then_served(|_| {}, line);
         }

@@ -138,12 +138,14 @@ pub(crate) struct MetricsCollector {
     pub async_frames_sent: u64,
     pub async_waits: DurationTally,
     pub token_losses: u64,
-    pub busy: ringrt_des::stats::BusyTime,
+    busy: ringrt_des::stats::BusyTime,
+    /// The end of the run.
+    horizon: SimTime,
     last_rotation_mark: Option<SimTime>,
 }
 
 impl MetricsCollector {
-    pub fn new(streams: usize) -> Self {
+    pub fn new(streams: usize, horizon: SimTime) -> Self {
         MetricsCollector {
             per_stream: vec![StreamStats::default(); streams],
             rotations: DurationTally::new(),
@@ -151,8 +153,23 @@ impl MetricsCollector {
             async_waits: DurationTally::new(),
             token_losses: 0,
             busy: ringrt_des::stats::BusyTime::new(),
+            horizon,
             last_rotation_mark: None,
         }
+    }
+
+    /// Books the medium busy from `from` (never past the horizon: no event
+    /// after it runs) until `until`, cut at the horizon. A frame or token
+    /// visit that starts in the run can end after it, and only the run's
+    /// own time counts toward [`MetricsCollector::medium_utilization`].
+    pub fn medium_busy(&mut self, from: SimTime, until: SimTime) {
+        self.busy.set_busy(from);
+        self.busy.set_idle(until.min(self.horizon));
+    }
+
+    /// The medium's busy share of the run, at most one.
+    pub fn medium_utilization(&self) -> f64 {
+        self.busy.utilization(self.horizon)
     }
 
     /// Records the token passing its rotation reference point (station 0).
@@ -194,7 +211,7 @@ mod tests {
 
     #[test]
     fn rotation_marks_produce_tally() {
-        let mut m = MetricsCollector::new(1);
+        let mut m = MetricsCollector::new(1, SimTime::from_picos(1_000));
         m.mark_rotation(SimTime::from_picos(0));
         m.mark_rotation(SimTime::from_picos(100));
         m.mark_rotation(SimTime::from_picos(250));
@@ -204,7 +221,7 @@ mod tests {
 
     #[test]
     fn message_done_classifies_misses() {
-        let mut m = MetricsCollector::new(1);
+        let mut m = MetricsCollector::new(1, SimTime::from_picos(1_000));
         let t0 = SimTime::ZERO;
         let dl = SimTime::from_picos(100);
         m.message_done(0, t0, dl, SimTime::from_picos(90)); // on time
@@ -221,8 +238,18 @@ mod tests {
     }
 
     #[test]
+    fn busy_time_past_the_horizon_does_not_count() {
+        let mut m = MetricsCollector::new(1, SimTime::from_picos(1_000));
+        m.medium_busy(SimTime::from_picos(200), SimTime::from_picos(400));
+        m.medium_busy(SimTime::from_picos(900), SimTime::from_picos(5_000));
+        assert!((m.medium_utilization() - 0.3).abs() < 1e-12);
+        m.medium_busy(SimTime::from_picos(1_000), SimTime::from_picos(2_000));
+        assert!((m.medium_utilization() - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
     fn report_aggregates() {
-        let mut m = MetricsCollector::new(2);
+        let mut m = MetricsCollector::new(2, SimTime::from_picos(1_000));
         m.message_done(
             0,
             SimTime::ZERO,

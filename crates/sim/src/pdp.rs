@@ -132,7 +132,7 @@ impl PdpSimulator {
             busy_until: SimTime::ZERO,
             rng: StdRng::seed_from_u64(config.seed()),
             queue: EventQueue::new(),
-            metrics: MetricsCollector::new(set.len()),
+            metrics: MetricsCollector::new(set.len(), SimTime::ZERO + config.duration()),
             trace: TraceRecorder::new(config.trace_capacity()),
             config,
         }
@@ -309,8 +309,7 @@ impl PdpSimulator {
         let tx_time = bw
             .transmission_time(payload_bits + self.frame.overhead())
             .to_sim_duration();
-        self.metrics.busy.set_busy(now);
-        self.metrics.busy.set_idle(now + tx_time);
+        self.metrics.medium_busy(now, now + tx_time);
         if let Some(msg) = completion {
             // The message is delivered when its last bit is transmitted.
             self.trace.record(
@@ -368,6 +367,7 @@ impl PdpSimulator {
             }
             self.metrics.account_unfinished(i, late);
         }
+        let medium_utilization = self.metrics.medium_utilization();
         SimReport {
             protocol: self.variant.label(),
             simulated: end.duration_since(SimTime::ZERO),
@@ -376,7 +376,7 @@ impl PdpSimulator {
             async_frames_sent: self.metrics.async_frames_sent,
             async_waits: self.metrics.async_waits,
             token_losses: self.metrics.token_losses,
-            medium_utilization: self.metrics.busy.utilization(end),
+            medium_utilization,
             events: self.queue.events_processed(),
             trace: {
                 let (events, dropped) = self.trace.into_events();

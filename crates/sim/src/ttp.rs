@@ -141,7 +141,7 @@ impl TtpSimulator {
             busy_until: SimTime::ZERO,
             rng: StdRng::seed_from_u64(config.seed()),
             queue: EventQueue::new(),
-            metrics: MetricsCollector::new(set.len()),
+            metrics: MetricsCollector::new(set.len(), SimTime::ZERO + config.duration()),
             trace: TraceRecorder::new(config.trace_capacity()),
             config,
         })
@@ -301,8 +301,7 @@ impl TtpSimulator {
 
         // --- Release ---------------------------------------------------
         if !visit_time.is_zero() {
-            self.metrics.busy.set_busy(now);
-            self.metrics.busy.set_idle(now + visit_time);
+            self.metrics.medium_busy(now, now + visit_time);
             // Transmitting stations strip the token and emit a fresh one.
             visit_time += self.token_time;
         }
@@ -359,6 +358,7 @@ impl TtpSimulator {
             }
             self.metrics.account_unfinished(i, late);
         }
+        let medium_utilization = self.metrics.medium_utilization();
         SimReport {
             protocol: "FDDI",
             simulated: end.duration_since(SimTime::ZERO),
@@ -367,7 +367,7 @@ impl TtpSimulator {
             async_frames_sent: self.metrics.async_frames_sent,
             async_waits: self.metrics.async_waits,
             token_losses: self.metrics.token_losses,
-            medium_utilization: self.metrics.busy.utilization(end),
+            medium_utilization,
             events: self.queue.events_processed(),
             trace: {
                 let (events, dropped) = self.trace.into_events();

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 
 use ringrt_core::pdp::PdpVariant;
+use ringrt_core::ProtocolKind;
 use ringrt_model::{FrameFormat, MessageSet, RingConfig, SyncStream};
 use ringrt_sim::{PdpSimulator, Phasing, SimConfig, TtpSimulator};
 use ringrt_units::{Bandwidth, Bits, Seconds};
@@ -12,6 +13,20 @@ use ringrt_units::{Bandwidth, Bits, Seconds};
 /// fast.
 fn arb_set() -> impl Strategy<Value = MessageSet> {
     prop::collection::vec((10.0f64..200.0, 1_000u64..100_000), 1..5).prop_map(|specs| {
+        MessageSet::new(
+            specs
+                .into_iter()
+                .map(|(p_ms, bits)| SyncStream::new(Seconds::from_millis(p_ms), Bits::new(bits)))
+                .collect(),
+        )
+        .expect("valid")
+    })
+}
+
+/// A set that overloads a 4 Mbps ring: 1–4 streams of 5–50 ms periods
+/// carrying 50 000–2 000 000 bits, 0.25–100 times its bandwidth each.
+fn arb_overloaded_set() -> impl Strategy<Value = MessageSet> {
+    prop::collection::vec((5.0f64..50.0, 50_000u64..2_000_000), 1..5).prop_map(|specs| {
         MessageSet::new(
             specs
                 .into_iter()
@@ -97,5 +112,25 @@ proptest! {
         let b = TtpSimulator::from_analysis(&set, long).unwrap().run();
         prop_assert!(b.completed() >= a.completed());
         prop_assert!(b.events >= a.events);
+    }
+
+    /// Medium utilization stays at most one when the offered load is far
+    /// above the ring's bandwidth, so the medium is busy at the horizon and
+    /// the last frame or token visit runs past it.
+    #[test]
+    fn overload_never_reads_above_full_utilization(
+        set in arb_overloaded_set(),
+        protocol in 0usize..3,
+        tenths in 1u32..4,
+    ) {
+        let kind = ProtocolKind::ALL[protocol];
+        let ring = kind.ring(set.len(), Bandwidth::from_mbps(4.0));
+        let config = SimConfig::new(ring, Seconds::new(f64::from(tenths) / 10.0));
+        if let Ok(report) = ringrt_sim::simulate(kind, &set, config) {
+            prop_assert!(
+                (0.0..=1.0).contains(&report.medium_utilization),
+                "{kind}: {report}"
+            );
+        }
     }
 }
