@@ -28,6 +28,16 @@
 //! instead of an in-process server, so two builds can be compared with
 //! the same client.
 //!
+//! With `--registry` the binary instead runs the **registry-reads phase**:
+//! it registers a journaled 5 000-stream FDDI ring (8 000 stations, its
+//! `ADMIT`s sent in `BATCH`es), then times `PING`, `STATS`, `SHOW`,
+//! `REPLICATION` and a cached `SIMULATE ring=` with the registry idle,
+//! beside a client looping `CHECK ring=`, and beside one looping
+//! `COMPACT`. It prints p50 and p99 per command from the raw samples, and
+//! exits 1 on any non-`OK` reply or a `SIMULATE` reply without
+//! `cached=true`. `--addr` drives a running `ringrt serve --state-dir …`;
+//! without it the phase spawns a journaled server of its own.
+//!
 //! With `--connections` the binary instead runs the **connection-count
 //! sweep**: the server's event loop is loaded with 1k/10k/50k *idle*
 //! connections (held open by re-exec'd holder subprocesses, since one
@@ -44,7 +54,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -474,6 +486,205 @@ fn mixed_phase(opts: &ExpOptions, target: Option<&str>, writer: bool) -> bool {
     errors.is_empty()
 }
 
+/// Streams the registry-reads phase admits to its ring.
+const REGISTRY_STREAMS: usize = 5_000;
+
+/// `ADMIT` lines per `BATCH` while the registry-reads phase fills its ring.
+const ADMIT_BATCH: usize = 500;
+
+/// The requests the registry-reads phase times; `{ring}` is its ring.
+const REGISTRY_READS: [&str; 5] = [
+    "PING",
+    "STATS",
+    "SHOW",
+    "REPLICATION",
+    "SIMULATE ring={ring} seconds=0.01 seed=1",
+];
+
+/// One connection's request/reply round trip.
+struct Line {
+    reader: BufReader<TcpStream>,
+}
+
+impl Line {
+    fn connect(addr: &str) -> Line {
+        Line {
+            reader: BufReader::new(TcpStream::connect(addr).expect("connect to the server")),
+        }
+    }
+
+    fn send(&mut self, text: &str) {
+        self.reader
+            .get_mut()
+            .write_all(text.as_bytes())
+            .expect("send");
+    }
+
+    fn recv(&mut self) -> String {
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).expect("recv");
+        reply.trim_end().to_owned()
+    }
+
+    fn roundtrip(&mut self, request: &str) -> String {
+        self.send(&format!("{request}\n"));
+        self.recv()
+    }
+}
+
+/// Loops `request` on a connection of its own until `stop` is set, and
+/// returns the replies that were not `OK`, with how many it sent.
+fn background(
+    addr: &str,
+    request: String,
+    stop: Arc<AtomicBool>,
+) -> JoinHandle<(u64, Vec<String>)> {
+    let mut line = Line::connect(addr);
+    std::thread::spawn(move || {
+        let (mut sent, mut errors) = (0, Vec::new());
+        while !stop.load(Ordering::Relaxed) {
+            let reply = line.roundtrip(&request);
+            sent += 1;
+            if !reply.starts_with("OK") && errors.len() < 8 {
+                errors.push(format!("{reply:.160}  <-  {request}"));
+            }
+        }
+        (sent, errors)
+    })
+}
+
+/// The registry-reads phase (see the module docs). Returns whether every
+/// reply was the one it should be.
+fn registry_phase(opts: &ExpOptions, target: Option<&str>) -> bool {
+    let samples = if opts.quick { 200 } else { 2_000 };
+    let state_dir = std::env::temp_dir().join(format!("ringrt-registry-{}", std::process::id()));
+    let server = target.is_none().then(|| {
+        let _ = std::fs::remove_dir_all(&state_dir);
+        spawn(ServiceConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            state_dir: Some(state_dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .expect("spawn service")
+    });
+    let addr = match (target, &server) {
+        (Some(addr), _) => addr.to_owned(),
+        (None, Some(server)) => server.addr().to_string(),
+        (None, None) => unreachable!("a server is spawned when no address is given"),
+    };
+    let ring = format!("reads-{}", std::process::id());
+    let mut errors: Vec<String> = Vec::new();
+    let mut expect = |reply: String, request: &str, ok: bool| {
+        if !ok && errors.len() < 16 {
+            errors.push(format!("{reply:.160}  <-  {request:.80}"));
+        }
+    };
+
+    let mut client = Line::connect(&addr);
+    let register = format!("REGISTER ring={ring} protocol=fddi mbps=100 stations=8000");
+    let reply = client.roundtrip(&register);
+    let registered = reply.starts_with("OK");
+    expect(reply, &register, registered);
+    let setup = Instant::now();
+    for first in (0..REGISTRY_STREAMS).step_by(ADMIT_BATCH) {
+        let last = (first + ADMIT_BATCH).min(REGISTRY_STREAMS);
+        let mut batch = format!("BATCH {}\n", last - first);
+        for i in first..last {
+            batch.push_str(&format!(
+                "ADMIT ring={ring} stream=s{i} period_ms={} bits=64\n",
+                10_000 + i
+            ));
+        }
+        client.send(&batch);
+        for _ in first..last {
+            let reply = client.recv();
+            let admitted = reply.contains(" admitted=true ");
+            expect(reply, "ADMIT", admitted);
+        }
+    }
+    let requests: Vec<String> = REGISTRY_READS
+        .iter()
+        .map(|r| r.replace("{ring}", &ring))
+        .collect();
+    let simulate = &requests[requests.len() - 1];
+    let warm = client.roundtrip(simulate);
+    let warmed = warm.starts_with("OK cmd=simulate ");
+    expect(warm, simulate, warmed);
+    println!(
+        "# registry reads: {REGISTRY_STREAMS}-stream journaled FDDI ring `{ring}` set up in {:.1} s, \
+         {samples} samples per command and condition, server {addr}",
+        setup.elapsed().as_secs_f64()
+    );
+
+    let mut table = Table::new(&[
+        "condition",
+        "command",
+        "samples",
+        "p50_us",
+        "p99_us",
+        "beside",
+    ]);
+    for (condition, loop_request) in [
+        ("idle", None),
+        ("check-loop", Some(format!("CHECK ring={ring}"))),
+        ("compact-loop", Some("COMPACT".to_owned())),
+    ] {
+        let stop = Arc::new(AtomicBool::new(false));
+        let looping = loop_request.map(|r| background(&addr, r, Arc::clone(&stop)));
+        let mut timings: Vec<Vec<u64>> = vec![Vec::with_capacity(samples); requests.len()];
+        for _ in 0..samples {
+            for (request, times) in requests.iter().zip(&mut timings) {
+                let t0 = Instant::now();
+                let reply = client.roundtrip(request);
+                times.push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                let ok = reply.starts_with("OK")
+                    && (request != simulate || reply.ends_with(" cached=true"));
+                expect(reply, request, ok);
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        let beside = match looping.map(|h| h.join().expect("background client")) {
+            Some((sent, loop_errors)) => {
+                for e in loop_errors {
+                    expect(e, "background", false);
+                }
+                sent.to_string()
+            }
+            None => "-".to_owned(),
+        };
+        for (request, mut times) in requests.iter().zip(timings) {
+            times.sort_unstable();
+            let command = request.split(' ').next().unwrap_or(request);
+            table.push_row(&[
+                condition.into(),
+                if command == "SIMULATE" {
+                    "SIMULATE-cached"
+                } else {
+                    command
+                }
+                .into(),
+                times.len().to_string(),
+                cell(percentile_us(&times, 0.5), 1),
+                cell(percentile_us(&times, 0.99), 1),
+                beside.clone(),
+            ]);
+        }
+    }
+    let reply = client.roundtrip(&format!("UNREGISTER ring={ring}"));
+    let unregistered = reply.starts_with("OK");
+    expect(reply, "UNREGISTER", unregistered);
+    println!();
+    print!("{}", table.to_csv());
+    for error in &errors {
+        eprintln!("unexpected reply: {error}");
+    }
+    if let Some(server) = server {
+        server.join();
+        let _ = std::fs::remove_dir_all(&state_dir);
+    }
+    errors.is_empty()
+}
+
 /// Most idle connections one holder subprocess keeps open; beyond this we
 /// shard across children so no single process nears its own fd limit.
 const HOLDER_CAP: usize = 15_000;
@@ -765,6 +976,7 @@ fn main() {
     }
     let connections = raw.iter().any(|a| a == "--connections");
     let mixed = raw.iter().any(|a| a == "--mixed");
+    let registry = raw.iter().any(|a| a == "--registry");
     let writer = raw.iter().any(|a| a == "--writer");
     let target = raw
         .iter()
@@ -774,7 +986,7 @@ fn main() {
     let mut args = raw.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--connections" | "--mixed" | "--writer" => {}
+            "--connections" | "--mixed" | "--writer" | "--registry" => {}
             "--addr" => {
                 args.next();
             }
@@ -796,6 +1008,12 @@ fn main() {
     }
     if mixed {
         if !mixed_phase(&opts, target.as_deref(), writer) {
+            std::process::exit(1);
+        }
+        return;
+    }
+    if registry {
+        if !registry_phase(&opts, target.as_deref()) {
             std::process::exit(1);
         }
         return;

@@ -58,10 +58,7 @@ mod spec;
 
 pub use engine::CheckOutcome;
 pub use failpoint::{FailpointFs, FaultPlan};
-pub use journal::{
-    CompactionOutcome, CompactionPlan, JournalOp, ReplayStats, Store, StoreOptions,
-    DEFAULT_SEGMENT_BYTES,
-};
+pub use journal::{JournalOp, ReplayStats, Store, StoreOptions, DEFAULT_SEGMENT_BYTES};
 pub use registry::{
     AdmissionOutcome, RegistryMetrics, ReplicatedApply, RingCheck, RingPage, RingRegistry,
     ShipSubscription,

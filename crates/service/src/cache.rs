@@ -43,28 +43,43 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     command: CommandKind,
-    protocol: ProtocolKind,
-    mbps_bits: u64,
-    stations: usize,
-    /// `(period seconds as bits, payload bits)` per stream, sorted.
-    streams: Vec<(u64, u64)>,
     /// SIMULATE-only parameters; zeroed for the analytic commands so that
     /// e.g. a CHECK and a SATURATION of the same set stay distinct only
     /// via `command`. `ABU` keys reuse the first two slots for
     /// `(samples, seed)`.
     sim: (u64, u64, u64),
-    /// For stored-ring analyses: the ring's registry mutation generation at
-    /// lookup time. Generations are globally unique and bumped on every
-    /// `ADMIT`/`REMOVE`/`REGISTER`, so an entry tagged with one simply stops
-    /// being reachable the moment its ring mutates — no `EVICT` needed.
-    /// `None` for inline-set requests, whose key already *is* the full
-    /// input.
-    ring_generation: Option<u64>,
+    input: Input,
+}
+
+/// What a cached command analyzed.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Input {
+    /// A set sent with the request (none for `ABU`), on a ring with these
+    /// parameters.
+    Inline {
+        protocol: ProtocolKind,
+        mbps_bits: u64,
+        stations: usize,
+        /// `(period seconds as bits, payload bits)` per stream, sorted.
+        streams: Vec<(u64, u64)>,
+    },
+    /// A stored ring's registry mutation generation, which names one state
+    /// of one ring: a mutation strands the entry, no `EVICT` needed.
+    Stored(u64),
 }
 
 impl CommandKind {
     fn cacheable(self) -> bool {
         !matches!(self, CommandKind::Sleep)
+    }
+}
+
+/// The `sim` slots of a key: what else a `SIMULATE` depends on.
+fn sim_params(command: CommandKind, seconds: f64, async_load: f64, seed: u64) -> (u64, u64, u64) {
+    if command == CommandKind::Simulate {
+        (seconds.to_bits(), async_load.to_bits(), seed)
+    } else {
+        (0, 0, 0)
     }
 }
 
@@ -83,19 +98,15 @@ impl CacheKey {
             .map(|s| (s.period().as_secs_f64().to_bits(), s.length_bits().as_u64()))
             .collect();
         streams.sort_unstable();
-        let sim = if req.command == CommandKind::Simulate {
-            (req.seconds.to_bits(), req.async_load.to_bits(), req.seed)
-        } else {
-            (0, 0, 0)
-        };
         Some(CacheKey {
             command: req.command,
-            protocol: req.protocol,
-            mbps_bits: req.mbps.to_bits(),
-            stations: req.effective_stations(),
-            streams,
-            sim,
-            ring_generation: None,
+            sim: sim_params(req.command, req.seconds, req.async_load, req.seed),
+            input: Input::Inline {
+                protocol: req.protocol,
+                mbps_bits: req.mbps.to_bits(),
+                stations: req.effective_stations(),
+                streams,
+            },
         })
     }
 
@@ -106,21 +117,31 @@ impl CacheKey {
     pub fn for_abu(req: &AbuRequest) -> CacheKey {
         CacheKey {
             command: CommandKind::Abu,
-            protocol: req.protocol,
-            mbps_bits: req.mbps.to_bits(),
-            stations: req.stations,
-            streams: Vec::new(),
             sim: (req.samples as u64, req.seed, 0),
-            ring_generation: None,
+            input: Input::Inline {
+                protocol: req.protocol,
+                mbps_bits: req.mbps.to_bits(),
+                stations: req.stations,
+                streams: Vec::new(),
+            },
         }
     }
 
-    /// Tags this key with a ring's registry mutation generation, scoping it
-    /// to one exact incarnation of a stored ring's state.
+    /// The key of a stored ring's `SIMULATE` or `SATURATION`: the command,
+    /// its parameters and the ring's generation. It reads no stream.
     #[must_use]
-    pub fn with_ring_generation(mut self, generation: u64) -> CacheKey {
-        self.ring_generation = Some(generation);
-        self
+    pub fn for_ring(
+        command: CommandKind,
+        seconds: f64,
+        async_load: f64,
+        seed: u64,
+        generation: u64,
+    ) -> CacheKey {
+        CacheKey {
+            command,
+            sim: sim_params(command, seconds, async_load, seed),
+            input: Input::Stored(generation),
+        }
     }
 
     fn shard(&self) -> usize {
@@ -443,13 +464,22 @@ mod tests {
     }
 
     #[test]
-    fn ring_generation_distinguishes_incarnations() {
-        let base = key_of("SIMULATE mbps=16 set=20,1000 seed=1").unwrap();
-        let g1 = base.clone().with_ring_generation(1);
-        let g2 = base.clone().with_ring_generation(2);
-        assert_ne!(base, g1);
-        assert_ne!(g1, g2);
-        assert_eq!(g1, base.with_ring_generation(1));
+    fn ring_keys_are_the_command_parameters_and_generation() {
+        let key =
+            |command, seed, generation| CacheKey::for_ring(command, 1.0, 0.0, seed, generation);
+        let base = key(CommandKind::Simulate, 1, 7);
+        assert_eq!(base, key(CommandKind::Simulate, 1, 7));
+        assert_ne!(base, key(CommandKind::Simulate, 1, 8), "another ring state");
+        assert_ne!(base, key(CommandKind::Simulate, 2, 7), "another seed");
+        assert_ne!(base, key(CommandKind::Saturation, 1, 7), "another command");
+        // SATURATION ignores the simulation parameters.
+        assert_eq!(
+            key(CommandKind::Saturation, 1, 7),
+            key(CommandKind::Saturation, 2, 7)
+        );
+        // Never an inline request's key, whatever the generation.
+        let inline = key_of("SIMULATE mbps=16 set=20,1000 seed=1 seconds=1").unwrap();
+        assert_ne!(inline, base);
     }
 
     #[test]

@@ -61,7 +61,6 @@ use std::time::{Duration, Instant};
 
 use ringrt_core::rm::Budget;
 use ringrt_net::{ConnTable, Event, IdleWheel, Interest, LineBuffer, Poller, Token, WriteBuffer};
-use ringrt_registry::ShipSubscription;
 
 use crate::metrics::Stage;
 use crate::protocol::{CommandKind, MAX_LINE_BYTES};
@@ -289,16 +288,16 @@ impl Conn {
         }
     }
 
-    /// Files one handled request line's outcome in reply order. A `SYNC`
-    /// subscription outside a batch is handed back for the caller to
-    /// detach.
+    /// Files one handled request line's outcome in reply order. An
+    /// admitted `SYNC` outside a batch hands back the sequence it resumes
+    /// at, for the caller to detach the connection.
     fn place(
         &mut self,
         shared: &Shared,
         handled: Handled,
         slot: u64,
         slow: SlowProbe,
-    ) -> Option<Box<ShipSubscription>> {
+    ) -> Option<u64> {
         let (text, timed) = match handled {
             Handled::Queued {
                 command,
@@ -325,7 +324,9 @@ impl Conn {
                 });
                 return None;
             }
-            Handled::Ready(Response::Ship(sub)) if self.batch.is_none() => return Some(sub),
+            Handled::Ready(Response::Ship(from_seq)) if self.batch.is_none() => {
+                return Some(from_seq)
+            }
             // One framing level is enough; nesting would let a client
             // demand unbounded buffering.
             Handled::Ready(Response::Batch(_)) => {
@@ -690,8 +691,8 @@ impl EventLoop {
                 }
             };
             conn.partial_since = None;
-            if let Some(sub) = conn.place(&self.shared, handled, slot, slow) {
-                self.detach_for_ship(token, *sub);
+            if let Some(from_seq) = conn.place(&self.shared, handled, slot, slow) {
+                self.detach_for_ship(token, from_seq);
             }
         }
     }
@@ -843,9 +844,10 @@ impl EventLoop {
     }
 
     /// Hands the socket to a dedicated blocking ship thread (the `SYNC`
-    /// path). Refused when replies are still pipelined ahead: the stream
+    /// path), which subscribes from `from_seq` through the registry
+    /// thread. Refused when replies are still pipelined ahead: the stream
     /// would interleave with framed responses.
-    fn detach_for_ship(&mut self, token: Token, sub: ShipSubscription) {
+    fn detach_for_ship(&mut self, token: Token, from_seq: u64) {
         {
             let Some(conn) = self.table.get_mut(token) else {
                 return;
@@ -867,7 +869,7 @@ impl EventLoop {
                 .name("ringrt-ship".to_owned())
                 .spawn(move || {
                     let mut conn = conn;
-                    serve_ship(&mut conn.stream, sub, &shared);
+                    serve_ship(&mut conn.stream, from_seq, &shared);
                     // The ship thread owned the gauge slot from here on.
                     shared.metrics.conns.open.fetch_sub(1, Ordering::Relaxed);
                 })

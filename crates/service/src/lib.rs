@@ -60,6 +60,8 @@ pub mod protocol;
 pub mod replication;
 mod report;
 pub mod server;
+#[cfg(test)]
+mod ship_fuzz;
 
 pub use cache::{CacheKey, ResultCache};
 pub use protocol::{

@@ -10,13 +10,13 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use ringrt_exec::PoolStats;
 use ringrt_obs::prom::PromWriter;
 use ringrt_obs::RecorderStats;
-use ringrt_registry::RegistryMetrics;
 
-use crate::server::Shared;
+use crate::server::{RegistryView, Shared};
 
 /// Whether a scalar only grows between `STATS RESET`s or describes
 /// present state.
@@ -92,10 +92,11 @@ const fn gauge(
 }
 
 /// Everything one render reads, with the multi-field sources sampled
-/// once so the fields of one reply describe the same instant.
+/// once so the fields of one reply describe the same instant. The
+/// registry's numbers come from the view its thread last published.
 pub(crate) struct Snapshot<'a> {
     s: &'a Shared,
-    registry: RegistryMetrics,
+    view: Arc<RegistryView>,
     exec: PoolStats,
     trace: RecorderStats,
     hits: (u64, u64),
@@ -105,7 +106,7 @@ impl<'a> Snapshot<'a> {
     fn of(s: &'a Shared) -> Snapshot<'a> {
         Snapshot {
             s,
-            registry: s.registry.metrics(),
+            view: s.view(),
             exec: s.exec.stats(),
             trace: s.recorder.stats(),
             hits: s.metrics.hit_fast_totals(),
@@ -160,29 +161,29 @@ pub(crate) const SCALARS: &[Scalar] = &[
         |x| x.hits.0 as f64),
     counter("hit_fast_us", "ringrt_hit_fastpath_seconds_total",
         "Cumulative parse-to-reply time of fast-path cache hits.", |x| x.hits.1 as f64).scale(1e-6),
-    gauge("rings", "ringrt_registry_rings", "Rings currently registered.", |x| x.registry.rings as f64),
+    gauge("rings", "ringrt_registry_rings", "Rings currently registered.", |x| x.view.metrics.rings as f64),
     gauge("registry_streams", "ringrt_registry_streams", "Streams admitted across all rings.",
-        |x| x.registry.streams as f64),
+        |x| x.view.metrics.streams as f64),
     gauge("journal_bytes", "ringrt_registry_journal_bytes", "Size of the registry's append-only journal.",
-        |x| x.registry.journal_bytes as f64),
+        |x| x.view.metrics.journal_bytes as f64),
     gauge("snapshot_bytes", "ringrt_registry_snapshot_bytes",
-        "Size of the registry's last compaction snapshot.", |x| x.registry.snapshot_bytes as f64),
+        "Size of the registry's last compaction snapshot.", |x| x.view.metrics.snapshot_bytes as f64),
     gauge("replay_ms", "ringrt_registry_replay_seconds", "Time the startup journal replay took.",
-        |x| x.registry.replay_ms).scale(1e-3),
+        |x| x.view.metrics.replay_ms).scale(1e-3),
     gauge("replayed_streams", "ringrt_registry_replayed_streams", "Streams restored by the startup replay.",
-        |x| x.registry.replayed_streams as f64),
+        |x| x.view.metrics.replayed_streams as f64),
     counter("incremental_tests", "ringrt_registry_tests_total", TESTS,
-        |x| x.registry.incremental_tests as f64).label("kind", "incremental"),
+        |x| x.view.metrics.incremental_tests as f64).label("kind", "incremental"),
     counter("full_tests", "ringrt_registry_tests_total", TESTS,
-        |x| x.registry.full_tests as f64).label("kind", "full"),
+        |x| x.view.metrics.full_tests as f64).label("kind", "full"),
     counter("incremental_evaluations", "ringrt_registry_evaluations_total", EVALUATIONS,
-        |x| x.registry.incremental_evaluations as f64).label("kind", "incremental"),
+        |x| x.view.metrics.incremental_evaluations as f64).label("kind", "incremental"),
     counter("full_evaluations", "ringrt_registry_evaluations_total", EVALUATIONS,
-        |x| x.registry.full_evaluations as f64).label("kind", "full"),
+        |x| x.view.metrics.full_evaluations as f64).label("kind", "full"),
     gauge("index_rebuilds", "ringrt_store_index_rebuilds",
-        "Sequence-domain index rebuilds performed by the stream stores.", |x| x.registry.index_rebuilds as f64),
+        "Sequence-domain index rebuilds performed by the stream stores.", |x| x.view.metrics.index_rebuilds as f64),
     gauge("store_bytes", "ringrt_store_bytes", "Approximate resident bytes of the columnar stream stores.",
-        |x| x.registry.store_bytes as f64),
+        |x| x.view.metrics.store_bytes as f64),
     gauge("workers", "ringrt_workers", "Worker threads executing analyses.", |x| x.s.config.workers as f64),
     gauge("queue_capacity", "ringrt_queue_capacity", "Bounded admission-queue depth; overflow answers BUSY.",
         |x| x.s.config.queue_depth as f64),
@@ -208,7 +209,7 @@ pub(crate) const SCALARS: &[Scalar] = &[
     gauge("max_conns", "ringrt_max_conns", "Configured open-connection cap; 0 means the loop's table bound.",
         |x| x.s.config.max_conns as f64),
     gauge("cluster", "ringrt_cluster_id", "Journal lineage identity; 0 until a primary stamps it.",
-        |x| x.s.registry.cluster_id() as f64),
+        |x| x.view.cluster as f64),
     gauge("connections_open", "ringrt_connections_open", "Client connections currently open.",
         |x| load(&x.s.metrics.conns.open)),
     counter("connections_accepted", "ringrt_connections_accepted_total", "Client connections accepted.",
@@ -252,7 +253,7 @@ impl Shared {
                 write!(out, " {}={v:.3}", row.stats)
             };
         }
-        self.replication.render(self.registry.epoch(), &mut out);
+        self.replication.render(snap.view.epoch, &mut out);
         self.metrics.render_workers(&mut out);
         self.metrics.render_latencies(&mut out);
         out
@@ -274,8 +275,7 @@ impl Shared {
                 Kind::Gauge => w.gauge(row.metric, row.help, labels, v),
             }
         }
-        self.replication
-            .render_prometheus(self.registry.epoch(), &mut w);
+        self.replication.render_prometheus(snap.view.epoch, &mut w);
         self.metrics.render_prometheus(&mut w);
         w.finish()
     }

@@ -5,10 +5,13 @@
 //!
 //! ```text
 //! listener ─accept─▶ event loop (epoll) ──analyses──▶ queue ──▶ workers
-//!                     │  │   ▲                                   │
-//!                     │  │   └────── completions + waker ◀───────┤
+//!                     │  │   ▲                          ▲        │
+//!                     │  │   └── completions + waker ◀──┼────────┤
 //!                     │  └──ring commands──▶ registry thread ────┘
-//!                     └─ inline: PING / STATS / cache hits /
+//!                     │          ▲   │ publishes
+//!                     │          │   ▼
+//!                     ├─ reads ─────▶ registry view ◀── ship / follower
+//!                     └─ inline: PING / STATS / cache hits /      threads
 //!                                CHECK misses within the work budget
 //! ```
 //!
@@ -28,18 +31,21 @@
 //!   serves them. Other analysis work goes through the bounded queue, and
 //!   a full queue sheds load with an immediate `BUSY` line — the client is
 //!   never left hanging, inside a `BATCH` or not.
-//! * Commands on a stored ring (`REGISTER`, `ADMIT`, `REMOVE`,
-//!   `UNREGISTER`, `COMPACT`, `SHOW ring=`, `CHECK ring=`) may fsync the
-//!   journal or walk every stream, so they run on one `ringrt-registry`
-//!   thread, in arrival order and never shed. Their connection is not read
-//!   until the reply is back, so its next request sees the effect — and
-//!   every other connection keeps being served meanwhile.
+//! * The `ringrt-registry` thread owns the [`RingRegistry`] (which is not
+//!   `Sync`) and runs every registry job in arrival order: the stored-ring
+//!   commands (`REGISTER ADMIT REMOVE UNREGISTER COMPACT`, `SHOW ring=`,
+//!   `CHECK ring=`, a `SIMULATE`/`SATURATION ring=` the cache misses),
+//!   `PROMOTE`, `STATS RESET`, SYNC subscriptions and the follower's
+//!   applies. After each job, before its reply is released, it publishes
+//!   an immutable `RegistryView`, which every other thread reads instead
+//!   of waiting on registry work. A ring command's connection is not read
+//!   until its reply is back, so its next request sees the effect.
 //! * Workers pop jobs; a job that waited past its deadline is answered
 //!   `ERR deadline expired` without being executed. Finished replies go
 //!   onto the server's completion queue, and a pipe wakes the loop.
-//! * Request code runs inside `catch_unwind` on the loop, the workers and
-//!   the registry thread: a panic answers `ERR internal`, counts `panics`,
-//!   and the thread keeps serving.
+//! * Request code runs inside `catch_unwind` on the loop (the parse
+//!   included), the workers and the registry thread: a panic answers
+//!   `ERR internal`, counts `panics`, and the thread keeps serving.
 //! * Shutdown (`SHUTDOWN` request or [`ServerHandle::shutdown`]) closes the
 //!   listener, lets workers **drain** everything already queued, and
 //!   closes each connection once its replies are written — in-flight
@@ -63,8 +69,8 @@ use ringrt_core::rm::{Budget, Unfinished};
 use ringrt_exec::Pool;
 use ringrt_obs::{trace::render_chrome_trace, Measured, Recorder};
 use ringrt_registry::{
-    AdmissionOutcome, FailpointFs, ReplicatedApply, RingRegistry, RingSpec, RingState,
-    ShipSubscription, StoreOptions, DEFAULT_SEGMENT_BYTES,
+    AdmissionOutcome, FailpointFs, RegistryError, RegistryMetrics, ReplicatedApply, RingRegistry,
+    RingSpec, RingState, StoreOptions, DEFAULT_SEGMENT_BYTES,
 };
 
 use ringrt_net::{Token, Waker};
@@ -105,6 +111,58 @@ const PANIC_DEADLINE_MS: u64 = 424_242;
 #[cfg(test)]
 fn injected_panic(deadline_ms: Option<u64>) {
     assert_ne!(deadline_ms, Some(PANIC_DEADLINE_MS), "injected panic");
+}
+
+/// Test builds panic inside the parse of this request line.
+#[cfg(test)]
+const PANIC_LINE: &str = "PING injected-parse-panic";
+
+/// A gate test builds park the registry thread on: a `CHECK ring=` with
+/// this queue deadline waits inside its job until the test opens the
+/// server's gate.
+#[cfg(test)]
+mod park {
+    use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+    pub(super) const DEADLINE_MS: u64 = 424_243;
+
+    /// One server's gate: `(parked, open)`.
+    #[derive(Default)]
+    pub(super) struct Gate {
+        state: Mutex<(bool, bool)>,
+        moved: Condvar,
+    }
+
+    impl Gate {
+        fn lock(&self) -> MutexGuard<'_, (bool, bool)> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Called by the registry thread: parks there if `deadline_ms` asks.
+        pub(super) fn here(&self, deadline_ms: Option<u64>) {
+            if deadline_ms != Some(DEADLINE_MS) {
+                return;
+            }
+            let mut gate = self.lock();
+            gate.0 = true;
+            self.moved.notify_all();
+            let mut gate =
+                (self.moved.wait_while(gate, |g| !g.1)).unwrap_or_else(PoisonError::into_inner);
+            *gate = (false, false);
+        }
+
+        /// Waits until the registry thread is parked.
+        pub(super) fn await_parked(&self) {
+            let gate = self.lock();
+            drop(self.moved.wait_while(gate, |g| !g.0));
+        }
+
+        /// Lets the parked registry thread go on.
+        pub(super) fn open(&self) {
+            self.lock().1 = true;
+            self.moved.notify_all();
+        }
+    }
 }
 
 /// Runs request code so that a panic in it costs one `ERR internal` reply,
@@ -225,52 +283,62 @@ struct Job {
     deadline: Duration,
 }
 
-/// A stored-ring command handed to the registry thread.
-struct RingJob {
-    request: Request,
-    reply: ReplyTo,
-}
+/// Work for the registry thread: a client's command ([`submit_ring`]) or
+/// another thread's call ([`on_registry`]). Each job contains its own
+/// panics and publishes the view it leaves before it hands anything back.
+type RegistryJob = Box<dyn FnOnce(&Shared, &RingRegistry) + Send>;
 
 /// A FIFO of handed-off jobs and the condvar its threads sleep on.
 struct JobQueue<T> {
-    jobs: Mutex<VecDeque<T>>,
+    jobs: Mutex<Pending<T>>,
     ready: Condvar,
+}
+
+/// The jobs waiting, and whether the threads that run them have stopped.
+struct Pending<T> {
+    jobs: VecDeque<T>,
+    closed: bool,
 }
 
 impl<T> JobQueue<T> {
     fn new() -> Self {
         JobQueue {
-            jobs: Mutex::new(VecDeque::new()),
+            jobs: Mutex::new(Pending {
+                jobs: VecDeque::new(),
+                closed: false,
+            }),
             ready: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Pending<T>> {
         self.jobs.lock().expect("job queue poisoned")
     }
 
-    /// Appends `job` unless `cap` jobs already wait; returns the new depth.
+    /// Appends `job` unless `cap` jobs already wait or the queue's threads
+    /// have stopped; returns the new depth. A job it takes is run.
     fn push(&self, job: T, cap: usize) -> Option<usize> {
         let mut q = self.lock();
-        if q.len() >= cap {
+        if q.closed || q.jobs.len() >= cap {
             return None;
         }
-        q.push_back(job);
-        let depth = q.len();
+        q.jobs.push_back(job);
+        let depth = q.jobs.len();
         drop(q);
         self.ready.notify_one();
         Some(depth)
     }
 
     /// The next job, waiting for one; `None` once `stop` is set and the
-    /// queue is empty.
+    /// queue is empty, which closes it.
     fn pop(&self, stop: &AtomicBool) -> Option<T> {
         let mut q = self.lock();
         loop {
-            if let Some(job) = q.pop_front() {
+            if let Some(job) = q.jobs.pop_front() {
                 return Some(job);
             }
             if stop.load(Ordering::SeqCst) {
+                q.closed = true;
                 return None;
             }
             q = self.ready.wait(q).expect("job queue poisoned");
@@ -278,7 +346,7 @@ impl<T> JobQueue<T> {
     }
 
     fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().jobs.len()
     }
 
     /// Wakes every waiting thread to re-check `stop`. Taking the lock
@@ -289,12 +357,65 @@ impl<T> JobQueue<T> {
     }
 }
 
+/// What every thread but the registry thread reads of the registry,
+/// published by the registry thread after every job.
+#[derive(Debug)]
+pub(crate) struct RegistryView {
+    pub(crate) epoch: u64,
+    pub(crate) cluster: u64,
+    pub(crate) next_seq: u64,
+    /// Each ring's name and mutation generation, sorted by name.
+    rings: Vec<(String, u64)>,
+    pub(crate) metrics: RegistryMetrics,
+}
+
+impl RegistryView {
+    fn of(registry: &RingRegistry) -> RegistryView {
+        RegistryView {
+            epoch: registry.epoch(),
+            cluster: registry.cluster_id(),
+            next_seq: registry.next_seq(),
+            rings: registry.ring_generations(),
+            metrics: registry.metrics(),
+        }
+    }
+
+    /// The cache key of a stored ring's `SIMULATE` or `SATURATION`, keyed
+    /// by the ring's generation; `None` for a ring that is not registered.
+    fn cache_key(&self, request: &Request) -> Option<CacheKey> {
+        let Request::RingAnalysis {
+            command,
+            ring,
+            seconds,
+            async_load,
+            seed,
+            ..
+        } = request
+        else {
+            return None;
+        };
+        let at = self
+            .rings
+            .binary_search_by(|(name, _)| name.as_str().cmp(ring));
+        let generation = self.rings[at.ok()?].1;
+        Some(CacheKey::for_ring(
+            *command,
+            *seconds,
+            *async_load,
+            *seed,
+            generation,
+        ))
+    }
+}
+
 /// State shared by every thread of one server instance.
 pub(crate) struct Shared {
     pub(crate) config: ServiceConfig,
     queue: JobQueue<Job>,
-    /// Stored-ring commands, run in arrival order by the registry thread.
-    ring_jobs: JobQueue<RingJob>,
+    /// Registry jobs, run in arrival order by the registry thread.
+    ring_jobs: JobQueue<RegistryJob>,
+    /// The registry view last published, swapped whole under the lock.
+    view: Mutex<Arc<RegistryView>>,
     /// Replies workers finished, collected by the event loop when
     /// [`Shared::waker`] fires.
     completions: Mutex<Vec<Completion>>,
@@ -302,7 +423,6 @@ pub(crate) struct Shared {
     pub(crate) waker: Waker,
     pub(crate) metrics: Metrics,
     pub(crate) cache: ResultCache,
-    pub(crate) registry: RingRegistry,
     /// Execution pool for intra-request parallelism (`SATURATION`
     /// multisection probes, `ABU` sample fan-out). Stateless between
     /// calls, so all workers share one.
@@ -311,9 +431,12 @@ pub(crate) struct Shared {
     /// drained by the `TRACE` command.
     pub(crate) recorder: Arc<Recorder>,
     /// Replication role, lag, and peer counters (`SYNC`/`PROMOTE`/
-    /// `REPLICATION`); the durable epoch itself lives in the registry.
+    /// `REPLICATION`); the durable epoch itself lives in the registry
+    /// (and its view).
     pub(crate) replication: ReplicationState,
     shutdown: AtomicBool,
+    #[cfg(test)]
+    park: park::Gate,
     pub(crate) inflight: AtomicU64,
     pub(crate) started: Instant,
 }
@@ -342,6 +465,21 @@ impl Shared {
 
     pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
+    }
+
+    /// The registry view last published.
+    pub(crate) fn view(&self) -> Arc<RegistryView> {
+        Arc::clone(&self.view.lock().expect("registry view poisoned"))
+    }
+
+    /// Publishes what `registry` holds now (on the registry thread).
+    fn publish(&self, registry: &RingRegistry) {
+        let view = Arc::new(RegistryView::of(registry));
+        // The old view is dropped after the lock is released.
+        let _old = std::mem::replace(
+            &mut *self.view.lock().expect("registry view poisoned"),
+            view,
+        );
     }
 
     /// Hands a worker's reply to the event loop. Only the push that finds
@@ -374,12 +512,12 @@ impl Shared {
     /// new window never reads below the level it started at. Gauges
     /// (queue depth, cache occupancy, `exec_threads`, registry sizes) are
     /// untouched.
-    fn reset_stats(&self) {
+    fn reset_stats(&self, registry: &RingRegistry) {
         self.metrics.reset();
         self.metrics.note_queue_depth(self.queue_len());
         self.replication.reset_window();
         self.cache.reset_counters();
-        self.registry.reset_counters();
+        registry.reset_counters();
         self.recorder.reset_stats();
     }
 }
@@ -453,33 +591,31 @@ pub fn spawn(mut config: ServiceConfig) -> std::io::Result<ServerHandle> {
     // The wakeup pipe comes first: off Linux it fails with `Unsupported`
     // before any state is opened.
     let waker = Waker::new()?;
+    let storage = |e: RegistryError| std::io::Error::other(e.to_string());
     let registry = match &config.state_dir {
         Some(dir) => {
             let options = StoreOptions {
                 segment_bytes: config.segment_bytes.unwrap_or(DEFAULT_SEGMENT_BYTES).max(1),
                 fs: FailpointFs::new(),
             };
-            RingRegistry::open_with(dir, options)
-                .map_err(|e| std::io::Error::other(e.to_string()))?
+            RingRegistry::open_with(dir, options).map_err(storage)?
         }
         None => RingRegistry::in_memory(),
     };
     // A primary serves under a nonzero epoch from its first boot so that
-    // followers always have something to fence against. Followers adopt
-    // (and persist) the primary's epoch at SYNC time instead.
-    if config.state_dir.is_some() && config.follow.is_none() && registry.epoch() == 0 {
-        registry
-            .set_epoch(1)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-    }
-    // A primary stamps its journal with a cluster identity on first boot;
-    // followers adopt the primary's at SYNC time instead. The stamp is
-    // what lets the SYNC handshake refuse shipping between unrelated
-    // journals (see `handle_sync`).
-    if config.state_dir.is_some() && config.follow.is_none() && registry.cluster_id() == 0 {
-        registry
-            .set_cluster_id(generate_cluster_id())
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+    // followers always have something to fence against, and stamps its
+    // journal with a cluster identity, which lets the SYNC handshake
+    // refuse shipping between unrelated journals (see `handle_sync`).
+    // Followers adopt (and persist) the primary's at SYNC time instead.
+    if config.state_dir.is_some() && config.follow.is_none() {
+        if registry.epoch() == 0 {
+            registry.set_epoch(1).map_err(storage)?;
+        }
+        if registry.cluster_id() == 0 {
+            registry
+                .set_cluster_id(generate_cluster_id())
+                .map_err(storage)?;
+        }
     }
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
@@ -496,11 +632,11 @@ pub fn spawn(mut config: ServiceConfig) -> std::io::Result<ServerHandle> {
         config: config.clone(),
         queue: JobQueue::new(),
         ring_jobs: JobQueue::new(),
+        view: Mutex::new(Arc::new(RegistryView::of(&registry))),
         completions: Mutex::new(Vec::new()),
         waker,
         metrics: Metrics::with_workers(config.workers),
         cache: ResultCache::with_capacity(cache_entries),
-        registry,
         exec: config
             .exec_threads
             .map_or_else(Pool::from_env, |n| Pool::new(n.max(1)))
@@ -508,6 +644,8 @@ pub fn spawn(mut config: ServiceConfig) -> std::io::Result<ServerHandle> {
         recorder,
         replication: ReplicationState::new(config.follow.clone()),
         shutdown: AtomicBool::new(false),
+        #[cfg(test)]
+        park: park::Gate::default(),
         inflight: AtomicU64::new(0),
         started: Instant::now(),
     });
@@ -529,7 +667,7 @@ pub fn spawn(mut config: ServiceConfig) -> std::io::Result<ServerHandle> {
         workers.push(
             std::thread::Builder::new()
                 .name("ringrt-registry".to_owned())
-                .spawn(move || registry_loop(&shared))
+                .spawn(move || registry_loop(&shared, &registry))
                 .expect("spawn registry thread"),
         );
     }
@@ -579,7 +717,8 @@ pub(crate) enum Response {
     Hit(String),
     Close,
     Batch(usize),
-    Ship(Box<ShipSubscription>),
+    /// An admitted `SYNC`: a ship stream resuming at this sequence.
+    Ship(u64),
 }
 
 impl Response {
@@ -628,14 +767,20 @@ pub(crate) fn handle_request(
     // which skips it entirely on a cache hit (the zero-span fast path)
     // and records it together with the cache stage on a miss.
     let t0 = Instant::now();
-    let parsed = parse_request(line);
+    let parsed = contained(shared, || {
+        #[cfg(test)]
+        assert_ne!(line, PANIC_LINE, "injected panic");
+        parse_request(line)
+    });
     let parse_dur = t0.elapsed();
+    let refuse = |text: String| {
+        record_parse(shared, t0, parse_dur);
+        Handled::Ready(Response::Line(text))
+    };
     let request = match parsed {
-        Ok(r) => r,
-        Err(msg) => {
-            record_parse(shared, t0, parse_dur);
-            return ready(Response::Line(format!("ERR {msg}")));
-        }
+        Some(Ok(r)) => r,
+        Some(Err(msg)) => return refuse(format!("ERR {msg}")),
+        None => return refuse(INTERNAL_ERROR.to_owned()),
     };
     let defers_parse = matches!(request, Request::Abu(_) | Request::Analysis(_))
         || matches!(
@@ -654,17 +799,13 @@ pub(crate) fn handle_request(
             return ready(Response::Line(format!(
                 "READONLY cmd={cmd} primary={} epoch={}",
                 shared.replication.source().unwrap_or("-"),
-                shared.registry.epoch(),
+                shared.view().epoch,
             )));
         }
     }
     match request {
         Request::Ping => ready(Response::Line("OK cmd=ping".to_owned())),
         Request::Stats => ready(Response::Line(shared.render_stats())),
-        Request::StatsReset => {
-            shared.reset_stats();
-            ready(Response::Line("OK cmd=stats_reset".to_owned()))
-        }
         Request::Metrics => {
             let body = shared.render_metrics();
             let body = body.trim_end();
@@ -690,10 +831,9 @@ pub(crate) fn handle_request(
             seq,
             cluster,
         } => ready(handle_sync(shared, epoch, seq, cluster)),
-        Request::Promote => ready(Response::Line(handle_promote(shared))),
         Request::Replication => {
             let mut out = "OK cmd=replication".to_owned();
-            shared.replication.render(shared.registry.epoch(), &mut out);
+            shared.replication.render(shared.view().epoch, &mut out);
             ready(Response::Line(out))
         }
         Request::Batch { count } => ready(Response::Batch(count)),
@@ -702,7 +842,8 @@ pub(crate) fn handle_request(
             shared.cache.clear()
         ))),
         Request::Show { ring: None, .. } => {
-            let names = shared.registry.ring_names();
+            let view = shared.view();
+            let names: Vec<&str> = view.rings.iter().map(|(name, _)| name.as_str()).collect();
             ready(Response::Line(format!(
                 "OK cmd=show rings={} names={}",
                 names.len(),
@@ -719,62 +860,18 @@ pub(crate) fn handle_request(
         | Request::Unregister { .. }
         | Request::Compact
         | Request::Show { .. }
+        | Request::StatsReset
+        | Request::Promote
         | Request::RingAnalysis {
             command: CommandKind::Check,
             ..
-        }) => submit_ring(shared, request, reply),
-        Request::RingAnalysis {
-            command,
-            ring,
-            seconds,
-            async_load,
-            seed,
-            deadline_ms,
-        } => {
-            // Resolve the stored ring into a plain analysis request, then
-            // run it through the normal queue. Its cache key is scoped to
-            // the ring's mutation generation: any later ADMIT/REMOVE (or
-            // even an unregister/re-register cycle) bumps the generation
-            // and strands the entry, so stored-ring results can be cached
-            // without an EVICT protocol.
-            let (state, generation) = match shared.registry.ring_snapshot(&ring) {
-                Ok(s) => s,
-                Err(e) => {
-                    record_parse(shared, t0, parse_dur);
-                    return ready(Response::Line(format!("ERR {e}")));
-                }
-            };
-            let Some(set) = state.message_set() else {
-                record_parse(shared, t0, parse_dur);
-                return ready(Response::Line(format!("ERR ring `{ring}` has no streams")));
-            };
-            let stations = state.spec.effective_stations(set.len());
-            if command == CommandKind::Simulate {
-                if let Err(e) = protocol::check_stations(stations) {
-                    record_parse(shared, t0, parse_dur);
-                    return ready(Response::Line(format!("ERR {e}")));
-                }
-            }
-            let req = AnalysisRequest {
-                command,
-                protocol: state.spec.protocol,
-                mbps: state.spec.mbps,
-                stations: Some(stations),
-                set,
-                seconds,
-                async_load,
-                seed,
-                deadline_ms,
-            };
-            let key = CacheKey::for_request(&req).map(|k| k.with_ring_generation(generation));
-            run_cached(
-                shared,
-                Request::Analysis(req),
-                key,
-                reply,
-                (t0, parse_dur),
-                budget,
-            )
+        }) => submit_ring(shared, request, reply, t0),
+        request @ Request::RingAnalysis { .. } => {
+            // A hit is answered from the view without touching the ring; a
+            // miss, or a ring the view does not list, goes to the registry
+            // thread to be resolved.
+            let key = shared.view().cache_key(&request);
+            run_cached(shared, request, key, reply, (t0, parse_dur), budget)
         }
         Request::Sleep { ms, deadline_ms } => submit(
             shared,
@@ -818,7 +915,7 @@ fn record_parse(shared: &Shared, t0: Instant, dur: Duration) {
 }
 
 /// Cache-checks one queueable request, then answers it inline or submits
-/// it.
+/// it (a stored ring's analysis to the registry thread, which resolves it).
 ///
 /// `parse` carries the request's arrival instant and measured parse
 /// duration. On a cache **hit** this is the zero-span fast path: no
@@ -841,6 +938,11 @@ fn run_cached(
     let (command, deadline_ms) = match &request {
         Request::Analysis(req) => (req.command, req.deadline_ms),
         Request::Abu(req) => (CommandKind::Abu, req.deadline_ms),
+        Request::RingAnalysis {
+            command,
+            deadline_ms,
+            ..
+        } => (*command, *deadline_ms),
         other => unreachable!("only analyses are cached: {other:?}"),
     };
     let (t0, parse_dur) = parse;
@@ -885,7 +987,10 @@ fn run_cached(
         // only the deferred parse stage is owed.
         record_parse(shared, t0, parse_dur);
     }
-    submit(shared, request, key, command, deadline_ms, reply)
+    match request {
+        Request::RingAnalysis { .. } => submit_ring(shared, request, reply, t0),
+        _ => submit(shared, request, key, command, deadline_ms, reply),
+    }
 }
 
 /// Answers a cache-missing `CHECK` on the event loop — analysis, cache
@@ -1053,66 +1158,119 @@ fn submit(
     reply: ReplyTo,
 ) -> Handled {
     let started = Instant::now();
+    match enqueue(shared, request, cache_key, deadline_ms, reply, started) {
+        None => Handled::Queued {
+            command: Some(command),
+            started,
+            ordered: false,
+        },
+        Some(busy) => Handled::Ready(Response::Line(busy)),
+    }
+}
+
+/// Puts a job on the worker queue, its deadline counting from `enqueued`;
+/// returns the `BUSY` reply when the queue is full.
+fn enqueue(
+    shared: &Shared,
+    request: Request,
+    cache_key: Option<CacheKey>,
+    deadline_ms: Option<u64>,
+    reply: ReplyTo,
+    enqueued: Instant,
+) -> Option<String> {
     let deadline = Duration::from_millis(deadline_ms.unwrap_or(shared.config.default_deadline_ms));
     let job = Job {
         request,
         cache_key,
         reply,
-        enqueued: started,
+        enqueued,
         deadline,
     };
-    if shared.try_enqueue(job) {
-        Handled::Queued {
-            command: Some(command),
-            started,
-            ordered: false,
-        }
-    } else {
-        Handled::Ready(Response::Line(format!(
-            "BUSY queue_capacity={}",
-            shared.config.queue_depth
-        )))
-    }
+    let queued = shared.try_enqueue(job);
+    (!queued).then(|| format!("BUSY queue_capacity={}", shared.config.queue_depth))
 }
 
-/// Hands a stored-ring command to the registry thread. Never shed: the
-/// loop reads nothing more from the connection until the reply lands, so
-/// each connection has at most one waiting.
-fn submit_ring(shared: &Shared, request: Request, reply: ReplyTo) -> Handled {
-    let command = matches!(request, Request::RingAnalysis { .. }).then_some(CommandKind::Check);
-    let started = Instant::now();
-    shared
-        .ring_jobs
-        .push(RingJob { request, reply }, usize::MAX);
-    Handled::Queued {
-        command,
-        started,
-        ordered: true,
-    }
-}
-
-/// The registry thread: runs stored-ring commands in arrival order until
-/// shutdown has drained them.
-fn registry_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.ring_jobs.pop(&shared.shutdown) {
+/// Hands a client command to the registry thread. Never shed. All but a
+/// stored ring's `SIMULATE`/`SATURATION` are ordered: the loop reads
+/// nothing more from the connection until the reply lands, so each
+/// connection has at most one waiting.
+fn submit_ring(shared: &Shared, request: Request, reply: ReplyTo, received: Instant) -> Handled {
+    let (command, ordered) = match &request {
+        Request::RingAnalysis { command, .. } => (Some(*command), *command == CommandKind::Check),
+        _ => (None, true),
+    };
+    let job: RegistryJob = Box::new(move |shared, registry| {
         let text = contained(shared, || {
             #[cfg(test)]
-            if let Request::RingAnalysis { deadline_ms, .. } = &job.request {
+            if let Request::RingAnalysis { deadline_ms, .. } = &request {
                 injected_panic(*deadline_ms);
+                shared.park.here(*deadline_ms);
             }
-            execute_ring(shared, job.request)
+            execute_ring(shared, registry, request, reply, received)
         })
-        .unwrap_or_else(|| INTERNAL_ERROR.to_owned());
-        shared.complete(job.reply, text);
+        .unwrap_or_else(|| Some(INTERNAL_ERROR.to_owned()));
+        shared.publish(registry);
+        if let Some(text) = text {
+            shared.complete(reply, text);
+        }
+    });
+    // Refused only once the registry thread has stopped at shutdown.
+    let _ = shared.ring_jobs.push(job, usize::MAX);
+    Handled::Queued {
+        command,
+        started: Instant::now(),
+        ordered,
     }
 }
 
-/// Executes one command [`submit_ring`] handed off.
-fn execute_ring(shared: &Shared, request: Request) -> String {
-    match request {
-        Request::Compact => match shared.registry.compact() {
+/// Runs `call` on the registry thread, in order with every other job, and
+/// waits for its result (handed back after the view is published). `None`
+/// when `call` panicked or the registry thread has stopped at shutdown,
+/// so no caller waits on a thread that is gone.
+fn on_registry<T: Send + 'static>(
+    shared: &Shared,
+    call: impl FnOnce(&Shared, &RingRegistry) -> T + Send + 'static,
+) -> Option<T> {
+    // Empty until the job has run; then the call's result, or `None`
+    // after a panic.
+    let slot = Arc::new((Mutex::new(None), Condvar::new()));
+    let filled = Arc::clone(&slot);
+    let job: RegistryJob = Box::new(move |shared, registry| {
+        let result = contained(shared, || call(shared, registry));
+        shared.publish(registry);
+        *filled.0.lock().expect("registry call poisoned") = Some(result);
+        filled.1.notify_one();
+    });
+    shared.ring_jobs.push(job, usize::MAX)?;
+    let (result, ran) = &*slot;
+    let result = result.lock().expect("registry call poisoned");
+    let mut result = ran
+        .wait_while(result, |r| r.is_none())
+        .expect("registry call poisoned");
+    result.take().flatten()
+}
+
+/// The registry thread: owns the registry, and runs registry jobs in
+/// arrival order until shutdown has drained them.
+fn registry_loop(shared: &Arc<Shared>, registry: &RingRegistry) {
+    while let Some(job) = shared.ring_jobs.pop(&shared.shutdown) {
+        job(shared, registry);
+    }
+}
+
+/// Executes one command [`submit_ring`] handed off. `None` means a worker
+/// owes the reply.
+fn execute_ring(
+    shared: &Shared,
+    registry: &RingRegistry,
+    request: Request,
+    reply: ReplyTo,
+    received: Instant,
+) -> Option<String> {
+    let text = match request {
+        Request::Compact => match registry.compact() {
             Ok(()) => {
-                let m = shared.registry.metrics();
+                let m = registry.metrics();
                 format!(
                     "OK cmd=compact journal_bytes={} snapshot_bytes={}",
                     m.journal_bytes, m.snapshot_bytes
@@ -1120,7 +1278,7 @@ fn execute_ring(shared: &Shared, request: Request) -> String {
             }
             Err(e) => format!("ERR {e}"),
         },
-        Request::Register { ring, spec } => match shared.registry.register(&ring, spec) {
+        Request::Register { ring, spec } => match registry.register(&ring, spec) {
             Ok(()) => format!(
                 "OK cmd=register ring={ring} protocol={} mbps={} stations={}",
                 spec.protocol,
@@ -1133,15 +1291,15 @@ fn execute_ring(shared: &Shared, request: Request) -> String {
             ring,
             stream,
             candidate,
-        } => match shared.registry.admit(&ring, &stream, candidate) {
+        } => match registry.admit(&ring, &stream, candidate) {
             Ok(out) => render_admission("admit", &ring, &stream, &out),
             Err(e) => format!("ERR {e}"),
         },
-        Request::Remove { ring, stream } => match shared.registry.remove(&ring, &stream) {
+        Request::Remove { ring, stream } => match registry.remove(&ring, &stream) {
             Ok(out) => render_admission("remove", &ring, &stream, &out),
             Err(e) => format!("ERR {e}"),
         },
-        Request::Unregister { ring } => match shared.registry.unregister(&ring) {
+        Request::Unregister { ring } => match registry.unregister(&ring) {
             Ok(()) => format!("OK cmd=unregister ring={ring}"),
             Err(e) => format!("ERR {e}"),
         },
@@ -1152,14 +1310,14 @@ fn execute_ring(shared: &Shared, request: Request) -> String {
         } if limit.is_some() || offset.is_some() => {
             let offset = offset.unwrap_or(0);
             let limit = limit.unwrap_or(usize::MAX);
-            match shared.registry.ring_page(&ring, offset, limit) {
+            match registry.ring_page(&ring, offset, limit) {
                 Ok(page) => render_show_page(&ring, &page),
                 Err(e) => format!("ERR {e}"),
             }
         }
         Request::Show {
             ring: Some(ring), ..
-        } => match shared.registry.ring_state(&ring) {
+        } => match registry.ring_state(&ring) {
             Ok(state) => render_show(&ring, &state),
             Err(e) => format!("ERR {e}"),
         },
@@ -1169,7 +1327,7 @@ fn execute_ring(shared: &Shared, request: Request) -> String {
             command: CommandKind::Check,
             ring,
             ..
-        } => match shared.registry.check_full(&ring) {
+        } => match registry.check_full(&ring) {
             Ok(check) => format!(
                 "OK cmd=check ring={ring} protocol={} mbps={} stations={} streams={} \
                  utilization={:.6} schedulable={} evaluations={}",
@@ -1183,8 +1341,52 @@ fn execute_ring(shared: &Shared, request: Request) -> String {
             ),
             Err(e) => format!("ERR {e}"),
         },
-        _ => unreachable!("only stored-ring commands reach the registry thread"),
-    }
+        // A stored ring's `SIMULATE` or `SATURATION` the cache missed: a
+        // worker job, keyed by the ring's current generation.
+        Request::RingAnalysis {
+            command,
+            ring,
+            seconds,
+            async_load,
+            seed,
+            deadline_ms,
+        } => {
+            let (state, generation) = match registry.ring_snapshot(&ring) {
+                Ok(s) => s,
+                Err(e) => return Some(format!("ERR {e}")),
+            };
+            let Some(set) = state.message_set() else {
+                return Some(format!("ERR ring `{ring}` has no streams"));
+            };
+            let stations = state.spec.effective_stations(set.len());
+            if command == CommandKind::Simulate {
+                if let Err(e) = protocol::check_stations(stations) {
+                    return Some(format!("ERR {e}"));
+                }
+            }
+            let req = AnalysisRequest {
+                command,
+                protocol: state.spec.protocol,
+                mbps: state.spec.mbps,
+                stations: Some(stations),
+                set,
+                seconds,
+                async_load,
+                seed,
+                deadline_ms,
+            };
+            let key = CacheKey::for_ring(command, seconds, async_load, seed, generation);
+            let request = Request::Analysis(req);
+            return enqueue(shared, request, Some(key), deadline_ms, reply, received);
+        }
+        Request::Promote => handle_promote(shared, registry),
+        Request::StatsReset => {
+            shared.reset_stats(registry);
+            "OK cmd=stats_reset".to_owned()
+        }
+        _ => unreachable!("only registry commands reach the registry thread"),
+    };
+    Some(text)
 }
 
 fn worker_loop(shared: &Arc<Shared>, index: usize) {
@@ -1292,15 +1494,17 @@ fn mutation_command(request: &Request) -> Option<&'static str> {
 }
 
 /// `SYNC epoch=<e> seq=<n> cluster=<c>`: fence the requester's epoch and
-/// journal identity against ours, then hand the connection a journal
-/// subscription.
-fn handle_sync(shared: &Arc<Shared>, epoch: u64, seq: u64, cluster: u64) -> Response {
+/// journal identity against the view, then hand the connection to a ship
+/// thread. A primary's epoch and cluster id never change once it serves,
+/// and a promotion publishes its epoch before the node stops following.
+fn handle_sync(shared: &Shared, epoch: u64, seq: u64, cluster: u64) -> Response {
     if shared.replication.is_follower() {
         return Response::Line(
             "ERR cmd=sync a follower does not ship its journal (SYNC the primary)".to_owned(),
         );
     }
-    let serving = shared.registry.epoch();
+    let view = shared.view();
+    let (serving, ours) = (view.epoch, view.cluster);
     if serving == 0 {
         return Response::Line(
             "ERR cmd=sync journal shipping requires a persistent state dir".to_owned(),
@@ -1311,7 +1515,6 @@ fn handle_sync(shared: &Arc<Shared>, epoch: u64, seq: u64, cluster: u64) -> Resp
     // replicated a *different* cluster — epochs and sequence numbers from
     // unrelated histories collide freely, so shipping would interleave
     // two journals. Identity 0 is a fresh journal that adopts ours.
-    let ours = shared.registry.cluster_id();
     if cluster != 0 && cluster != ours {
         return Response::Line(format!(
             "ERR cmd=sync cluster mismatch requester_cluster={cluster} cluster={ours}"
@@ -1327,43 +1530,54 @@ fn handle_sync(shared: &Arc<Shared>, epoch: u64, seq: u64, cluster: u64) -> Resp
             "ERR cmd=sync fenced requester_epoch={epoch} epoch={serving}"
         ));
     }
-    match shared.registry.subscribe(seq) {
-        Ok(sub) => Response::Ship(Box::new(sub)),
-        Err(e) => Response::Line(format!("ERR {e}")),
-    }
+    Response::Ship(seq)
 }
 
-/// `PROMOTE`: flip a follower to primary under a freshly fenced epoch.
-fn handle_promote(shared: &Arc<Shared>) -> String {
+/// `PROMOTE`, on the registry thread: flip a follower to primary under a
+/// freshly fenced epoch.
+fn handle_promote(shared: &Shared, registry: &RingRegistry) -> String {
     if !shared.replication.is_follower() {
-        return format!(
-            "ERR cmd=promote already primary epoch={}",
-            shared.registry.epoch()
-        );
+        return format!("ERR cmd=promote already primary epoch={}", registry.epoch());
     }
-    match promote_self(shared) {
+    match promote_self(shared, registry) {
         Ok(epoch) => format!(
             "OK cmd=promote epoch={epoch} applied_seq={}",
-            shared.registry.next_seq().saturating_sub(1)
+            registry.next_seq().saturating_sub(1)
         ),
         Err(e) => format!("ERR cmd=promote {e}"),
     }
 }
 
-/// Durably publishes the next epoch, then flips the role. Epoch first:
-/// if the fence never hits disk the node must stay a follower, or a
-/// restart would resurrect it under the old primary's epoch.
-fn promote_self(shared: &Arc<Shared>) -> Result<u64, ringrt_registry::RegistryError> {
-    let epoch = shared.registry.epoch().saturating_add(1).max(2);
-    shared.registry.set_epoch(epoch)?;
+/// Durably publishes the next epoch, then the view carrying it, then
+/// flips the role. Epoch first: if the fence never hits disk the node must
+/// stay a follower, or a restart would resurrect it under the old
+/// primary's epoch. View before role: whoever sees a primary sees its
+/// epoch. Every later frame job of the old stream is fenced
+/// ([`apply_frame`]).
+fn promote_self(shared: &Shared, registry: &RingRegistry) -> Result<u64, RegistryError> {
+    let epoch = registry.epoch().saturating_add(1).max(2);
+    registry.set_epoch(epoch)?;
+    shared.publish(registry);
     shared.replication.promote();
     Ok(epoch)
 }
 
-/// Serves one `SYNC` subscription: snapshot (if any) and backlog in one
-/// write, then live records as they commit, with periodic pings carrying
-/// the current head so the follower can measure its lag.
-pub(crate) fn serve_ship(writer: &mut TcpStream, sub: ShipSubscription, shared: &Arc<Shared>) {
+/// Serves one admitted `SYNC`: subscribes on the registry thread, writes
+/// the snapshot (if any) and backlog in one write, then live records as
+/// they commit, with periodic pings carrying the current head so the
+/// follower can measure its lag.
+pub(crate) fn serve_ship(writer: &mut TcpStream, from_seq: u64, shared: &Shared) {
+    let sub = match on_registry(shared, move |_, registry| registry.subscribe(from_seq)) {
+        Some(Ok(sub)) => sub,
+        Some(Err(e)) => {
+            let refusal = format!("ERR {e}");
+            shared.metrics.count_response(&refusal);
+            let _ = writer.write_all(format!("{refusal}\n").as_bytes());
+            return;
+        }
+        // Shutdown stopped the registry thread first.
+        None => return,
+    };
     let header = replication::sync_header(
         sub.epoch,
         sub.head,
@@ -1419,10 +1633,9 @@ pub(crate) fn serve_ship(writer: &mut TcpStream, sub: ShipSubscription, shared: 
                     break;
                 }
                 if last_ping.elapsed() >= Duration::from_secs(1) {
-                    let ping = replication::render_ping(
-                        shared.registry.epoch(),
-                        shared.registry.next_seq().saturating_sub(1),
-                    );
+                    let view = shared.view();
+                    let ping =
+                        replication::render_ping(view.epoch, view.next_seq.saturating_sub(1));
                     if writer
                         .write_all(format!("{ping}\n").as_bytes())
                         .and_then(|()| writer.flush())
@@ -1491,18 +1704,20 @@ fn promote_if_silent(
     if last_contact.elapsed() < after {
         return false;
     }
-    match promote_self(shared) {
-        Ok(epoch) => {
+    // In sequence with the applies, so no frame lands after the fence.
+    match on_registry(shared, promote_self) {
+        Some(Ok(epoch)) => {
             eprintln!(
                 "ringrt-service: primary silent for {} ms; promoted to epoch {epoch}",
                 last_contact.elapsed().as_millis()
             );
             true
         }
-        Err(e) => {
+        Some(Err(e)) => {
             eprintln!("ringrt-service: auto-promotion failed: {e}");
             false
         }
+        None => false,
     }
 }
 
@@ -1522,11 +1737,8 @@ fn follow_once(
     let Ok(mut writer) = stream.try_clone() else {
         return FollowEnd::Retry;
     };
-    let hello = replication::sync_request(
-        shared.registry.epoch(),
-        shared.registry.next_seq().max(1),
-        shared.registry.cluster_id(),
-    );
+    let view = shared.view();
+    let hello = replication::sync_request(view.epoch, view.next_seq.max(1), view.cluster);
     if writer
         .write_all(format!("{hello}\n").as_bytes())
         .and_then(|()| writer.flush())
@@ -1556,46 +1768,8 @@ fn follow_once(
                 let Some(epoch) = stream_epoch else {
                     match replication::parse_sync_header(&frame) {
                         Ok(header) => {
-                            // A head behind our own journal means the
-                            // primary never produced records we hold:
-                            // diverged histories, not a lagging follower.
-                            // Refuse rather than let the overlap be
-                            // misread as duplicates.
-                            let next = shared.registry.next_seq();
-                            if header.head.saturating_add(1) < next {
-                                eprintln!(
-                                    "ringrt-service: {source} advertises head {} behind our \
-                                     journal (next_seq {next}); refusing divergent stream",
-                                    header.head
-                                );
+                            if !adopt_header(shared, source, &header) {
                                 shared.replication.note_resync();
-                                return FollowEnd::Retry;
-                            }
-                            // Adopt the primary's journal identity on
-                            // first contact; refuse a stream whose
-                            // identity conflicts with the one we already
-                            // replicated under (the primary should have
-                            // fenced us, but an old primary may not know
-                            // the cluster= key).
-                            let local_cluster = shared.registry.cluster_id();
-                            if header.cluster != 0 && local_cluster != 0 {
-                                if header.cluster != local_cluster {
-                                    eprintln!(
-                                        "ringrt-service: {source} ships cluster {} but this \
-                                         journal belongs to cluster {local_cluster}; refusing",
-                                        header.cluster
-                                    );
-                                    shared.replication.note_resync();
-                                    return FollowEnd::Retry;
-                                }
-                            } else if header.cluster != 0
-                                && shared.registry.set_cluster_id(header.cluster).is_err()
-                            {
-                                return FollowEnd::Retry;
-                            }
-                            if header.epoch > shared.registry.epoch()
-                                && shared.registry.set_epoch(header.epoch).is_err()
-                            {
                                 return FollowEnd::Retry;
                             }
                             shared.replication.note_head(header.head);
@@ -1631,57 +1805,62 @@ fn follow_once(
     }
 }
 
+/// Checks a `SYNC` header against the view, then adopts the primary's
+/// journal identity and epoch. `false` refuses the stream.
+fn adopt_header(shared: &Shared, source: &str, header: &replication::SyncHeader) -> bool {
+    let view = shared.view();
+    // A head behind our own journal means the primary never produced
+    // records we hold: diverged histories, not a lagging follower. Refuse
+    // rather than let the overlap be misread as duplicates.
+    if header.head.saturating_add(1) < view.next_seq {
+        eprintln!(
+            "ringrt-service: {source} advertises head {} behind our journal (next_seq {}); \
+             refusing divergent stream",
+            header.head, view.next_seq
+        );
+        return false;
+    }
+    // Refuse a stream whose identity conflicts with the one we already
+    // replicated under (the primary should have fenced us, but an old
+    // primary may not know the cluster= key); adopt it on first contact.
+    if header.cluster != 0 && view.cluster != 0 && header.cluster != view.cluster {
+        eprintln!(
+            "ringrt-service: {source} ships cluster {} but this journal belongs to cluster {}; \
+             refusing",
+            header.cluster, view.cluster
+        );
+        return false;
+    }
+    let header = *header;
+    let adopted = on_registry(shared, move |_, registry| {
+        if header.cluster != 0 {
+            registry.set_cluster_id(header.cluster)?;
+        }
+        if header.epoch > registry.epoch() {
+            registry.set_epoch(header.epoch)?;
+        }
+        Ok::<(), RegistryError>(())
+    });
+    matches!(adopted, Some(Ok(())))
+}
+
 /// Applies one ship frame on the follower under the epoch the stream
 /// synced at. `Err(())` forces a resync — the reconnect path resubscribes
 /// from exactly `next_seq`, so dropped, duplicated, and reordered frames
-/// all converge back to the primary's history. Every apply is fenced by
-/// `stream_epoch` inside the registry lock, so a promotion racing with an
-/// in-flight frame can never let the superseded primary's record into the
-/// promoted journal.
+/// all converge back to the primary's history.
 fn apply_ship_frame(
     shared: &Arc<Shared>,
     frame: &str,
     stream_epoch: u64,
     reader: &mut BufReader<TcpStream>,
 ) -> Result<(), ()> {
-    match replication::parse_ship_frame(frame) {
-        Ok(ShipFrame::Record(record)) => {
-            let replay_span = shared.recorder.span("registry", "journal_replay");
-            let outcome = shared
-                .registry
-                .apply_replicated_fenced(&record, stream_epoch);
-            drop(replay_span);
-            match outcome {
-                Ok(ReplicatedApply::Applied { seq }) => {
-                    shared.replication.note_head(seq);
-                    shared.replication.note_applied(seq);
-                    Ok(())
-                }
-                // Replays after a reconnect overlap the tail we already
-                // hold; duplicates are the protocol working as designed.
-                Ok(ReplicatedApply::Duplicate { .. }) => Ok(()),
-                Ok(ReplicatedApply::Gap { .. }) => Err(()),
-                Err(e) => {
-                    eprintln!("ringrt-service: shipped record refused: {e}");
-                    Err(())
-                }
-            }
-        }
-        Ok(ShipFrame::Snapshot { seq, lines }) => {
-            let text = read_snapshot_body(shared, reader, lines).ok_or(())?;
-            match shared.registry.install_snapshot_fenced(&text, stream_epoch) {
-                Ok(_) => {
-                    shared.replication.note_head(seq);
-                    shared.replication.note_snapshot(seq);
-                    Ok(())
-                }
-                Err(e) => {
-                    eprintln!("ringrt-service: shipped snapshot rejected: {e}");
-                    Err(())
-                }
-            }
-        }
-        Ok(ShipFrame::Ping { epoch, head }) => {
+    let frame = replication::parse_ship_frame(frame).map_err(|e| {
+        eprintln!("ringrt-service: unparseable ship frame: {e}");
+    })?;
+    let body = match frame {
+        ShipFrame::Snapshot { lines, .. } => read_snapshot_body(shared, reader, lines).ok_or(())?,
+        ShipFrame::Record(_) => String::new(),
+        ShipFrame::Ping { epoch, head } => {
             // A ping from a different epoch than the stream synced at
             // means either side changed identity mid-stream; drop the
             // connection and let the SYNC fence sort it out.
@@ -1693,12 +1872,63 @@ fn apply_ship_frame(
                 return Err(());
             }
             shared.replication.note_head(head);
-            Ok(())
+            return Ok(());
         }
-        Err(e) => {
-            eprintln!("ringrt-service: unparseable ship frame: {e}");
-            Err(())
-        }
+    };
+    on_registry(shared, move |shared, registry| {
+        let _replay_span = shared.recorder.span("registry", "journal_replay");
+        apply_frame(registry, &shared.replication, &frame, &body, stream_epoch)
+    })
+    .unwrap_or(Err(()))
+}
+
+/// A record or snapshot frame's job on the registry thread (`body`: the
+/// snapshot text). Jobs run in order, so once `PROMOTE` has moved the
+/// epoch past the stream's, no frame of that stream reaches the journal,
+/// not even one read before the promotion.
+pub(crate) fn apply_frame(
+    registry: &RingRegistry,
+    replication: &ReplicationState,
+    frame: &ShipFrame,
+    body: &str,
+    stream_epoch: u64,
+) -> Result<(), ()> {
+    let serving = registry.epoch();
+    if serving != stream_epoch {
+        eprintln!(
+            "ringrt-service: replication stream fenced: stream epoch {stream_epoch}, \
+             local epoch {serving}"
+        );
+        return Err(());
+    }
+    match frame {
+        ShipFrame::Record(record) => match registry.apply_replicated(record) {
+            Ok(ReplicatedApply::Applied { seq }) => {
+                replication.note_head(seq);
+                replication.note_applied(seq);
+                Ok(())
+            }
+            // Replays after a reconnect overlap the tail we already hold;
+            // duplicates are the protocol working as designed.
+            Ok(ReplicatedApply::Duplicate { .. }) => Ok(()),
+            Ok(ReplicatedApply::Gap { .. }) => Err(()),
+            Err(e) => {
+                eprintln!("ringrt-service: shipped record refused: {e}");
+                Err(())
+            }
+        },
+        ShipFrame::Snapshot { seq, .. } => match registry.install_snapshot(body) {
+            Ok(_) => {
+                replication.note_head(*seq);
+                replication.note_snapshot(*seq);
+                Ok(())
+            }
+            Err(e) => {
+                eprintln!("ringrt-service: shipped snapshot rejected: {e}");
+                Err(())
+            }
+        },
+        ShipFrame::Ping { .. } => Ok(()),
     }
 }
 
@@ -3236,6 +3466,292 @@ mod tests {
         );
         let reopened = RingRegistry::open(&dir).expect("state dir reopens");
         assert!(reopened.ring_names().is_empty());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_panic_inside_the_parse_is_contained() {
+        let server = test_server(1, 4);
+        let mut c = Client::connect(server.addr());
+        assert_eq!(c.roundtrip(PANIC_LINE), INTERNAL_ERROR);
+        // The loop survived: this connection and a new one are served.
+        assert_eq!(c.roundtrip("PING"), "OK cmd=ping");
+        let mut other = Client::connect(server.addr());
+        assert_eq!(other.roundtrip("PING"), "OK cmd=ping");
+        assert_eq!(stat(&other.roundtrip("STATS"), "panics"), 1);
+        server.join();
+    }
+
+    /// Sends `line` without reading its reply.
+    fn send(c: &mut Client, line: &str) {
+        c.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+    }
+
+    /// Reads one reply line.
+    fn recv(c: &mut Client) -> String {
+        let mut line = String::new();
+        c.reader.read_line(&mut line).expect("recv");
+        line.trim_end().to_owned()
+    }
+
+    /// Parks the registry thread inside a `CHECK ring=` on a connection of
+    /// its own, which is returned to read the reply from.
+    fn park_registry(server: &ServerHandle, ring: &str) -> Client {
+        let mut parked = Client::connect(server.addr());
+        send(
+            &mut parked,
+            &format!("CHECK ring={ring} deadline_ms={}", park::DEADLINE_MS),
+        );
+        server.shared.park.await_parked();
+        parked
+    }
+
+    /// Waits until `n` registry jobs are queued behind the running one.
+    fn await_registry_jobs(server: &ServerHandle, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.shared.ring_jobs.len() < n {
+            assert!(Instant::now() < deadline, "{n} registry jobs never queued");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn loop_side_requests_answer_while_the_registry_thread_is_parked() {
+        let server = test_server(1, 4);
+        let mut c = Client::connect(server.addr());
+        c.roundtrip("REGISTER ring=lab protocol=fddi mbps=100 stations=8");
+        c.roundtrip("ADMIT ring=lab stream=a period_ms=20 bits=100000");
+        let simulate = "SIMULATE ring=lab seconds=0.01 seed=1";
+        let first = c.roundtrip(simulate);
+        assert!(first.ends_with("cached=false"), "{first}");
+        let mut parked = park_registry(&server, "lab");
+        // Nothing the loop answers needs the registry thread.
+        let mut other = Client::connect(server.addr());
+        for (line, want) in [
+            ("PING", "OK cmd=ping"),
+            ("STATS", "OK cmd=stats "),
+            ("METRICS", "OK cmd=metrics lines="),
+            ("SHOW", "OK cmd=show rings=1 names=lab"),
+            ("REPLICATION", "OK cmd=replication role=primary"),
+            ("CHECK mbps=16 set=20,20000", "OK cmd=check "),
+            (simulate, "OK cmd=simulate "),
+        ] {
+            let started = Instant::now();
+            let reply = other.roundtrip(line);
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "{line} waited on the registry thread"
+            );
+            assert!(reply.starts_with(want), "{line} -> {reply}");
+            if line == "METRICS" {
+                let lines: usize = reply.rsplit('=').next().unwrap().parse().unwrap();
+                for _ in 0..lines {
+                    recv(&mut other);
+                }
+            }
+            if line == simulate {
+                assert!(reply.ends_with("cached=true"), "{reply}");
+            }
+        }
+        server.shared.park.open();
+        assert!(recv(&mut parked).starts_with("OK cmd=check ring=lab "));
+        // One connection's ADMIT then SIMULATE ring=: the SIMULATE sees the
+        // admission (a new generation, two streams).
+        other
+            .writer
+            .write_all(
+                format!("ADMIT ring=lab stream=b period_ms=50 bits=100000\n{simulate}\n")
+                    .as_bytes(),
+            )
+            .expect("send pipeline");
+        assert!(recv(&mut other).contains(" admitted=true "));
+        let after = recv(&mut other);
+        assert!(after.contains(" streams=2 "), "{after}");
+        assert!(after.ends_with("cached=false"), "{after}");
+        server.join();
+    }
+
+    /// Journal record lines and a snapshot from a real primary journal:
+    /// `REGISTER lab`, then `ADMIT lab cam`, then the compacted state.
+    fn primary_frames(tag: &str) -> (Vec<String>, (u64, String)) {
+        let dir = temp_state_dir(tag);
+        let source = RingRegistry::open(&dir).expect("open source journal");
+        let spec = RingSpec {
+            protocol: crate::ProtocolKind::Fddi,
+            mbps: 100.0,
+            stations: Some(8),
+        };
+        source.register("lab", spec).unwrap();
+        let cam = ringrt_model::SyncStream::new(
+            ringrt_units::Seconds::from_millis(20.0),
+            ringrt_units::Bits::new(100_000),
+        );
+        source.admit("lab", "cam", cam).unwrap();
+        let records = source.subscribe(1).unwrap().backlog;
+        source.compact().unwrap();
+        let snapshot = source.subscribe(1).unwrap().snapshot.expect("compacted");
+        drop(source);
+        let _ = std::fs::remove_dir_all(dir);
+        (records, snapshot)
+    }
+
+    #[test]
+    fn frames_of_a_superseded_stream_never_reach_the_journal() {
+        let (records, (snap_seq, snapshot)) = primary_frames("fence-source");
+        let old_stream = [
+            format!("{}\n", replication::render_record(&records[1])),
+            format!(
+                "{}\n{snapshot}",
+                replication::render_snapshot(snap_seq, snapshot.lines().count() as u64)
+            ),
+        ];
+        for (i, frame) in old_stream.iter().enumerate() {
+            // A stand-in primary serving epoch 1 ships `REGISTER lab`.
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let dir = temp_state_dir(&format!("fence-{i}"));
+            let follower = custom_server(|c| {
+                c.state_dir = Some(dir.clone());
+                c.follow = Some(listener.local_addr().unwrap().to_string());
+            });
+            let (mut primary, _) = listener.accept().expect("follower connects");
+            let mut hello = String::new();
+            BufReader::new(primary.try_clone().unwrap())
+                .read_line(&mut hello)
+                .expect("SYNC");
+            assert!(hello.starts_with("SYNC "), "{hello}");
+            let header = replication::sync_header(1, 2, false, 1, 0);
+            let first = replication::render_record(&records[0]);
+            primary
+                .write_all(format!("{header}\n{first}\n").as_bytes())
+                .expect("ship");
+            let mut c = Client::connect(follower.addr());
+            await_contains(&mut c, "REPLICATION", " applied_seq=1 ");
+            // PROMOTE queues while the registry thread is parked, and the
+            // old stream's next frame queues behind it.
+            let mut parked = park_registry(&follower, "lab");
+            send(&mut c, "PROMOTE");
+            await_registry_jobs(&follower, 1);
+            primary.write_all(frame.as_bytes()).expect("ship");
+            await_registry_jobs(&follower, 2);
+            follower.shared.park.open();
+            assert!(recv(&mut parked).starts_with("ERR "), "the ring is empty");
+            assert_eq!(recv(&mut c), "OK cmd=promote epoch=2 applied_seq=1");
+            let rep = c.roundtrip("REPLICATION");
+            assert!(rep.contains(" role=primary epoch=2 "), "{rep}");
+            assert!(rep.contains(" applied_seq=1 "), "{rep}");
+            assert!(rep.contains(" snapshots_installed=0 "), "{rep}");
+            follower.join();
+            // Nothing of the frame reached the journal or the snapshot.
+            let reopened = RingRegistry::open(&dir).expect("reopen");
+            assert_eq!(reopened.next_seq(), 2, "frame {i}");
+            assert!(reopened.ring_state("lab").unwrap().is_empty(), "frame {i}");
+            assert!(!dir.join("snapshot.dat").exists(), "frame {i}");
+            drop(reopened);
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn sync_subscriptions_beside_compactions_never_hit_a_storage_error() {
+        // Tiny segments, so every few admits seal a segment and each
+        // compaction deletes files the subscriptions read.
+        let dir = temp_state_dir("sync-compact");
+        let server = custom_server(|c| {
+            c.state_dir = Some(dir.clone());
+            c.segment_bytes = Some(96);
+        });
+        let addr = server.addr();
+        Client::connect(addr).roundtrip("REGISTER ring=r protocol=fddi mbps=100 stations=64");
+        let compactor = std::thread::spawn(move || {
+            let mut c = Client::connect(addr);
+            for i in 0..40 {
+                let admit = c.roundtrip(&format!(
+                    "ADMIT ring=r stream=s{i} period_ms={} bits=1000",
+                    20 + i
+                ));
+                assert!(admit.contains(" admitted=true "), "{admit}");
+                let compact = c.roundtrip("COMPACT");
+                assert!(compact.starts_with("OK cmd=compact "), "{compact}");
+            }
+        });
+        let mut subscriptions = 0;
+        while !compactor.is_finished() {
+            let mut f = Client::connect(addr);
+            let header = f.roundtrip("SYNC epoch=0 seq=1");
+            assert!(header.starts_with("OK cmd=sync "), "{header}");
+            subscriptions += 1;
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        compactor.join().expect("compactor");
+        assert!(subscriptions > 0);
+        server.join();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Joins `server` on another thread and checks it returns within five
+    /// seconds of `release` running.
+    fn joins_promptly(server: ServerHandle, release: impl FnOnce()) {
+        let (done, joined) = mpsc::channel();
+        let joiner = std::thread::spawn(move || {
+            server.join();
+            let _ = done.send(());
+        });
+        release();
+        joined
+            .recv_timeout(Duration::from_secs(5))
+            .expect("join did not return within 5 s");
+        joiner.join().expect("joiner thread");
+    }
+
+    #[test]
+    fn join_returns_while_a_follower_catches_up() {
+        const STREAMS: usize = 400;
+        let primary_dir = temp_state_dir("join-catchup-p");
+        let follower_dir = temp_state_dir("join-catchup-f");
+        let primary = custom_server(|c| c.state_dir = Some(primary_dir.clone()));
+        let mut p = Client::connect(primary.addr());
+        p.roundtrip("REGISTER ring=big protocol=fddi mbps=100 stations=600");
+        let mut admits = format!("BATCH {STREAMS}\n");
+        for i in 0..STREAMS {
+            admits.push_str(&format!(
+                "ADMIT ring=big stream=s{i} period_ms={} bits=64\n",
+                10_000 + i
+            ));
+        }
+        p.writer.write_all(admits.as_bytes()).expect("send admits");
+        for _ in 0..STREAMS {
+            assert!(recv(&mut p).contains("admitted=true"));
+        }
+        let follower = custom_server(|c| {
+            c.state_dir = Some(follower_dir.clone());
+            c.follow = Some(primary.addr().to_string());
+        });
+        let mut f = Client::connect(follower.addr());
+        await_contains(&mut f, "REPLICATION", " connected=true ");
+        joins_promptly(follower, || {});
+        primary.join();
+        let _ = std::fs::remove_dir_all(primary_dir);
+        let _ = std::fs::remove_dir_all(follower_dir);
+    }
+
+    #[test]
+    fn join_returns_while_a_ship_thread_waits_for_its_subscription() {
+        let dir = temp_state_dir("join-ship");
+        let server = custom_server(|c| c.state_dir = Some(dir.clone()));
+        let mut c = Client::connect(server.addr());
+        c.roundtrip("REGISTER ring=lab protocol=fddi mbps=100 stations=8");
+        let mut parked = park_registry(&server, "lab");
+        let mut f = Client::connect(server.addr());
+        send(&mut f, "SYNC epoch=0 seq=1");
+        // The fences passed on the loop; the ship thread now waits for its
+        // subscription behind the parked job.
+        await_registry_jobs(&server, 1);
+        let shared = Arc::clone(&server.shared);
+        joins_promptly(server, || shared.park.open());
+        assert!(recv(&mut parked).starts_with("ERR "), "the ring is empty");
+        assert!(recv(&mut f).starts_with("OK cmd=sync "));
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -42,6 +42,9 @@ mod fenwick;
 
 use fenwick::Fenwick;
 
+/// What one name-index entry costs besides its key's heap bytes.
+const NAME_ENTRY: usize = std::mem::size_of::<(String, u32)>();
+
 /// Sentinel for "this admission sequence is no longer live".
 const DEAD: u32 = u32::MAX;
 
@@ -110,6 +113,9 @@ pub struct StreamStore {
     /// `(period bits, seq)` — rate-monotonic order; first entry is `P_min`.
     by_period: BTreeSet<(u64, u64)>,
     by_name: HashMap<String, u32>,
+    /// Heap bytes of the name column and the name index, kept as they
+    /// change so [`StreamStore::approx_bytes`] is O(1).
+    name_bytes: usize,
     rebuilds: u64,
 }
 
@@ -137,6 +143,7 @@ impl StreamStore {
             dm: BTreeSet::new(),
             by_period: BTreeSet::new(),
             by_name: HashMap::new(),
+            name_bytes: 0,
             rebuilds: 0,
         }
     }
@@ -213,6 +220,7 @@ impl StreamStore {
         let row = match self.free.pop() {
             Some(row) => {
                 let r = row as usize;
+                self.name_bytes -= self.names[r].capacity();
                 self.names[r] = name.to_owned();
                 self.periods[r] = stream.period();
                 self.deadlines[r] = explicit_deadline(&stream);
@@ -237,7 +245,9 @@ impl StreamStore {
         self.live += 1;
         self.dm.insert(self.dm_key(row as usize));
         self.by_period.insert(self.period_key(row as usize));
-        self.by_name.insert(name.to_owned(), row);
+        let key = name.to_owned();
+        self.name_bytes += key.capacity() + NAME_ENTRY + self.names[row as usize].capacity();
+        self.by_name.insert(key, row);
         StreamHandle {
             row,
             generation: self.generations[row as usize],
@@ -263,7 +273,9 @@ impl StreamStore {
         );
         self.dm.remove(&self.dm_key(row));
         self.by_period.remove(&self.period_key(row));
-        self.by_name.remove(&self.names[row]);
+        if let Some((key, _)) = self.by_name.remove_entry(&self.names[row]) {
+            self.name_bytes -= key.capacity() + NAME_ENTRY;
+        }
         self.occupancy.add(seq as usize, -1);
         self.occupancy.truncate(seq as usize);
         self.seq_rows.pop();
@@ -276,7 +288,8 @@ impl StreamStore {
     /// held. O(log n) index maintenance; may trigger a sequence-domain
     /// compaction (see [`StreamStore::index_rebuilds`]).
     pub fn remove(&mut self, name: &str) -> Option<u64> {
-        let row32 = self.by_name.remove(name)?;
+        let (key, row32) = self.by_name.remove_entry(name)?;
+        self.name_bytes -= key.capacity() + NAME_ENTRY;
         let row = row32 as usize;
         let seq = self.seqs[row];
         self.dm.remove(&self.dm_key(row));
@@ -433,14 +446,8 @@ impl StreamStore {
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let names_heap: usize = self.names.iter().map(String::capacity).sum();
-        let name_index: usize = self
-            .by_name
-            .keys()
-            .map(|k| k.capacity() + size_of::<(String, u32)>())
-            .sum();
         self.names.capacity() * size_of::<String>()
-            + names_heap
+            + self.name_bytes
             + self.periods.capacity() * size_of::<Seconds>()
             + self.deadlines.capacity() * size_of::<Option<Seconds>>()
             + self.lengths.capacity() * size_of::<Bits>()
@@ -451,7 +458,6 @@ impl StreamStore {
             + self.occupancy.len() * size_of::<u32>()
             + self.dm.len() * size_of::<(u64, u64, u64)>()
             + self.by_period.len() * size_of::<(u64, u64)>()
-            + name_index
     }
 
     fn stream_at(&self, row: usize) -> SyncStream {
@@ -674,6 +680,29 @@ mod tests {
             store.utilization(Bandwidth::from_mbps(100.0)).to_bits(),
             set.utilization(Bandwidth::from_mbps(100.0)).to_bits()
         );
+    }
+
+    /// The name bytes `approx_bytes` keeps, counted afresh.
+    fn counted_name_bytes(store: &StreamStore) -> usize {
+        let column: usize = store.names.iter().map(String::capacity).sum();
+        let index = store.by_name.keys().map(|k| k.capacity() + NAME_ENTRY);
+        column + index.sum::<usize>()
+    }
+
+    #[test]
+    fn name_bytes_follow_admits_rollbacks_and_removals() {
+        let mut store = StreamStore::new();
+        for i in 0..200u32 {
+            let name = format!("stream-{}", "x".repeat((i % 7) as usize));
+            let name = format!("{name}{i}");
+            let handle = store.admit(&name, stream(10.0 + f64::from(i), 100));
+            if i % 5 == 0 {
+                store.rollback_admit(handle);
+            } else if i % 3 == 0 {
+                store.remove(&name);
+            }
+            assert_eq!(store.name_bytes, counted_name_bytes(&store), "step {i}");
+        }
     }
 
     #[test]
