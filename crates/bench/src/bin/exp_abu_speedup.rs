@@ -12,6 +12,11 @@
 //! pools are slow but must stay exact), so the determinism claim never
 //! narrows to whatever machine ran the bench.
 //!
+//! The estimates run on modified 802.5 at 100 Mbps, whose Theorem 4.1
+//! saturation search is the per-sample work the pool exists to spread:
+//! Theorem 5.1's closed-form boundary makes an FDDI sample a few
+//! microseconds, too little to pay for a fan-out.
+//!
 //! Besides the usual CSV on stdout, writes `BENCH_abu.json` to the current
 //! directory for CI artifact upload.
 
@@ -22,9 +27,8 @@ use rand::SeedableRng;
 use ringrt_bench::{banner, ExpOptions};
 use ringrt_breakdown::table::{cell, Table};
 use ringrt_breakdown::{BreakdownEstimate, BreakdownEstimator, SaturationSearch};
-use ringrt_core::ttp::TtpAnalyzer;
+use ringrt_core::ProtocolKind;
 use ringrt_exec::Pool;
-use ringrt_model::RingConfig;
 use ringrt_workload::MessageSetGenerator;
 
 const OUT_PATH: &str = "BENCH_abu.json";
@@ -37,8 +41,10 @@ fn main() {
         &opts,
     );
 
-    let ring = RingConfig::fddi(opts.stations, ringrt_units::Bandwidth::from_mbps(100.0));
-    let analyzer = TtpAnalyzer::with_defaults(ring);
+    let protocol = ProtocolKind::Modified;
+    let ring = protocol.ring(opts.stations, ringrt_units::Bandwidth::from_mbps(100.0));
+    let analyzer = protocol.analyzer(ring);
+    let analyzer = analyzer.as_ref();
     let estimator = BreakdownEstimator::new(
         MessageSetGenerator::paper_population(opts.stations),
         opts.samples,
@@ -48,8 +54,8 @@ fn main() {
     } else {
         1e-3
     }));
-    // Pairs per width. One estimate is ~1 ms, so even 51 pairs cost
-    // ~100 ms per width — and on a shared host the speedup statistic
+    // Pairs per width. One estimate is ~10 ms, so 51 pairs cost about
+    // a second per width — and on a shared host the speedup statistic
     // needs enough adjacent pairs for the trimmed ratio-of-sums to
     // shake off CPU-steal bursts that land inside a single run.
     let iters = if opts.quick { 9 } else { 51 };

@@ -38,6 +38,17 @@
 //! `cached=true`. `--addr` drives a running `ringrt serve --state-dir …`;
 //! without it the phase spawns a journaled server of its own.
 //!
+//! With `--memory --server <ringrt binary>` the binary instead runs the
+//! **memory probe**: it starts that binary as `serve --addr 127.0.0.1:0`
+//! in a process of its own and sends it perfbench abu-sim's mix — `ABU
+//! stations=100` walking the 39 Figure-1 points with fresh seeds (22
+//! samples on 802.5, 440 on FDDI), every fourth request a one-second
+//! `SIMULATE` of a fresh 10–50-stream set at 20–50 % utilization — one
+//! request at a time on one connection. It reads the server's `VmHWM`
+//! from `/proc/<pid>/status` at every 10 % of the run and prints the KiB
+//! per request over the last two thirds, and the final `worker_jobs`; it
+//! exits 1 on any non-`OK` reply. 1 500 requests, 300 with `--quick`.
+//!
 //! With `--connections` the binary instead runs the **connection-count
 //! sweep**: the server's event loop is loaded with 1k/10k/50k *idle*
 //! connections (held open by re-exec'd holder subprocesses, since one
@@ -61,10 +72,11 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ringrt_bench::{banner, ExpOptions};
+use ringrt_bench::{banner, wire_set, ExpOptions};
 use ringrt_breakdown::sweep::default_bandwidths_mbps;
 use ringrt_breakdown::table::{cell, Table};
 use ringrt_service::{spawn, ServiceConfig};
+use ringrt_units::Bandwidth;
 use ringrt_workload::MessageSetGenerator;
 
 /// Builds one request line; `unique` differentiates the payload so the
@@ -224,15 +236,11 @@ const FRESH_LINES_PER_SECOND: usize = 15_000;
 /// three protocols.
 fn fresh_check_line(rng: &mut StdRng, grid: &[f64]) -> String {
     let set = MessageSetGenerator::paper_population(rng.gen_range(10..=100)).generate(rng);
-    let records: Vec<String> = set
-        .iter()
-        .map(|s| format!("{:.3},{}", s.period().as_millis(), s.length_bits().as_u64()))
-        .collect();
     format!(
         "CHECK mbps={} protocol={} set={}",
         grid[rng.gen_range(0..grid.len())],
         ["802.5", "modified", "fddi"][rng.gen_range(0..3)],
-        records.join(";")
+        wire_set(&set)
     )
 }
 
@@ -781,6 +789,126 @@ fn release_holders(holders: Vec<Holder>) {
     }
 }
 
+/// One abu-sim request as perfbench draws them: an `ABU` at the next
+/// Figure-1 point of `walk`, or (every fourth) a one-second `SIMULATE` of
+/// a fresh 10–50-stream set scaled to 20–50 % utilization there.
+fn abu_sim_line(k: usize, rng: &mut StdRng, walks: &mut [Vec<(f64, &'static str)>; 2]) -> String {
+    let walk = &mut walks[usize::from(k % 4 == 3)];
+    if walk.is_empty() {
+        *walk = default_bandwidths_mbps()
+            .into_iter()
+            .flat_map(|mbps| ["802.5", "modified", "fddi"].map(|p| (mbps, p)))
+            .collect();
+        for i in (1..walk.len()).rev() {
+            walk.swap(i, rng.gen_range(0..=i));
+        }
+    }
+    let (mbps, protocol) = walk.pop().expect("a refilled walk is not empty");
+    if k % 4 == 3 {
+        let set = MessageSetGenerator::paper_population(rng.gen_range(10..=50)).generate(rng);
+        let target = rng.gen_range(0.2..0.5);
+        let set = set.with_scaled_lengths(target / set.utilization(Bandwidth::from_mbps(mbps)));
+        format!(
+            "SIMULATE mbps={mbps} protocol={protocol} seconds=1 seed={} set={}",
+            rng.gen::<u64>(),
+            wire_set(&set)
+        )
+    } else {
+        let samples = if protocol == "fddi" { 440 } else { 22 };
+        format!(
+            "ABU mbps={mbps} stations=100 samples={samples} seed={} protocol={protocol}",
+            rng.gen::<u64>()
+        )
+    }
+}
+
+/// The `VmHWM` of process `pid`, KiB.
+fn vm_hwm_kib(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next())
+        .and_then(|v| v.parse().ok())
+        .expect("VmHWM in /proc/<pid>/status")
+}
+
+/// The memory probe: abu-sim's mix against a `ringrt serve` child, its
+/// peak RSS read at every tenth of the run.
+fn memory_probe(opts: &ExpOptions, server: &str) -> bool {
+    banner(
+        "SERVICE-MEMORY",
+        "server peak RSS growth per request under abu-sim's mix, one connection",
+        opts,
+    );
+    let total = if opts.quick { 300 } else { 1_500 };
+    let mut child = Command::new(server)
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("spawn {server}: {e}"));
+    let mut banner_line = String::new();
+    BufReader::new(child.stdout.take().expect("server stdout"))
+        .read_line(&mut banner_line)
+        .expect("server banner");
+    let addr: SocketAddr = banner_line
+        .split_whitespace()
+        .find_map(|w| w.parse().ok())
+        .unwrap_or_else(|| panic!("no address in `{banner_line}`"));
+    let pid = child.id();
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut walks = [Vec::new(), Vec::new()];
+    let mut table = Table::new(&["requests", "vm_hwm_kib"]);
+    let mut marks = vec![(0usize, vm_hwm_kib(pid))];
+    let mut errors = 0usize;
+    let mut reply = String::new();
+    let started = Instant::now();
+    for k in 0..total {
+        let line = abu_sim_line(k, &mut rng, &mut walks);
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        reply.clear();
+        reader.read_line(&mut reply).expect("recv");
+        if !reply.starts_with("OK") {
+            errors += 1;
+            eprintln!("non-OK reply to `{line}`: {}", reply.trim_end());
+        }
+        if (k + 1) % (total / 10) == 0 {
+            marks.push((k + 1, vm_hwm_kib(pid)));
+        }
+    }
+    let elapsed = started.elapsed().as_secs_f64();
+    for &(n, kib) in &marks {
+        table.push_row(&[n.to_string(), kib.to_string()]);
+    }
+    print!("{}", table.to_csv());
+    let third = marks[marks.len() / 3];
+    let last = marks[marks.len() - 1];
+    let per_request = (last.1 as f64 - third.1 as f64) / (last.0 - third.0) as f64;
+    writer.write_all(b"STATS\n").expect("send");
+    reply.clear();
+    reader.read_line(&mut reply).expect("recv");
+    let jobs = reply
+        .split_whitespace()
+        .find_map(|f| f.strip_prefix("worker_jobs="))
+        .unwrap_or("?")
+        .to_owned();
+    writer.write_all(b"SHUTDOWN\n").expect("send");
+    reply.clear();
+    let _ = reader.read_line(&mut reply);
+    let _ = child.wait();
+    println!(
+        "# {total} requests in {elapsed:.1} s; VmHWM {} -> {} KiB; {per_request:.3} KiB per \
+         request over requests {}..{}; worker_jobs={jobs}; {errors} non-OK replies",
+        marks[0].1, last.1, third.0, last.0
+    );
+    errors == 0
+}
+
 /// Interleaved rounds of the connection sweep.
 const SWEEP_ROUNDS: usize = 5;
 
@@ -974,6 +1102,11 @@ fn main() {
             .expect("--target ADDR");
         hold_idle(count, target);
     }
+    let memory = raw.iter().any(|a| a == "--memory");
+    let server = raw
+        .iter()
+        .position(|a| a == "--server")
+        .map(|i| raw.get(i + 1).cloned().expect("--server <ringrt binary>"));
     let connections = raw.iter().any(|a| a == "--connections");
     let mixed = raw.iter().any(|a| a == "--mixed");
     let registry = raw.iter().any(|a| a == "--registry");
@@ -986,8 +1119,8 @@ fn main() {
     let mut args = raw.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--connections" | "--mixed" | "--writer" | "--registry" => {}
-            "--addr" => {
+            "--connections" | "--mixed" | "--writer" | "--registry" | "--memory" => {}
+            "--addr" | "--server" => {
                 args.next();
             }
             _ => filtered.push(arg),
@@ -1000,6 +1133,13 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if memory {
+        let server = server.expect("--memory needs --server <ringrt binary>");
+        if !memory_probe(&opts, &server) {
+            std::process::exit(1);
+        }
+        return;
+    }
     if connections {
         if !connection_sweep(&opts) {
             std::process::exit(1);

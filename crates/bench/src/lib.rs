@@ -18,6 +18,18 @@
 #![warn(missing_docs)]
 
 use ringrt_breakdown::sweep::SweepConfig;
+use ringrt_model::MessageSet;
+
+/// A set as the wire's inline `set=` value: `period_ms,bits` pairs
+/// joined by `;`, periods to the microsecond.
+#[must_use]
+pub fn wire_set(set: &MessageSet) -> String {
+    let records: Vec<String> = set
+        .iter()
+        .map(|s| format!("{:.3},{}", s.period().as_millis(), s.length_bits().as_u64()))
+        .collect();
+    records.join(";")
+}
 
 /// Command-line options shared by the experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,13 +1,8 @@
 //! Scaling a message set to the schedulability boundary.
 
-use ringrt_core::SchedulabilityTest;
-use ringrt_exec::Pool;
+use ringrt_core::{Boundary, ScalingProbe, SchedulabilityTest};
 use ringrt_model::MessageSet;
 use ringrt_units::Bandwidth;
-
-/// Cap on concurrent probes per multisection round: beyond this the
-/// bracket shrinks slower per evaluation than it costs to fan out.
-const MAX_SECTIONS: usize = 8;
 
 /// Binary search for the saturation boundary of a message set under a
 /// schedulability test.
@@ -80,6 +75,16 @@ impl SaturationSearch {
     /// negotiated TTRT, or a priority-driven configuration whose blocking
     /// term alone exceeds a period): such sets contribute no saturated
     /// sample and the estimator counts them separately.
+    ///
+    /// The probes go through [`SchedulabilityTest::scaling_probe`]. The
+    /// search brackets the boundary from a start factor, widening the
+    /// step each time, and bisects the bracket to the tolerance. It starts
+    /// at `α = 1` with steps of 2× (doubling or halving); when the probe
+    /// gives the boundary in closed form (Theorem 5.1 under the local
+    /// scheme), it starts there with a step of half the tolerance, so two
+    /// probes — one each side — usually settle it. The closed form is
+    /// exact for real-valued lengths; whole-bit rounding moves the
+    /// boundary a little, and the widening steps follow it.
     #[must_use]
     pub fn saturate<T: SchedulabilityTest + ?Sized>(
         &self,
@@ -87,18 +92,42 @@ impl SaturationSearch {
         set: &MessageSet,
         bandwidth: Bandwidth,
     ) -> Option<SaturatedSet> {
-        // Establish a bracket [lo, hi] with schedulable(lo) ∧ ¬schedulable(hi).
-        let schedulable_at = |alpha: f64| test.is_schedulable(&set.with_scaled_lengths(alpha));
+        let mut probe = test.scaling_probe(set);
+        let (start, step) = match probe.boundary() {
+            Boundary::Infeasible => return None,
+            Boundary::At(alpha) => (alpha, 0.5 * self.tolerance),
+            Boundary::Search => (1.0, 1.0),
+        };
+        let scale = self.search(probe.as_mut(), start, step)?;
+        let saturated = set.with_scaled_lengths(scale);
+        let utilization = saturated.utilization(bandwidth);
+        Some(SaturatedSet {
+            set: saturated,
+            scale,
+            utilization,
+        })
+    }
 
+    /// Brackets the boundary from `start`, moving by a factor `1 + step`
+    /// that doubles its excess each time up to 2×, and bisects the
+    /// bracket: the largest schedulable factor found, or `None` when none
+    /// is.
+    fn search(&self, probe: &mut dyn ScalingProbe, start: f64, mut step: f64) -> Option<f64> {
+        let mut widen = || {
+            let ratio = 1.0 + step;
+            step = (2.0 * step).min(1.0);
+            ratio
+        };
+        // Establish a bracket [lo, hi] with schedulable(lo) ∧ ¬schedulable(hi).
         let mut lo;
         let mut hi;
-        if schedulable_at(1.0) {
-            lo = 1.0;
-            hi = 2.0;
+        if probe.schedulable_at(start) {
+            lo = start;
+            hi = lo * widen();
             let mut steps = 0;
-            while schedulable_at(hi) {
+            while probe.schedulable_at(hi) {
                 lo = hi;
-                hi *= 2.0;
+                hi = lo * widen();
                 steps += 1;
                 if steps > self.max_iterations {
                     // Pathological: the test accepts unbounded load.
@@ -106,12 +135,12 @@ impl SaturationSearch {
                 }
             }
         } else {
-            hi = 1.0;
-            lo = 0.5;
+            hi = start;
+            lo = hi / widen();
             let mut steps = 0;
-            while !schedulable_at(lo) {
+            while !probe.schedulable_at(lo) {
                 hi = lo;
-                lo /= 2.0;
+                lo = hi / widen();
                 steps += 1;
                 if steps > self.max_iterations || lo < 1e-12 {
                     return None;
@@ -123,123 +152,14 @@ impl SaturationSearch {
         let mut steps = 0;
         while (hi - lo) / lo > self.tolerance && steps < self.max_iterations {
             let mid = 0.5 * (lo + hi);
-            if schedulable_at(mid) {
+            if probe.schedulable_at(mid) {
                 lo = mid;
             } else {
                 hi = mid;
             }
             steps += 1;
         }
-
-        let saturated = set.with_scaled_lengths(lo);
-        let utilization = saturated.utilization(bandwidth);
-        Some(SaturatedSet {
-            set: saturated,
-            scale: lo,
-            utilization,
-        })
-    }
-
-    /// Like [`SaturationSearch::saturate`], but fans the boundary probes
-    /// across `pool`'s workers: each bracket-expansion and refinement
-    /// round evaluates up to `min(pool.threads(), 8)` candidate scales
-    /// concurrently (a multisection search — `p` probes shrink the
-    /// bracket by `p + 1` per round instead of bisection's 2).
-    ///
-    /// The result honors the same contract as the serial search (returned
-    /// scale schedulable, bracket within tolerance) and is deterministic
-    /// for a fixed probe count; with a single-threaded pool it is
-    /// **identical** to [`SaturationSearch::saturate`]. Probe counts
-    /// differ in their final `α*` only within the search tolerance.
-    #[must_use]
-    pub fn saturate_with<T>(
-        &self,
-        test: &T,
-        set: &MessageSet,
-        bandwidth: Bandwidth,
-        pool: &Pool,
-    ) -> Option<SaturatedSet>
-    where
-        T: SchedulabilityTest + Sync + ?Sized,
-    {
-        let probes = pool.threads().min(MAX_SECTIONS);
-        if probes <= 1 {
-            return self.saturate(test, set, bandwidth);
-        }
-        let schedulable_at = |alpha: f64| test.is_schedulable(&set.with_scaled_lengths(alpha));
-        let batch = |alphas: &[f64]| pool.map_slice(alphas, |&a| schedulable_at(a));
-
-        // Establish a bracket [lo, hi] with schedulable(lo) ∧ ¬schedulable(hi),
-        // probing a whole geometric ladder per round.
-        let mut lo;
-        let mut hi;
-        if schedulable_at(1.0) {
-            lo = 1.0;
-            let mut rounds = 0;
-            loop {
-                let ladder: Vec<f64> = (1..=probes).map(|j| lo * 2f64.powi(j as i32)).collect();
-                let verdicts = batch(&ladder);
-                if let Some(j) = verdicts.iter().position(|ok| !ok) {
-                    if j > 0 {
-                        lo = ladder[j - 1];
-                    }
-                    hi = ladder[j];
-                    break;
-                }
-                lo = *ladder.last().expect("probes >= 2");
-                rounds += 1;
-                if rounds > self.max_iterations {
-                    // Pathological: the test accepts unbounded load.
-                    return None;
-                }
-            }
-        } else {
-            hi = 1.0;
-            let mut rounds = 0;
-            loop {
-                let ladder: Vec<f64> = (1..=probes).map(|j| hi * 0.5f64.powi(j as i32)).collect();
-                let verdicts = batch(&ladder);
-                if let Some(j) = verdicts.iter().position(|ok| *ok) {
-                    lo = ladder[j];
-                    if j > 0 {
-                        hi = ladder[j - 1];
-                    }
-                    break;
-                }
-                hi = *ladder.last().expect("probes >= 2");
-                rounds += 1;
-                if rounds > self.max_iterations || hi < 1e-12 {
-                    return None;
-                }
-            }
-        }
-
-        // Multisection refinement: p equispaced interior probes per round.
-        let mut rounds = 0;
-        while (hi - lo) / lo > self.tolerance && rounds < self.max_iterations {
-            let step = (hi - lo) / (probes + 1) as f64;
-            let xs: Vec<f64> = (1..=probes).map(|j| lo + step * j as f64).collect();
-            let verdicts = batch(&xs);
-            // Monotone in α: the largest schedulable probe raises lo, the
-            // first unschedulable one lowers hi.
-            match verdicts.iter().position(|ok| !ok) {
-                Some(0) => hi = xs[0],
-                Some(j) => {
-                    lo = xs[j - 1];
-                    hi = xs[j];
-                }
-                None => lo = *xs.last().expect("probes >= 2"),
-            }
-            rounds += 1;
-        }
-
-        let saturated = set.with_scaled_lengths(lo);
-        let utilization = saturated.utilization(bandwidth);
-        Some(SaturatedSet {
-            set: saturated,
-            scale: lo,
-            utilization,
-        })
+        Some(lo)
     }
 }
 
@@ -339,75 +259,69 @@ mod tests {
         assert!(fine.scale <= coarse.scale * (1.0 + 0.05));
     }
 
-    #[test]
-    #[should_panic(expected = "tolerance")]
-    fn bad_tolerance_rejected() {
-        let _ = SaturationSearch::with_tolerance(0.0);
+    /// Counts the probes a search makes through the analyzer's own probe.
+    struct Counting<'a> {
+        inner: &'a dyn SchedulabilityTest,
+        probes: std::cell::Cell<u32>,
     }
 
-    #[test]
-    fn pooled_search_agrees_with_serial_within_tolerance() {
-        let ring = RingConfig::fddi(3, Bandwidth::from_mbps(100.0));
-        let a = TtpAnalyzer::with_defaults(ring);
-        let search = SaturationSearch::default();
-        let serial = search.saturate(&a, &base_set(), ring.bandwidth()).unwrap();
-        for threads in [2, 4, 8] {
-            let pool = Pool::new(threads);
-            let par = search
-                .saturate_with(&a, &base_set(), ring.bandwidth(), &pool)
-                .unwrap();
-            use ringrt_core::SchedulabilityTest;
-            assert!(a.is_schedulable(&par.set));
-            let above = par.set.with_scaled_lengths(1.0 + 10.0 * search.tolerance);
-            assert!(!a.is_schedulable(&above));
-            let rel = (par.scale - serial.scale).abs() / serial.scale;
-            assert!(
-                rel <= 2.0 * search.tolerance,
-                "threads={threads}: scale {par} vs serial {serial} (rel {rel})",
-                par = par.scale,
-                serial = serial.scale,
-            );
+    impl SchedulabilityTest for Counting<'_> {
+        fn is_schedulable(&self, set: &MessageSet) -> bool {
+            self.inner.is_schedulable(set)
+        }
+        fn protocol_name(&self) -> &'static str {
+            self.inner.protocol_name()
+        }
+        fn scaling_probe<'a>(&'a self, set: &'a MessageSet) -> Box<dyn ScalingProbe + 'a> {
+            struct Counted<'a>(Box<dyn ScalingProbe + 'a>, &'a std::cell::Cell<u32>);
+            impl ScalingProbe for Counted<'_> {
+                fn schedulable_at(&mut self, alpha: f64) -> bool {
+                    self.1.set(self.1.get() + 1);
+                    self.0.schedulable_at(alpha)
+                }
+                fn boundary(&self) -> Boundary {
+                    self.0.boundary()
+                }
+            }
+            Box::new(Counted(self.inner.scaling_probe(set), &self.probes))
         }
     }
 
     #[test]
-    fn pooled_search_scales_down_overloaded_sets() {
-        let ring = RingConfig::ieee_802_5(3, Bandwidth::from_mbps(4.0));
-        let a = PdpAnalyzer::new(ring, FrameFormat::paper_default(), PdpVariant::Modified);
-        let heavy = base_set().with_scaled_lengths(1_000.0);
-        let pool = Pool::new(4);
-        let serial = SaturationSearch::default()
-            .saturate(&a, &heavy, ring.bandwidth())
-            .unwrap();
-        let par = SaturationSearch::default()
-            .saturate_with(&a, &heavy, ring.bandwidth(), &pool)
-            .unwrap();
-        assert!(par.scale < 1.0);
-        let rel = (par.scale - serial.scale).abs() / serial.scale;
-        assert!(rel <= 2.0 * SaturationSearch::default().tolerance);
-    }
-
-    #[test]
-    fn serial_pool_delegates_exactly() {
+    fn closed_form_settles_in_two_probes() {
         let ring = RingConfig::fddi(3, Bandwidth::from_mbps(100.0));
         let a = TtpAnalyzer::with_defaults(ring);
-        let search = SaturationSearch::default();
-        let serial = search.saturate(&a, &base_set(), ring.bandwidth()).unwrap();
-        let pooled = search
-            .saturate_with(&a, &base_set(), ring.bandwidth(), &Pool::serial())
-            .unwrap();
-        assert_eq!(serial, pooled);
+        let counting = Counting {
+            inner: &a,
+            probes: std::cell::Cell::new(0),
+        };
+        for set in [base_set(), base_set().with_scaled_lengths(1_000.0)] {
+            counting.probes.set(0);
+            let sat = SaturationSearch::default()
+                .saturate(&counting, &set, ring.bandwidth())
+                .unwrap();
+            assert_eq!(counting.probes.get(), 2, "one probe each side of α*");
+            let Boundary::At(alpha) = a.scaling_boundary(&set) else {
+                panic!("Theorem 5.1 under the local scheme has a closed form");
+            };
+            assert!((sat.scale - alpha).abs() <= 1e-4 * alpha);
+        }
+        // q < 2 needs no probe at all.
+        use ringrt_core::ttp::TtrtPolicy;
+        let fixed = a.with_ttrt_policy(TtrtPolicy::Fixed(Seconds::from_millis(500.0)));
+        let counting = Counting {
+            inner: &fixed,
+            probes: std::cell::Cell::new(0),
+        };
+        assert!(SaturationSearch::default()
+            .saturate(&counting, &base_set(), ring.bandwidth())
+            .is_none());
+        assert_eq!(counting.probes.get(), 0);
     }
 
     #[test]
-    fn pooled_search_returns_none_for_impossible_configuration() {
-        use ringrt_core::ttp::TtrtPolicy;
-        let ring = RingConfig::fddi(3, Bandwidth::from_mbps(100.0));
-        let a = TtpAnalyzer::with_defaults(ring)
-            .with_ttrt_policy(TtrtPolicy::Fixed(Seconds::from_millis(500.0)));
-        let pool = Pool::new(4);
-        assert!(SaturationSearch::default()
-            .saturate_with(&a, &base_set(), ring.bandwidth(), &pool)
-            .is_none());
+    #[should_panic(expected = "tolerance")]
+    fn bad_tolerance_rejected() {
+        let _ = SaturationSearch::with_tolerance(0.0);
     }
 }

@@ -59,5 +59,5 @@ pub mod ttp;
 
 mod protocol;
 
-pub use protocol::{ProtocolKind, SchedulabilityTest};
+pub use protocol::{Boundary, ProtocolKind, ScalingProbe, SchedulabilityTest};
 pub use ringrt_model::SetView;

@@ -22,6 +22,21 @@ pub trait SchedulabilityTest {
 
     /// Human-readable protocol name (Figure 1 legend style).
     fn protocol_name(&self) -> &'static str;
+
+    /// Prepares a probe of `set` with every message length scaled by a
+    /// common factor `α`, as the saturation search asks (Lehoczky–Sha–
+    /// Ding's critical scaling factor).
+    ///
+    /// The default answers each probe with
+    /// `is_schedulable(&set.with_scaled_lengths(α))`, so an implementor
+    /// that overrides only [`SchedulabilityTest::is_schedulable`] — a
+    /// counting or timing wrapper — is searched exactly as before. An
+    /// analyzer overrides it to hoist what does not depend on `α` out of
+    /// the probes, or to give the boundary in closed form; its verdicts
+    /// must stay those of the default.
+    fn scaling_probe<'a>(&'a self, set: &'a MessageSet) -> Box<dyn ScalingProbe + 'a> {
+        Box::new(Rescale { test: self, set })
+    }
 }
 
 impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for &T {
@@ -31,6 +46,9 @@ impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for &T {
     fn protocol_name(&self) -> &'static str {
         (**self).protocol_name()
     }
+    fn scaling_probe<'a>(&'a self, set: &'a MessageSet) -> Box<dyn ScalingProbe + 'a> {
+        (**self).scaling_probe(set)
+    }
 }
 
 impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for Box<T> {
@@ -39,6 +57,49 @@ impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for Box<T> {
     }
     fn protocol_name(&self) -> &'static str {
         (**self).protocol_name()
+    }
+    fn scaling_probe<'a>(&'a self, set: &'a MessageSet) -> Box<dyn ScalingProbe + 'a> {
+        (**self).scaling_probe(set)
+    }
+}
+
+/// One message set under one test, probed at length factors `α`
+/// ([`SchedulabilityTest::scaling_probe`]).
+pub trait ScalingProbe {
+    /// Whether the set with every length scaled by `alpha` — rounded to
+    /// whole bits as [`MessageSet::with_scaled_lengths`] does — is
+    /// schedulable.
+    fn schedulable_at(&mut self, alpha: f64) -> bool;
+
+    /// What the test knows of the boundary before any probe runs.
+    fn boundary(&self) -> Boundary {
+        Boundary::Search
+    }
+}
+
+/// The largest schedulable length factor `α*`, as far as a
+/// [`ScalingProbe`] knows it without probing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Boundary {
+    /// Unknown: bracket it and bisect.
+    Search,
+    /// No positive factor is schedulable.
+    Infeasible,
+    /// `α*` in closed form for real-valued lengths; rounding lengths to
+    /// whole bits moves the boundary a little, so the search starts here.
+    At(f64),
+}
+
+/// The default probe: scale the set, run the whole test.
+pub(crate) struct Rescale<'a, T: ?Sized> {
+    pub(crate) test: &'a T,
+    pub(crate) set: &'a MessageSet,
+}
+
+impl<T: SchedulabilityTest + ?Sized> ScalingProbe for Rescale<'_, T> {
+    fn schedulable_at(&mut self, alpha: f64) -> bool {
+        self.test
+            .is_schedulable(&self.set.with_scaled_lengths(alpha))
     }
 }
 
@@ -195,5 +256,44 @@ mod tests {
     fn trait_object_safe() {
         // The trait must remain usable as `&dyn SchedulabilityTest`.
         fn _takes_dyn(_t: &dyn SchedulabilityTest) {}
+    }
+
+    /// A wrapper that overrides only `is_schedulable`, as counting and
+    /// timing wrappers do.
+    struct Plain<'a>(&'a dyn SchedulabilityTest);
+
+    impl SchedulabilityTest for Plain<'_> {
+        fn is_schedulable(&self, set: &MessageSet) -> bool {
+            self.0.is_schedulable(set)
+        }
+        fn protocol_name(&self) -> &'static str {
+            self.0.protocol_name()
+        }
+    }
+
+    #[test]
+    fn references_and_boxes_forward_the_probe() {
+        let ring = ProtocolKind::Fddi.ring(4, Bandwidth::from_mbps(100.0));
+        let set = MessageSet::new(vec![ringrt_model::SyncStream::new(
+            ringrt_units::Seconds::from_millis(20.0),
+            ringrt_units::Bits::new(10_000),
+        )])
+        .unwrap();
+        // Through the impls for `&T` and `Box<T>` as a generic caller
+        // such as the saturation search sees them.
+        fn boundary<T: SchedulabilityTest + ?Sized>(test: &T, set: &MessageSet) -> Boundary {
+            test.scaling_probe(set).boundary()
+        }
+        let boxed = ProtocolKind::Fddi.analyzer(ring);
+        let closed = boundary(&*boxed, &set);
+        assert!(matches!(closed, Boundary::At(_)), "{closed:?}");
+        assert_eq!(boundary(&boxed, &set), closed);
+        assert_eq!(boundary(&&boxed, &set), closed);
+        // A wrapper that forwards only `is_schedulable` gets the default.
+        let plain = Plain(&*boxed);
+        let mut probe = plain.scaling_probe(&set);
+        assert_eq!(probe.boundary(), Boundary::Search);
+        assert!(probe.schedulable_at(1.0));
+        assert!(!probe.schedulable_at(1e6));
     }
 }

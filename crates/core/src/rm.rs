@@ -20,7 +20,10 @@
 //!
 //! Both assume tasks are indexed in priority order (ascending period).
 
-use ringrt_units::Seconds;
+use ringrt_model::{MessageSet, StreamId, SyncStream};
+use ringrt_units::{Bits, Seconds};
+
+use crate::ScalingProbe;
 
 /// Relative tolerance used when taking ceilings/floors of period ratios, so
 /// that exact harmonic relationships survive floating-point noise.
@@ -259,11 +262,26 @@ pub fn response_time_counted(
     blocking: Seconds,
     budget: &mut Budget,
 ) -> Result<(Option<Seconds>, u64), Unfinished> {
+    response_time_from(tasks, index, blocking, tasks[index].cost + blocking, budget)
+}
+
+/// [`response_time_counted`] with the fixed-point iteration started at
+/// `start` instead of `C_i + B`. Any `start` between `C_i + B` and the
+/// least fixed point reaches that fixed point, so the verdict is the same;
+/// a response time of the same task under costs no larger is such a
+/// start.
+fn response_time_from(
+    tasks: &[RmTask],
+    index: usize,
+    blocking: Seconds,
+    start: Seconds,
+    budget: &mut Budget,
+) -> Result<(Option<Seconds>, u64), Unfinished> {
     debug_assert_priority_order(tasks);
     let task = &tasks[index];
     let deadline = task.deadline;
     let tol = Seconds::new(RATIO_EPS * deadline.as_secs_f64().max(1e-30));
-    let mut r = task.cost + blocking;
+    let mut r = start;
     let mut evaluations = 0u64;
     // Each iteration increases R until the fixed point; bail out as soon as
     // the deadline is exceeded. A generous iteration cap guards against
@@ -348,13 +366,141 @@ pub fn is_schedulable_points(tasks: &[RmTask], blocking: Seconds) -> bool {
 #[must_use]
 pub fn is_schedulable_rta(tasks: &[RmTask], blocking: Seconds) -> bool {
     debug_assert_priority_order(tasks);
-    // Quick necessary condition: utilization (ignoring blocking) must not
-    // exceed 1, otherwise RTA may take many iterations to diverge.
+    !over_utilized(tasks) && (0..tasks.len()).all(|i| response_time(tasks, i, blocking).is_some())
+}
+
+/// Quick necessary condition of the response-time test: utilization
+/// (ignoring blocking) must not exceed 1, otherwise RTA may take many
+/// iterations to diverge.
+fn over_utilized(tasks: &[RmTask]) -> bool {
     let u: f64 = tasks.iter().map(RmTask::utilization).sum();
-    if u > 1.0 + RATIO_EPS {
-        return false;
+    u > 1.0 + RATIO_EPS
+}
+
+/// [`is_schedulable_rta`] of one task set at a sequence of common length
+/// factors `α` — the saturation search's probes of Theorem 4.1 and of
+/// ideal RM.
+///
+/// The priority order, periods, deadlines and blocking term do not depend
+/// on `α`, so they are fixed once; a probe rebuilds only the costs, since
+/// frame counts step with `α`. The rank that failed last is tested first.
+/// A rank whose response-time upper bound
+/// `(C_i + B + Σ_{j<i} C_j) / (1 − Σ_{j<i} U_j)` meets its deadline needs
+/// no iteration; any other starts from its response time at the largest
+/// schedulable `α` probed so far, a lower bound at every larger `α` (costs
+/// only grow with `α`). The verdict is [`is_schedulable_rta`]'s over the
+/// tasks the cost function builds.
+pub(crate) struct ScaledRta<F> {
+    /// The streams in priority order, at their unscaled lengths.
+    streams: Vec<SyncStream>,
+    /// This probe's tasks, in the same order.
+    tasks: Vec<RmTask>,
+    blocking: Seconds,
+    /// `C_i` (or `C'_i`) of a message of the given length.
+    cost: F,
+    /// Each rank's response time at `warm_alpha`.
+    warm: Vec<Seconds>,
+    /// The largest schedulable factor probed so far (0 before any).
+    warm_alpha: f64,
+    /// Scratch for a probe's response times.
+    response: Vec<Seconds>,
+    /// The rank that missed its deadline at the last unschedulable probe.
+    failed: Option<usize>,
+}
+
+impl<F: Fn(Bits) -> Seconds> ScaledRta<F> {
+    /// Probes `order` of `set` (priority order), each stream's cost given
+    /// by `cost` of its scaled length, under `blocking`.
+    pub(crate) fn new(set: &MessageSet, order: &[usize], blocking: Seconds, cost: F) -> Self {
+        let streams: Vec<SyncStream> = order.iter().map(|&i| *set.stream(StreamId(i))).collect();
+        let tasks = streams.iter().map(|s| task_of(s, Seconds::ZERO)).collect();
+        let n = streams.len();
+        ScaledRta {
+            streams,
+            tasks,
+            blocking,
+            cost,
+            warm: vec![Seconds::ZERO; n],
+            warm_alpha: 0.0,
+            response: vec![Seconds::ZERO; n],
+            failed: None,
+        }
     }
-    (0..tasks.len()).all(|i| response_time(tasks, i, blocking).is_some())
+
+    /// The response time of rank `i`, started warm when `alpha` is at
+    /// least the last schedulable factor.
+    fn rank(&self, i: usize, alpha: f64) -> Option<Seconds> {
+        let cold = self.tasks[i].cost + self.blocking;
+        let start = if alpha >= self.warm_alpha {
+            cold.max(self.warm[i])
+        } else {
+            cold
+        };
+        response_time_from(
+            &self.tasks,
+            i,
+            self.blocking,
+            start,
+            &mut Budget::unlimited(),
+        )
+        .expect("an unlimited budget never runs out")
+        .0
+    }
+}
+
+/// The task of `stream` at cost `cost`, with the stream's deadline.
+fn task_of(stream: &SyncStream, cost: Seconds) -> RmTask {
+    RmTask {
+        cost,
+        period: stream.period(),
+        deadline: stream.relative_deadline(),
+    }
+}
+
+impl<F: Fn(Bits) -> Seconds> ScalingProbe for ScaledRta<F> {
+    fn schedulable_at(&mut self, alpha: f64) -> bool {
+        for (task, stream) in self.tasks.iter_mut().zip(&self.streams) {
+            task.cost = (self.cost)(stream.scaled_length(alpha));
+        }
+        if over_utilized(&self.tasks) {
+            return false;
+        }
+        // The rank that failed last first: the next probe after a failure
+        // usually fails there too.
+        let first = self.failed;
+        if let Some(k) = first {
+            match self.rank(k, alpha) {
+                Some(r) => self.response[k] = r,
+                None => return false,
+            }
+        }
+        let warm = alpha >= self.warm_alpha;
+        let (mut higher_cost, mut higher_u) = (Seconds::ZERO, 0.0);
+        for i in 0..self.tasks.len() {
+            let task = self.tasks[i];
+            if Some(i) != first {
+                // R_i ≤ (C_i + B + Σ_{j<i} C_j) / (1 − Σ_{j<i} U_j), from
+                // ⌈x⌉ < x + 1: a rank this bound clears needs no iteration.
+                let idle = 1.0 - higher_u;
+                if idle > 0.0 && (task.cost + self.blocking + higher_cost) / idle <= task.deadline {
+                    self.response[i] = if warm { self.warm[i] } else { Seconds::ZERO };
+                } else {
+                    match self.rank(i, alpha) {
+                        Some(r) => self.response[i] = r,
+                        None => {
+                            self.failed = Some(i);
+                            return false;
+                        }
+                    }
+                }
+            }
+            higher_cost += task.cost;
+            higher_u += task.utilization();
+        }
+        std::mem::swap(&mut self.warm, &mut self.response);
+        self.warm_alpha = alpha;
+        true
+    }
 }
 
 /// Per-task response times (`None` marks an unschedulable task), for
@@ -426,6 +572,25 @@ impl crate::SchedulabilityTest for IdealRmAnalyzer {
 
     fn protocol_name(&self) -> &'static str {
         "ideal RM"
+    }
+
+    /// Theorem 4.1's probe with `B = 0` and `C_i = C_i^b / BW`, where
+    /// every deadline is the period (rate-monotonic order is then
+    /// deadline-monotonic order).
+    fn scaling_probe<'a>(
+        &'a self,
+        set: &'a ringrt_model::MessageSet,
+    ) -> Box<dyn ScalingProbe + 'a> {
+        if !set.iter().all(SyncStream::has_implicit_deadline) {
+            return Box::new(crate::protocol::Rescale { test: self, set });
+        }
+        let bandwidth = self.bandwidth;
+        Box::new(ScaledRta::new(
+            set,
+            &set.rm_order(),
+            Seconds::ZERO,
+            move |bits| bandwidth.transmission_time(bits),
+        ))
     }
 }
 
@@ -575,6 +740,47 @@ mod tests {
             Err(Unfinished)
         );
         assert_eq!(short.left(), 0);
+    }
+
+    #[test]
+    fn scaled_probes_agree_with_the_full_test() {
+        use ringrt_model::MessageSet;
+        use ringrt_units::Bandwidth;
+        let streams = [
+            (14.0, 9_000),
+            (33.0, 30_000),
+            (33.0, 5_000),
+            (101.0, 80_000),
+        ]
+        .map(|(p, bits)| SyncStream::new(Seconds::from_millis(p), Bits::new(bits)));
+        let mut constrained = streams;
+        constrained[3] = constrained[3].with_relative_deadline(Seconds::from_millis(40.0));
+        let bw = Bandwidth::from_mbps(4.0);
+        let blocking = Seconds::from_millis(0.5);
+        for streams in [streams, constrained] {
+            let set = MessageSet::new(streams.to_vec()).unwrap();
+            let order = set.dm_order();
+            let full = |alpha: f64| {
+                let scaled = set.with_scaled_lengths(alpha);
+                let tasks: Vec<RmTask> = order
+                    .iter()
+                    .map(|&i| {
+                        let s = scaled.stream(StreamId(i));
+                        task_of(s, s.transmission_time(bw))
+                    })
+                    .collect();
+                is_schedulable_rta(&tasks, blocking)
+            };
+            let mut probe =
+                ScaledRta::new(&set, &order, blocking, |bits| bw.transmission_time(bits));
+            // Up, down past the last schedulable factor, and up again.
+            let alphas = [0.5, 1.0, 1.5, 1.2, 0.3, 2.0, 1.1, 1.3, 1.25, 0.9, 1.28];
+            let verdicts: Vec<bool> = alphas.iter().map(|&a| full(a)).collect();
+            assert!(verdicts.contains(&true) && verdicts.contains(&false));
+            for (&alpha, &want) in alphas.iter().zip(&verdicts) {
+                assert_eq!(probe.schedulable_at(alpha), want, "α = {alpha}");
+            }
+        }
     }
 
     #[test]

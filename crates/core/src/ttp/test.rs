@@ -5,8 +5,9 @@ use core::fmt;
 use ringrt_model::{MessageSet, RingConfig, SetView, StreamId, SyncStream};
 use ringrt_units::{Bits, Seconds};
 
+use crate::protocol::Rescale;
 use crate::rm::{Budget, Unfinished};
-use crate::SchedulabilityTest;
+use crate::{Boundary, ScalingProbe, SchedulabilityTest};
 
 use super::{visit_count, worst_case_available_time, SbaScheme, TtrtPolicy};
 
@@ -287,6 +288,80 @@ impl SchedulabilityTest for TtpAnalyzer {
 
     fn protocol_name(&self) -> &'static str {
         "FDDI"
+    }
+
+    /// Probes with the full test, and gives the boundary in closed form
+    /// where [`TtpAnalyzer::scaling_boundary`] has one.
+    fn scaling_probe<'a>(&'a self, set: &'a MessageSet) -> Box<dyn ScalingProbe + 'a> {
+        Box::new(LinearProbe {
+            boundary: self.scaling_boundary(set),
+            probe: Rescale { test: self, set },
+        })
+    }
+}
+
+/// A Theorem 5.1 probe that knows its boundary.
+struct LinearProbe<'a> {
+    boundary: Boundary,
+    probe: Rescale<'a, TtpAnalyzer>,
+}
+
+impl ScalingProbe for LinearProbe<'_> {
+    fn schedulable_at(&mut self, alpha: f64) -> bool {
+        self.probe.schedulable_at(alpha)
+    }
+
+    fn boundary(&self) -> Boundary {
+        self.boundary
+    }
+}
+
+impl TtpAnalyzer {
+    /// The largest factor `α*` by which every length of `set` can be
+    /// scaled and still meet Theorem 5.1, in closed form.
+    ///
+    /// It exists under the local scheme with a TTRT that does not read
+    /// message lengths — [`TtrtPolicy::SqrtHeuristic`],
+    /// [`TtrtPolicy::HalfMinPeriod`] or [`TtrtPolicy::Fixed`]. Then the
+    /// TTRT, every `q_i` and `Θ'` are the same at every `α`, and the
+    /// deadline constraint holds by construction (each stream is allocated
+    /// exactly `C_i/(q_i−1)` of payload per visit), so only
+    /// `α·Σ C_i/(q_i−1) + n·F_ovhd ≤ TTRT − Θ'` binds:
+    ///
+    /// ```text
+    /// α* = (TTRT − Θ' − n·F_ovhd) / Σ C_i/(q_i−1)
+    /// ```
+    ///
+    /// [`Boundary::Infeasible`] when some `q_i < 2` or the numerator is
+    /// not positive; [`Boundary::Search`] for any other scheme or policy
+    /// ([`TtrtPolicy::GridSearch`] reads lengths).
+    #[must_use]
+    pub fn scaling_boundary(&self, set: &MessageSet) -> Boundary {
+        let length_blind = matches!(
+            self.ttrt_policy,
+            TtrtPolicy::SqrtHeuristic | TtrtPolicy::HalfMinPeriod | TtrtPolicy::Fixed(_)
+        );
+        if self.scheme != SbaScheme::Local || !length_blind {
+            return Boundary::Search;
+        }
+        let ttrt = self.ttrt_for(set);
+        let bw = self.ring.bandwidth();
+        let mut slope = Seconds::ZERO;
+        for s in set {
+            let q = visit_count(s.relative_deadline(), ttrt);
+            if q < 2 {
+                return Boundary::Infeasible;
+            }
+            slope += s.transmission_time(bw) / (q - 1) as f64;
+        }
+        let room = ttrt - self.theta_prime() - self.frame_overhead_time() * set.len() as f64;
+        if room <= Seconds::ZERO {
+            Boundary::Infeasible
+        } else if slope > Seconds::ZERO {
+            Boundary::At(room / slope)
+        } else {
+            Boundary::Search
+        }
     }
 }
 

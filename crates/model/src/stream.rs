@@ -169,15 +169,26 @@ impl SyncStream {
     /// Panics if `factor` is negative or not finite.
     #[must_use]
     pub fn with_scaled_length(&self, factor: f64) -> SyncStream {
+        SyncStream {
+            length_bits: self.scaled_length(factor),
+            ..*self
+        }
+    }
+
+    /// The payload length [`SyncStream::with_scaled_length`] gives: times
+    /// `factor`, rounded to the nearest bit, at least one bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is negative or not finite.
+    #[must_use]
+    pub fn scaled_length(&self, factor: f64) -> Bits {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "scale factor must be finite and non-negative, got {factor}"
         );
         let scaled = (self.length_bits.as_f64() * factor).round().max(1.0);
-        SyncStream {
-            length_bits: Bits::new(scaled as u64),
-            ..*self
-        }
+        Bits::new(scaled as u64)
     }
 
     /// Returns a copy with a different payload length.

@@ -69,12 +69,12 @@ pub fn execute_check(req: &AnalysisRequest, budget: &mut Budget) -> Result<Strin
     Ok(body)
 }
 
-/// Like [`execute`], but fans parallelizable work — currently the
-/// `SATURATION` boundary search — across `pool`'s workers. With a
-/// single-threaded pool the result is identical to [`execute`]; wider
-/// pools agree within the search tolerance.
+/// [`execute`] for a caller that holds an execution pool. No analysis
+/// command fans out any more — a `SATURATION` search takes a few cheap
+/// probes (see [`SaturationSearch::saturate`]) — so the reply is
+/// [`execute`]'s at any pool width.
 #[must_use]
-pub fn execute_with(req: &AnalysisRequest, pool: &Pool) -> String {
+pub fn execute_with(req: &AnalysisRequest, _pool: &Pool) -> String {
     let bw = Bandwidth::from_mbps(req.mbps);
     let stations = req.effective_stations();
     let set = &req.set;
@@ -86,7 +86,7 @@ pub fn execute_with(req: &AnalysisRequest, pool: &Pool) -> String {
             let verdict = analyzer.is_schedulable(set);
             let mut body = header(req, bw, stations);
             let _ = write!(body, " schedulable={verdict}");
-            match SaturationSearch::default().saturate_with(analyzer.as_ref(), set, bw, pool) {
+            match SaturationSearch::default().saturate(analyzer.as_ref(), set, bw) {
                 Some(sat) => {
                     let _ = write!(
                         body,
@@ -243,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_saturation_matches_serial_within_tolerance() {
+    fn saturation_is_identical_at_any_pool_width() {
         let req = match parse_request("SATURATION mbps=100 set=20,20000;50,60000 protocol=fddi")
             .unwrap()
         {
@@ -260,12 +260,11 @@ mod tests {
                 .parse()
                 .unwrap()
         };
-        let serial = scale_of(&execute(&req));
-        let pooled = scale_of(&execute_with(&req, &Pool::new(4)));
-        assert!(
-            ((pooled - serial) / serial).abs() <= 2e-4,
-            "serial {serial} vs pooled {pooled}"
-        );
+        let serial = execute(&req);
+        assert!(scale_of(&serial) > 1.0, "{serial}");
+        for threads in [2, 4] {
+            assert_eq!(execute_with(&req, &Pool::new(threads)), serial);
+        }
     }
 
     #[test]

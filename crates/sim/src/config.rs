@@ -2,8 +2,10 @@
 
 use core::fmt;
 
+use rand::rngs::StdRng;
+use rand::Rng as _;
 use ringrt_model::RingConfig;
-use ringrt_units::{Seconds, SimDuration};
+use ringrt_units::{Seconds, SimDuration, SimTime};
 
 /// How synchronous message arrivals are phased across stations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -306,6 +308,26 @@ impl SimConfig {
         self.token_loss_rate = rate_per_sec;
         self.token_recovery = recovery;
         self
+    }
+
+    /// When the token is next lost after `now`: an exponential gap with
+    /// mean `1/rate` from `rng`. `None` when injection is off or the gap
+    /// ends past `end`, the run's horizon, so no gap the clock cannot hold
+    /// is ever scheduled. [`crate::simulate`] refuses a mean gap or a
+    /// recovery time longer than the clock's span.
+    pub(crate) fn next_token_loss(
+        &self,
+        rng: &mut StdRng,
+        now: SimTime,
+        end: SimTime,
+    ) -> Option<SimTime> {
+        if self.token_loss_rate <= 0.0 {
+            return None;
+        }
+        let u: f64 = 1.0 - rng.gen::<f64>();
+        let gap = span(Seconds::new((-u.ln() / self.token_loss_rate).max(1e-12)))?;
+        let at = now + gap;
+        (at <= end).then_some(at)
     }
 
     /// Mean token losses per simulated second (0 disables injection).

@@ -90,8 +90,9 @@ pub fn simulate(
 
 /// Checks, without allocating, that every time a run of `set` schedules
 /// fits the clock: the token circulation time (which bounds the hop and
-/// token times), the longest frame, the asynchronous interarrival mean and
-/// the longest period (which bounds every deadline).
+/// token times), the longest frame, the asynchronous interarrival mean,
+/// the longest period (which bounds every deadline), and with token loss
+/// on, the recovery time and the mean gap between losses.
 fn check_spans(set: &MessageSet, config: &SimConfig) -> Result<(), SimError> {
     let ring = config.ring();
     let bw = ring.bandwidth();
@@ -115,6 +116,13 @@ fn check_spans(set: &MessageSet, config: &SimConfig) -> Result<(), SimError> {
         .map(|s| s.period())
         .fold(Seconds::ZERO, Seconds::max);
     check_span("longest period", longest)?;
+    if config.token_loss_rate() > 0.0 {
+        check_span("token recovery time", config.token_recovery())?;
+        check_span(
+            "mean token-loss gap",
+            Seconds::new(1.0 / config.token_loss_rate()),
+        )?;
+    }
     Ok(())
 }
 
@@ -152,5 +160,31 @@ mod tests {
         // Theorem 5.1's allocation for a 2^64-bit message at 16 Mbps.
         let huge = run(ProtocolKind::Fddi, 16.0, period, u64::MAX, 0.0);
         assert_eq!(what(huge), "synchronous bandwidth allocation");
+    }
+
+    #[test]
+    fn token_loss_times_past_the_clock_are_errors() {
+        let set = MessageSet::new(vec![SyncStream::new(
+            Seconds::from_millis(20.0),
+            Bits::new(1000),
+        )])
+        .unwrap();
+        for protocol in ProtocolKind::ALL {
+            let config = SimConfig::new(
+                protocol.ring(4, Bandwidth::from_mbps(16.0)),
+                Seconds::new(1.0),
+            );
+            let slow_recovery = config.with_token_loss(50.0, Seconds::new(1e300));
+            let err = simulate(protocol, &set, slow_recovery).expect_err("recovery overflows");
+            assert_eq!(what(err), "token recovery time");
+            let rare = config.with_token_loss(1e-300, Seconds::from_millis(1.0));
+            let err = simulate(protocol, &set, rare).expect_err("the mean gap overflows");
+            assert_eq!(what(err), "mean token-loss gap");
+            // A gap that fits the clock but ends past the run: no loss.
+            let once_a_day = config.with_token_loss(1e-5, Seconds::from_millis(1.0));
+            let report = simulate(protocol, &set, once_a_day).unwrap();
+            assert_eq!(report.token_losses, 0);
+            assert_eq!(report.deadline_misses(), 0);
+        }
     }
 }

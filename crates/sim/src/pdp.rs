@@ -182,10 +182,11 @@ impl PdpSimulator {
         }
         self.queue
             .schedule_at(SimTime::ZERO, Event::TokenArrive(0, 0));
-        if self.config.token_loss_rate() > 0.0 {
-            let gap = self.loss_gap();
-            self.queue
-                .schedule_at(SimTime::ZERO + gap, Event::TokenLoss);
+        if let Some(at) = self
+            .config
+            .next_token_loss(&mut self.rng, SimTime::ZERO, end)
+        {
+            self.queue.schedule_at(at, Event::TokenLoss);
         }
 
         while let Some((now, event)) = self.queue.pop_until(end) {
@@ -207,7 +208,7 @@ impl PdpSimulator {
                     }
                 }
                 Event::FrameDone(st) => self.frame_done(st, now),
-                Event::TokenLoss => self.token_loss(now),
+                Event::TokenLoss => self.token_loss(now, end),
             }
         }
 
@@ -254,20 +255,13 @@ impl PdpSimulator {
         }
     }
 
-    /// Draws the next exponential token-loss gap.
-    fn loss_gap(&mut self) -> SimDuration {
-        use rand::Rng as _;
-        let rate = self.config.token_loss_rate();
-        let u: f64 = 1.0 - self.rng.gen::<f64>();
-        SimDuration::from_seconds(ringrt_units::Seconds::new((-u.ln() / rate).max(1e-12)))
-    }
-
     /// Handles a token-loss event: a free token vanishes and the active
     /// monitor regenerates one (at the lowest priority, per the standard)
     /// after the configured recovery time.
-    fn token_loss(&mut self, now: SimTime) {
-        let gap = self.loss_gap();
-        self.queue.schedule_at(now + gap, Event::TokenLoss);
+    fn token_loss(&mut self, now: SimTime, end: SimTime) {
+        if let Some(at) = self.config.next_token_loss(&mut self.rng, now, end) {
+            self.queue.schedule_at(at, Event::TokenLoss);
+        }
         if now < self.busy_until {
             return; // a station holds the ring: no free token to lose
         }

@@ -179,10 +179,11 @@ impl TtpSimulator {
         }
         self.queue
             .schedule_at(SimTime::ZERO, Event::TokenArrive(0, 0));
-        if self.config.token_loss_rate() > 0.0 {
-            let gap = self.loss_gap();
-            self.queue
-                .schedule_at(SimTime::ZERO + gap, Event::TokenLoss);
+        if let Some(at) = self
+            .config
+            .next_token_loss(&mut self.rng, SimTime::ZERO, end)
+        {
+            self.queue.schedule_at(at, Event::TokenLoss);
         }
 
         while let Some((now, event)) = self.queue.pop_until(end) {
@@ -204,7 +205,7 @@ impl TtpSimulator {
                     }
                     // Stale generations die silently: that token is gone.
                 }
-                Event::TokenLoss => self.token_loss(now),
+                Event::TokenLoss => self.token_loss(now, end),
             }
         }
 
@@ -313,21 +314,14 @@ impl TtpSimulator {
         );
     }
 
-    /// Draws the next exponential token-loss gap.
-    fn loss_gap(&mut self) -> SimDuration {
-        use rand::Rng as _;
-        let rate = self.config.token_loss_rate();
-        let u: f64 = 1.0 - self.rng.gen::<f64>();
-        SimDuration::from_seconds(Seconds::new((-u.ln() / rate).max(1e-12)))
-    }
-
     /// Handles a token-loss event: if the token is free (not held by a
     /// transmitting station), it vanishes and the ring runs its recovery
     /// (claim) process before a fresh token appears at station 0 with all
     /// rotation timers reset.
-    fn token_loss(&mut self, now: SimTime) {
-        let gap = self.loss_gap();
-        self.queue.schedule_at(now + gap, Event::TokenLoss);
+    fn token_loss(&mut self, now: SimTime, end: SimTime) {
+        if let Some(at) = self.config.next_token_loss(&mut self.rng, now, end) {
+            self.queue.schedule_at(at, Event::TokenLoss);
+        }
         if now < self.busy_until {
             return; // token currently held: cannot be lost on the wire
         }
