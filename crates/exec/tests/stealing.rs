@@ -46,24 +46,6 @@ proptest! {
             threads, chunk, n, schedule
         );
     }
-
-    /// `map_slice` preserves submission order under the same schedules.
-    #[test]
-    fn stolen_map_slice_keeps_submission_order(
-        schedule in any::<u64>(),
-        threads in 1usize..=8,
-        chunk in 1usize..=5,
-        items in proptest::collection::vec(any::<u32>(), 0..120),
-    ) {
-        let expected: Vec<u64> = items.iter().map(|&v| u64::from(v) + 1).collect();
-        let pool = Pool::new(threads)
-            .with_chunk_size(chunk)
-            .with_steal_injection(move |worker, round| {
-                (schedule >> ((worker as u64 + 13 * round) % 64)) & 1 == 1
-            });
-        let got = pool.map_slice(&items, |&v| u64::from(v) + 1);
-        prop_assert_eq!(expected, got);
-    }
 }
 
 /// Worst-case contention on the packed-range CAS: every worker is forced
