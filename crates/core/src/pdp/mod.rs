@@ -26,7 +26,7 @@ mod overhead;
 mod test;
 
 pub use levels::quantize_ranks;
-pub use overhead::{augmented_length, blocking_bound, effective_last_frame_time};
+pub use overhead::{augmented_length, blocking_bound};
 pub use test::{CountedCheck, PdpAnalyzer, PdpReport, PdpStreamReport};
 
 /// Which implementation of the priority-driven protocol is analyzed.
