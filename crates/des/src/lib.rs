@@ -4,8 +4,9 @@
 //! substrate, all provided here:
 //!
 //! * an [`EventQueue`] over integer [`SimTime`](ringrt_units::SimTime)
-//!   with **deterministic tie-breaking** (same-time events pop in insertion
-//!   order), so simulations are exactly reproducible;
+//!   with **deterministic tie-breaking** (same-time events pop by a tie
+//!   rank the model gives them, then in insertion order), so simulations
+//!   are exactly reproducible;
 //! * a monotone simulation clock enforced by the queue (events cannot be
 //!   scheduled in the past);
 //! * measurement utilities ([`stats`]) — counters, time-weighted gauges and

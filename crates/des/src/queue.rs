@@ -5,17 +5,18 @@ use std::collections::BinaryHeap;
 
 use ringrt_units::{SimDuration, SimTime};
 
-/// A future event: ordered by time, then by insertion sequence so that
-/// same-time events are FIFO.
+/// A future event: ordered by time, then by tie rank, then by insertion
+/// sequence so that same-time events of one rank are FIFO.
 struct Entry<E> {
     time: SimTime,
+    rank: u8,
     seq: u64,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.time == other.time && self.rank == other.rank && self.seq == other.seq
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -32,6 +33,7 @@ impl<E> Ord for Entry<E> {
         other
             .time
             .cmp(&self.time)
+            .then_with(|| other.rank.cmp(&self.rank))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -40,8 +42,10 @@ impl<E> Ord for Entry<E> {
 ///
 /// The queue *is* the simulation clock: [`EventQueue::now`] is the
 /// timestamp of the most recently popped event, and scheduling strictly in
-/// the past is rejected. Events carrying equal timestamps pop in the order
-/// they were scheduled, making runs bit-for-bit reproducible.
+/// the past is rejected. Events carrying equal timestamps pop by their tie
+/// rank ([`EventQueue::schedule_ranked`]; [`EventQueue::schedule_at`] uses
+/// rank 0), and events of one rank in the order they were scheduled,
+/// making runs bit-for-bit reproducible.
 ///
 /// # Examples
 ///
@@ -107,6 +111,18 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is earlier than [`EventQueue::now`] — an event in
     /// the past indicates a logic error in the model.
     pub fn schedule_at(&mut self, time: SimTime, event: E) {
+        self.schedule_ranked(time, 0, event);
+    }
+
+    /// Schedules `event` at absolute time `time` with tie rank `rank`:
+    /// among events due at one instant, lower ranks pop first. A model
+    /// whose same-instant order is a rule, not an accident of when each
+    /// event was scheduled, states the rule this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is earlier than [`EventQueue::now`].
+    pub fn schedule_ranked(&mut self, time: SimTime, rank: u8, event: E) {
         assert!(
             time >= self.now,
             "cannot schedule an event at {time} before the current time {}",
@@ -114,7 +130,12 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        self.heap.push(Entry {
+            time,
+            rank,
+            seq,
+            event,
+        });
     }
 
     /// Schedules `event` at `now + delay`.
@@ -186,6 +207,28 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn ties_pop_by_rank_then_fifo() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_picos(5);
+        q.schedule_ranked(t, 2, "late a");
+        q.schedule_ranked(t, 0, "first");
+        q.schedule_ranked(t, 2, "late b");
+        q.schedule_ranked(SimTime::from_picos(4), 9, "earlier time wins");
+        q.schedule_at(t, "rank zero, scheduled last");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(
+            order,
+            [
+                "earlier time wins",
+                "first",
+                "rank zero, scheduled last",
+                "late a",
+                "late b"
+            ]
+        );
     }
 
     #[test]

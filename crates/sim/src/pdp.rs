@@ -32,6 +32,20 @@ enum Event {
     TokenLoss,
 }
 
+impl Event {
+    /// The order of events due at one picosecond: arrivals, then frame
+    /// completions, then token events, so a station sees every message
+    /// that arrived by the instant the token reaches it.
+    fn tie_rank(self) -> u8 {
+        match self {
+            Event::SyncArrival(_) | Event::AsyncArrival(_) => 0,
+            Event::FrameDone(_) => 1,
+            Event::TokenLoss => 2,
+            Event::TokenArrive(..) => 3,
+        }
+    }
+}
+
 /// Frame-level simulator of the IEEE 802.5 priority token MAC running the
 /// rate-monotonic policy of the paper's §4.
 ///
@@ -167,40 +181,37 @@ impl PdpSimulator {
     #[must_use]
     pub fn run(mut self) -> SimReport {
         let end = SimTime::ZERO + self.config.duration();
-        for (i, s) in self.sync.iter().enumerate() {
-            self.queue
-                .schedule_at(s.first_arrival(), Event::SyncArrival(i));
+        for i in 0..self.sync.len() {
+            self.schedule(self.sync[i].first_arrival(), Event::SyncArrival(i));
         }
         for st in 0..self.asynchronous.len() {
             if self.asynchronous[st].is_active() {
                 let gap = self.asynchronous[st]
                     .next_gap(&mut self.rng)
                     .expect("active source");
-                self.queue
-                    .schedule_at(SimTime::ZERO + gap, Event::AsyncArrival(st));
+                self.schedule(SimTime::ZERO + gap, Event::AsyncArrival(st));
             }
         }
-        self.queue
-            .schedule_at(SimTime::ZERO, Event::TokenArrive(0, 0));
+        self.schedule(SimTime::ZERO, Event::TokenArrive(0, 0));
         if let Some(at) = self
             .config
             .next_token_loss(&mut self.rng, SimTime::ZERO, end)
         {
-            self.queue.schedule_at(at, Event::TokenLoss);
+            self.schedule(at, Event::TokenLoss);
         }
 
         while let Some((now, event)) = self.queue.pop_until(end) {
             match event {
                 Event::SyncArrival(stream) => {
                     let next = self.sync[stream].arrive(now);
-                    self.queue.schedule_at(next, Event::SyncArrival(stream));
+                    self.schedule(next, Event::SyncArrival(stream));
                 }
                 Event::AsyncArrival(st) => {
                     self.asynchronous[st].arrive(now);
                     let gap = self.asynchronous[st]
                         .next_gap(&mut self.rng)
                         .expect("active source");
-                    self.queue.schedule_at(now + gap, Event::AsyncArrival(st));
+                    self.schedule(now + gap, Event::AsyncArrival(st));
                 }
                 Event::TokenArrive(st, gen) => {
                     if gen == self.token_gen {
@@ -213,6 +224,10 @@ impl PdpSimulator {
         }
 
         self.finish(end)
+    }
+
+    fn schedule(&mut self, at: SimTime, event: Event) {
+        self.queue.schedule_ranked(at, event.tie_rank(), event);
     }
 
     /// The priority rank of the best pending frame at station `st`
@@ -248,7 +263,7 @@ impl PdpSimulator {
             self.start_frame(st, now);
         } else {
             let next = (st + 1) % self.config.ring().stations();
-            self.queue.schedule_at(
+            self.schedule(
                 now + self.hop_latency,
                 Event::TokenArrive(next, self.token_gen),
             );
@@ -260,7 +275,7 @@ impl PdpSimulator {
     /// after the configured recovery time.
     fn token_loss(&mut self, now: SimTime, end: SimTime) {
         if let Some(at) = self.config.next_token_loss(&mut self.rng, now, end) {
-            self.queue.schedule_at(at, Event::TokenLoss);
+            self.schedule(at, Event::TokenLoss);
         }
         if now < self.busy_until {
             return; // a station holds the ring: no free token to lose
@@ -271,8 +286,7 @@ impl PdpSimulator {
         self.token_level = ASYNC_RANK; // regenerated tokens start unreserved
         let recovery_at = now + self.config.token_recovery().to_sim_duration();
         self.trace.record(recovery_at, TraceKind::TokenRecovered);
-        self.queue
-            .schedule_at(recovery_at, Event::TokenArrive(0, self.token_gen));
+        self.schedule(recovery_at, Event::TokenArrive(0, self.token_gen));
     }
 
     /// Begins transmitting one frame at `st`; schedules its completion
@@ -318,8 +332,7 @@ impl PdpSimulator {
         }
         let occupancy = tx_time.max(self.theta);
         self.busy_until = now + occupancy;
-        self.queue
-            .schedule_at(now + occupancy, Event::FrameDone(st));
+        self.schedule(now + occupancy, Event::FrameDone(st));
     }
 
     fn frame_done(&mut self, st: usize, now: SimTime) {
@@ -341,7 +354,7 @@ impl PdpSimulator {
         // Release a fresh token carrying the highest pending priority.
         self.token_level = self.best_pending_rank();
         let next = (st + 1) % self.config.ring().stations();
-        self.queue.schedule_at(
+        self.schedule(
             now + self.token_time + self.hop_latency,
             Event::TokenArrive(next, self.token_gen),
         );

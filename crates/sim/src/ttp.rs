@@ -27,6 +27,19 @@ enum Event {
     TokenLoss,
 }
 
+impl Event {
+    /// The order of events due at one picosecond: arrivals, then token
+    /// events, so a station sees every message that arrived by the
+    /// instant the token reaches it.
+    fn tie_rank(self) -> u8 {
+        match self {
+            Event::SyncArrival(_) | Event::AsyncArrival(_) => 0,
+            Event::TokenLoss => 2,
+            Event::TokenArrive(..) => 3,
+        }
+    }
+}
+
 /// Frame-level simulator of the FDDI timed token protocol.
 ///
 /// Implements the MAC timer rules the analysis abstracts:
@@ -164,40 +177,37 @@ impl TtpSimulator {
     pub fn run(mut self) -> SimReport {
         let end = SimTime::ZERO + self.config.duration();
         // Prime arrivals and the token.
-        for (i, s) in self.sync.iter().enumerate() {
-            self.queue
-                .schedule_at(s.first_arrival(), Event::SyncArrival(i));
+        for i in 0..self.sync.len() {
+            self.schedule(self.sync[i].first_arrival(), Event::SyncArrival(i));
         }
         for st in 0..self.asynchronous.len() {
             if self.asynchronous[st].is_active() {
                 let gap = self.asynchronous[st]
                     .next_gap(&mut self.rng)
                     .expect("active source");
-                self.queue
-                    .schedule_at(SimTime::ZERO + gap, Event::AsyncArrival(st));
+                self.schedule(SimTime::ZERO + gap, Event::AsyncArrival(st));
             }
         }
-        self.queue
-            .schedule_at(SimTime::ZERO, Event::TokenArrive(0, 0));
+        self.schedule(SimTime::ZERO, Event::TokenArrive(0, 0));
         if let Some(at) = self
             .config
             .next_token_loss(&mut self.rng, SimTime::ZERO, end)
         {
-            self.queue.schedule_at(at, Event::TokenLoss);
+            self.schedule(at, Event::TokenLoss);
         }
 
         while let Some((now, event)) = self.queue.pop_until(end) {
             match event {
                 Event::SyncArrival(stream) => {
                     let next = self.sync[stream].arrive(now);
-                    self.queue.schedule_at(next, Event::SyncArrival(stream));
+                    self.schedule(next, Event::SyncArrival(stream));
                 }
                 Event::AsyncArrival(st) => {
                     self.asynchronous[st].arrive(now);
                     let gap = self.asynchronous[st]
                         .next_gap(&mut self.rng)
                         .expect("active source");
-                    self.queue.schedule_at(now + gap, Event::AsyncArrival(st));
+                    self.schedule(now + gap, Event::AsyncArrival(st));
                 }
                 Event::TokenArrive(st, gen) => {
                     if gen == self.token_gen {
@@ -210,6 +220,10 @@ impl TtpSimulator {
         }
 
         self.finish(end)
+    }
+
+    fn schedule(&mut self, at: SimTime, event: Event) {
+        self.queue.schedule_ranked(at, event.tie_rank(), event);
     }
 
     /// Handles one token visit at station `st`, then schedules the arrival
@@ -308,7 +322,7 @@ impl TtpSimulator {
         }
         self.busy_until = now + visit_time;
         let next = (st + 1) % self.config.ring().stations();
-        self.queue.schedule_at(
+        self.schedule(
             now + visit_time + self.hop_latency,
             Event::TokenArrive(next, self.token_gen),
         );
@@ -320,7 +334,7 @@ impl TtpSimulator {
     /// rotation timers reset.
     fn token_loss(&mut self, now: SimTime, end: SimTime) {
         if let Some(at) = self.config.next_token_loss(&mut self.rng, now, end) {
-            self.queue.schedule_at(at, Event::TokenLoss);
+            self.schedule(at, Event::TokenLoss);
         }
         if now < self.busy_until {
             return; // token currently held: cannot be lost on the wire
@@ -333,8 +347,7 @@ impl TtpSimulator {
         for t in &mut self.trt_started {
             *t = recovery_at;
         }
-        self.queue
-            .schedule_at(recovery_at, Event::TokenArrive(0, self.token_gen));
+        self.schedule(recovery_at, Event::TokenArrive(0, self.token_gen));
     }
 
     fn finish(mut self, end: SimTime) -> SimReport {
