@@ -157,6 +157,18 @@ impl DurationTally {
         });
     }
 
+    /// Records `k` samples equal to `d` in O(1): the same tally as `k`
+    /// calls of [`DurationTally::push`].
+    pub fn push_n(&mut self, d: SimDuration, k: u64) {
+        if k == 0 {
+            return;
+        }
+        self.count += k;
+        self.total += d * k;
+        self.min = Some(self.min.map_or(d, |m| m.min(d)));
+        self.max = Some(self.max.map_or(d, |m| m.max(d)));
+    }
+
     /// Number of samples.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -268,6 +280,20 @@ mod tests {
         assert_eq!(t.max(), Some(SimDuration::from_picos(30)));
         assert!(t.to_string().contains("n = 3"));
         assert_eq!(DurationTally::new().to_string(), "n = 0");
+    }
+
+    #[test]
+    fn push_n_equals_repeated_pushes() {
+        let mut bulk = DurationTally::new();
+        let mut each = DurationTally::new();
+        for (ps, k) in [(40, 3), (10, 0), (25, 1), (70, 5)] {
+            bulk.push_n(SimDuration::from_picos(ps), k);
+            for _ in 0..k {
+                each.push(SimDuration::from_picos(ps));
+            }
+            assert_eq!(bulk, each);
+        }
+        assert_eq!(bulk.count(), 9);
     }
 }
 

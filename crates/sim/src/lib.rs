@@ -18,9 +18,19 @@
 //! (and do) miss.
 //!
 //! Both simulators share the same traffic model ([`SyncTraffic`],
-//! [`AsyncTraffic`]), ring timing (hop-by-hop token movement derived from
-//! [`RingConfig`](ringrt_model::RingConfig)), and report format
-//! ([`SimReport`]).
+//! [`AsyncTraffic`]), ring timing (station-to-station token movement
+//! derived from [`RingConfig`](ringrt_model::RingConfig)), and report
+//! format ([`SimReport`]).
+//!
+//! A released token that passes stations with nothing to send costs one
+//! event, not one per hop: the simulator schedules its arrival at the
+//! station that will capture it, re-aims it when an arrival ahead of that
+//! station would capture it first, and accounts the passed hops (rotation
+//! marks, TTP timers, trace records, and `SimReport::events`, where each
+//! skipped hop still counts as one event) in closed form. Events due at
+//! one picosecond run arrivals first, then frame completions, then token
+//! events. Reports are identical to a walk that moves the token one hop
+//! per event, which the tests keep as an oracle.
 //!
 //! # Examples
 //!
@@ -50,6 +60,7 @@ mod pdp;
 mod trace;
 mod traffic;
 mod ttp;
+mod walk;
 
 pub use config::{Phasing, SimConfig, SimConfigError, SimError};
 pub use metrics::{SimReport, StreamStats};

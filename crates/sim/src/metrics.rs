@@ -6,7 +6,7 @@ use ringrt_des::stats::{DurationHistogram, DurationTally};
 use ringrt_units::{SimDuration, SimTime};
 
 /// Per-stream outcome counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Messages fully transmitted.
     pub completed: u64,
@@ -180,6 +180,18 @@ impl MetricsCollector {
         self.last_rotation_mark = Some(now);
     }
 
+    /// Records `count` passes of the rotation reference point: at `first`,
+    /// then every `rotation`, as `count` calls of
+    /// [`MetricsCollector::mark_rotation`] would, in O(1).
+    pub fn mark_rotations(&mut self, first: SimTime, count: u64, rotation: SimDuration) {
+        if count == 0 {
+            return;
+        }
+        self.mark_rotation(first);
+        self.rotations.push_n(rotation, count - 1);
+        self.last_rotation_mark = Some(first + rotation * (count - 1));
+    }
+
     /// Records a completed message for stream `i`.
     pub fn message_done(
         &mut self,
@@ -217,6 +229,21 @@ mod tests {
         m.mark_rotation(SimTime::from_picos(250));
         assert_eq!(m.rotations.count(), 2);
         assert_eq!(m.rotations.max(), Some(SimDuration::from_picos(150)));
+    }
+
+    #[test]
+    fn bulk_rotation_marks_equal_single_marks() {
+        let mut one = MetricsCollector::new(1, SimTime::from_picos(1_000));
+        let mut bulk = one.clone();
+        for at in [3, 40, 90, 140, 190, 250] {
+            one.mark_rotation(SimTime::from_picos(at));
+        }
+        bulk.mark_rotations(SimTime::from_picos(3), 1, SimDuration::from_picos(7));
+        bulk.mark_rotations(SimTime::from_picos(40), 4, SimDuration::from_picos(50));
+        bulk.mark_rotations(SimTime::from_picos(250), 1, SimDuration::ZERO);
+        bulk.mark_rotations(SimTime::from_picos(999), 0, SimDuration::ZERO);
+        assert_eq!(one.rotations, bulk.rotations);
+        assert_eq!(one.last_rotation_mark, bulk.last_rotation_mark);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Frame-level simulator of the priority-driven (IEEE 802.5) MAC.
 
+use std::collections::BTreeSet;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -11,6 +13,7 @@ use ringrt_units::{Bits, SimDuration, SimTime};
 use crate::metrics::MetricsCollector;
 use crate::trace::TraceRecorder;
 use crate::traffic::{AsyncTraffic, SyncTraffic};
+use crate::walk::Walk;
 use crate::{SimConfig, SimReport, TraceKind};
 
 /// Priority rank used by asynchronous frames: below every synchronous
@@ -19,9 +22,10 @@ const ASYNC_RANK: usize = usize::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    /// The free token arrives at a station (tagged with its generation so
-    /// that tokens invalidated by a loss are discarded in flight).
-    TokenArrive(usize, u32),
+    /// The free token arrives at a station (tagged with the token event's
+    /// id, so that an arrival superseded by a re-aimed walk or invalidated
+    /// by a loss is discarded in flight).
+    TokenArrive(usize, u64),
     /// A station finishes one frame's effective medium occupancy.
     FrameDone(usize),
     /// A synchronous stream releases its next message.
@@ -59,9 +63,12 @@ impl Event {
 ///   before the medium is reusable;
 /// * on release, the token priority is set to the highest pending priority
 ///   on the ring (the steady state the reservation field converges to) and
-///   the token walks hop-by-hop to the next claimant, so the `Θ/2` average
-///   circulation overhead — and blocking by passed-by stations — emerge
-///   naturally rather than being assumed;
+///   the token walks station by station to the next claimant, so the `Θ/2`
+///   average circulation overhead — and blocking by passed-by stations —
+///   emerge naturally rather than being assumed. The walk costs one event:
+///   the simulator jumps to the first station downstream whose bid ranks
+///   at or above the token's priority, and an arrival ahead of it re-aims
+///   the token;
 /// * asynchronous frames contend at a rank below every synchronous stream.
 ///
 /// # Examples
@@ -98,8 +105,18 @@ pub struct PdpSimulator {
     asynchronous: Vec<AsyncTraffic>,
     /// Current free-token priority level (capture needs `rank ≤ level`).
     token_level: usize,
-    /// Generation of the live token; stale arrivals are discarded.
-    token_gen: u32,
+    /// Id of the one live token event; arrivals with another id are
+    /// discarded.
+    token_id: u64,
+    /// The free token's walk to the station that captures it.
+    walk: Option<Walk>,
+    /// Move the token one station per event instead (the test oracle).
+    hop_by_hop: bool,
+    /// Each station's bid, and the index of pending bids by rank.
+    bid: Vec<Option<usize>>,
+    bids: BTreeSet<(usize, usize)>,
+    /// Model events, counting each skipped hop as the event it replaces.
+    events: u64,
     /// The medium is held (frame in progress) until this instant.
     busy_until: SimTime,
     rng: StdRng,
@@ -126,12 +143,13 @@ impl PdpSimulator {
         }
         let bw = config.ring().bandwidth();
         let stations = config.ring().stations();
+        let hop_latency = config.ring().hop_latency().to_sim_duration();
         PdpSimulator {
             frame,
             variant,
             rank,
             theta: config.ring().token_circulation_time().to_sim_duration(),
-            hop_latency: config.ring().hop_latency().to_sim_duration(),
+            hop_latency,
             token_time: config.ring().token_time().to_sim_duration(),
             async_frame_bits: config.async_payload_bits(),
             sync: SyncTraffic::build(set, config.phasing()),
@@ -142,7 +160,13 @@ impl PdpSimulator {
                 bw.as_bps(),
             ),
             token_level: ASYNC_RANK,
-            token_gen: 0,
+            token_id: 0,
+            walk: None,
+            // A ring whose hops take no time has no walk to skip.
+            hop_by_hop: hop_latency.is_zero(),
+            bid: vec![None; stations],
+            bids: BTreeSet::new(),
+            events: 0,
             busy_until: SimTime::ZERO,
             rng: StdRng::seed_from_u64(config.seed()),
             queue: EventQueue::new(),
@@ -177,6 +201,16 @@ impl PdpSimulator {
         self
     }
 
+    /// Moves the free token one station per event, as the simulator did
+    /// before it skipped idle walks. Reports are identical either way;
+    /// tests run this slower walk as the oracle of the skipping one.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn hop_by_hop(mut self) -> Self {
+        self.hop_by_hop = true;
+        self
+    }
+
     /// Runs the simulation to the configured horizon and reports.
     #[must_use]
     pub fn run(mut self) -> SimReport {
@@ -192,7 +226,7 @@ impl PdpSimulator {
                 self.schedule(SimTime::ZERO + gap, Event::AsyncArrival(st));
             }
         }
-        self.schedule(SimTime::ZERO, Event::TokenArrive(0, 0));
+        self.release_token(0, SimTime::ZERO);
         if let Some(at) = self
             .config
             .next_token_loss(&mut self.rng, SimTime::ZERO, end)
@@ -201,10 +235,17 @@ impl PdpSimulator {
         }
 
         while let Some((now, event)) = self.queue.pop_until(end) {
+            // A skipping walk's discarded token event stands for no hop:
+            // a loss counts the hop it was on its way to.
+            let live = !matches!(event, Event::TokenArrive(_, id) if id != self.token_id);
+            if live || self.hop_by_hop {
+                self.events += 1;
+            }
             match event {
                 Event::SyncArrival(stream) => {
                     let next = self.sync[stream].arrive(now);
                     self.schedule(next, Event::SyncArrival(stream));
+                    self.bid_changed(stream, now);
                 }
                 Event::AsyncArrival(st) => {
                     self.asynchronous[st].arrive(now);
@@ -212,9 +253,10 @@ impl PdpSimulator {
                         .next_gap(&mut self.rng)
                         .expect("active source");
                     self.schedule(now + gap, Event::AsyncArrival(st));
+                    self.bid_changed(st, now);
                 }
-                Event::TokenArrive(st, gen) => {
-                    if gen == self.token_gen {
+                Event::TokenArrive(st, _) => {
+                    if live {
                         self.token_arrive(st, now);
                     }
                 }
@@ -243,16 +285,101 @@ impl PdpSimulator {
         }
     }
 
+    /// Re-reads station `st`'s bid into the index after its traffic
+    /// changed at `now`. A bid that now captures the free token re-aims
+    /// its walk when the token reaches `st` before its target.
+    fn bid_changed(&mut self, st: usize, now: SimTime) {
+        let bid = self.station_bid(st);
+        if bid != self.bid[st] {
+            if let Some(old) = self.bid[st] {
+                self.bids.remove(&(old, st));
+            }
+            if let Some(new) = bid {
+                self.bids.insert((new, st));
+            }
+            self.bid[st] = bid;
+        }
+        if let (Some(bid), Some(walk)) = (bid, self.walk) {
+            let hop = walk.visit(st, walk.next_round(st, now));
+            if bid <= self.token_level && walk.target.is_none_or(|target| hop < target) {
+                self.aim(hop);
+            }
+        }
+    }
+
     /// The best (numerically smallest) pending rank on the whole ring —
     /// the value the reservation field converges to.
     fn best_pending_rank(&self) -> usize {
-        (0..self.config.ring().stations())
-            .filter_map(|st| self.station_bid(st))
-            .min()
-            .unwrap_or(ASYNC_RANK)
+        self.bids.first().map_or(ASYNC_RANK, |&(rank, _)| rank)
+    }
+
+    /// The first station from `first` on, in ring order, whose bid
+    /// captures the free token.
+    fn first_capturer(&self, first: usize) -> Option<usize> {
+        let mut best_two = self.bids.iter();
+        let &(rank, st) = best_two.next()?;
+        if rank > self.token_level {
+            return None;
+        }
+        if best_two
+            .next()
+            .is_none_or(|&(second, _)| second > self.token_level)
+        {
+            return Some(st); // the one station that captures
+        }
+        let n = self.config.ring().stations();
+        let mut best: Option<(usize, usize)> = None;
+        let mut ranks = Some(rank);
+        // Ranks tie under `with_priority_levels`: each rank's first
+        // station downstream competes.
+        while let Some(rank) = ranks.filter(|&rank| rank <= self.token_level) {
+            let (_, st) = *self
+                .bids
+                .range((rank, first)..=(rank, usize::MAX))
+                .next()
+                .or_else(|| self.bids.range((rank, 0)..(rank, first)).next())
+                .expect("the rank has a bid");
+            let distance = (st + n - first) % n;
+            if best.is_none_or(|(d, _)| distance < d) {
+                best = Some((distance, st));
+            }
+            ranks = rank
+                .checked_add(1)
+                .and_then(|next| self.bids.range((next, 0)..).next())
+                .map(|&(rank, _)| rank);
+        }
+        best.map(|(_, st)| st)
+    }
+
+    /// Releases the free token so that it reaches station `first` at
+    /// `at`: one event per hop for the oracle, else one event at the
+    /// first station that captures it.
+    fn release_token(&mut self, first: usize, at: SimTime) {
+        if self.hop_by_hop {
+            self.schedule(at, Event::TokenArrive(first, self.token_id));
+            return;
+        }
+        let walk = Walk::new(at, first, self.config.ring().stations(), self.hop_latency);
+        self.walk = Some(walk);
+        if let Some(st) = self.first_capturer(first) {
+            self.aim(walk.first_visit(st));
+        }
+    }
+
+    /// Points the walk at `hop` and queues the token's one event there.
+    fn aim(&mut self, hop: u64) {
+        let walk = self.walk.as_mut().expect("the token is walking");
+        walk.target = Some(hop);
+        let (at, st) = (walk.at(hop), walk.station(hop));
+        self.token_id += 1;
+        self.schedule(at, Event::TokenArrive(st, self.token_id));
     }
 
     fn token_arrive(&mut self, st: usize, now: SimTime) {
+        if let Some(mut walk) = self.walk.take() {
+            let target = walk.target.expect("the live token event is the target");
+            self.events += walk.pass(target, &mut self.metrics, &mut self.trace);
+        }
         self.trace
             .record(now, TraceKind::TokenArrive { station: st });
         if st == 0 {
@@ -262,11 +389,25 @@ impl PdpSimulator {
         if captures {
             self.start_frame(st, now);
         } else {
+            debug_assert!(self.hop_by_hop, "a skipped walk ends where it is captured");
             let next = (st + 1) % self.config.ring().stations();
             self.schedule(
                 now + self.hop_latency,
-                Event::TokenArrive(next, self.token_gen),
+                Event::TokenArrive(next, self.token_id),
             );
+        }
+    }
+
+    /// Accounts the hops of a walk that the run's end or a loss cuts
+    /// short: those before `before`, and the hop the token was then on
+    /// its way to, if it lands by `end` (the hop walk pops that arrival,
+    /// discarded after a loss).
+    fn cut_walk(&mut self, before: SimTime, end: SimTime) {
+        if let Some(mut walk) = self.walk.take() {
+            self.events += walk.pass(walk.hops_before(before), &mut self.metrics, &mut self.trace);
+            if walk.at(walk.in_flight()) <= end {
+                self.events += 1;
+            }
         }
     }
 
@@ -280,20 +421,21 @@ impl PdpSimulator {
         if now < self.busy_until {
             return; // a station holds the ring: no free token to lose
         }
-        self.token_gen = self.token_gen.wrapping_add(1);
+        self.cut_walk(now, end);
+        self.token_id += 1;
         self.metrics.token_losses += 1;
         self.trace.record(now, TraceKind::TokenLost);
         self.token_level = ASYNC_RANK; // regenerated tokens start unreserved
         let recovery_at = now + self.config.token_recovery().to_sim_duration();
         self.trace.record(recovery_at, TraceKind::TokenRecovered);
-        self.schedule(recovery_at, Event::TokenArrive(0, self.token_gen));
+        self.release_token(0, recovery_at);
     }
 
     /// Begins transmitting one frame at `st`; schedules its completion
     /// after the effective occupancy `max(frame time, Θ)`.
     fn start_frame(&mut self, st: usize, now: SimTime) {
         let bw = self.config.ring().bandwidth();
-        let is_sync = self.sync[st].has_backlog();
+        let is_sync = st < self.sync.len() && self.sync[st].has_backlog();
         let (payload_bits, completion) = if is_sync {
             let head = *self.sync[st].head().expect("backlog");
             let payload = head.remaining.min(self.frame.payload());
@@ -306,6 +448,7 @@ impl PdpSimulator {
             self.metrics.async_frames_sent += 1;
             (Bits::new(self.async_frame_bits), None)
         };
+        self.bid_changed(st, now);
         self.trace.record(
             now,
             TraceKind::FrameStart {
@@ -339,12 +482,12 @@ impl PdpSimulator {
         if self.variant == PdpVariant::Modified {
             // Keep transmitting while still the strictly highest-priority
             // contender on the ring.
-            if let Some(bid) = self.station_bid(st) {
-                let others_best = (0..self.config.ring().stations())
-                    .filter(|&s| s != st)
-                    .filter_map(|s| self.station_bid(s))
-                    .min()
-                    .unwrap_or(ASYNC_RANK);
+            if let Some(bid) = self.bid[st] {
+                let others_best = self
+                    .bids
+                    .iter()
+                    .find(|&&(_, s)| s != st)
+                    .map_or(ASYNC_RANK, |&(rank, _)| rank);
                 if bid < others_best {
                     self.start_frame(st, now);
                     return;
@@ -354,13 +497,12 @@ impl PdpSimulator {
         // Release a fresh token carrying the highest pending priority.
         self.token_level = self.best_pending_rank();
         let next = (st + 1) % self.config.ring().stations();
-        self.schedule(
-            now + self.token_time + self.hop_latency,
-            Event::TokenArrive(next, self.token_gen),
-        );
+        self.release_token(next, now + self.token_time + self.hop_latency);
     }
 
     fn finish(mut self, end: SimTime) -> SimReport {
+        // Hops due at `end` itself still happen.
+        self.cut_walk(end + SimDuration::from_picos(1), end);
         #[allow(unused_assignments)]
         let mut trace_dropped = 0u64;
         for (i, s) in self.sync.iter().enumerate() {
@@ -384,7 +526,7 @@ impl PdpSimulator {
             async_waits: self.metrics.async_waits,
             token_losses: self.metrics.token_losses,
             medium_utilization,
-            events: self.queue.events_processed(),
+            events: self.events,
             trace: {
                 let (events, dropped) = self.trace.into_events();
                 trace_dropped = dropped;

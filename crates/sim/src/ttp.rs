@@ -12,13 +12,15 @@ use crate::config::check_span;
 use crate::metrics::MetricsCollector;
 use crate::trace::TraceRecorder;
 use crate::traffic::{AsyncTraffic, SyncTraffic};
+use crate::walk::{late_passes, trt_after_passes, StationSet, Walk};
 use crate::{SimConfig, SimError, SimReport, TraceKind};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    /// The token arrives at a station (tagged with its generation so that
-    /// tokens invalidated by a loss are discarded in flight).
-    TokenArrive(usize, u32),
+    /// The token arrives at a station (tagged with the token event's id,
+    /// so that an arrival superseded by a re-aimed walk or invalidated by
+    /// a loss is discarded in flight).
+    TokenArrive(usize, u64),
     /// A synchronous stream releases its next message.
     SyncArrival(usize),
     /// An asynchronous frame is queued at a station.
@@ -52,6 +54,11 @@ impl Event {
 ///   synchronous frames);
 /// * asynchronous overrun: a frame begun inside the allowance completes.
 ///
+/// A token that nobody captures costs no events: the simulator jumps it
+/// to the first station with a synchronous backlog, or with asynchronous
+/// frames and an early token at that visit, and advances the passed
+/// stations' TRTs in closed form.
+///
 /// # Examples
 ///
 /// See the [crate-level example](crate).
@@ -60,6 +67,8 @@ pub struct TtpSimulator {
     config: SimConfig,
     ttrt: SimDuration,
     allocations: Vec<SimDuration>,
+    /// Synchronous payload bits per visit, per stream.
+    sync_budget: Vec<Bits>,
     frame_overhead: SimDuration,
     async_frame_time: SimDuration,
     hop_latency: SimDuration,
@@ -68,9 +77,18 @@ pub struct TtpSimulator {
     asynchronous: Vec<AsyncTraffic>,
     /// TRT restart instant per station.
     trt_started: Vec<SimTime>,
-    /// Generation of the live token; arrivals from older generations are
-    /// stale (the token was lost while they were in flight).
-    token_gen: u32,
+    /// Id of the one live token event; arrivals with another id are
+    /// discarded (superseded by a re-aimed walk, or lost in flight).
+    token_id: u64,
+    /// The free token's walk to the station that captures it.
+    walk: Option<Walk>,
+    /// Stations with traffic the token may pick up: a synchronous backlog
+    /// it can send, or queued asynchronous frames.
+    ready: StationSet,
+    /// Move the token one station per event instead (the test oracle).
+    hop_by_hop: bool,
+    /// Model events, counting each skipped hop as the event it replaces.
+    events: u64,
     /// The medium is held (visit in progress) until this instant; losses
     /// cannot hit a held token.
     busy_until: SimTime,
@@ -140,17 +158,28 @@ impl TtpSimulator {
             bw.as_bps(),
         );
         let stations = config.ring().stations();
+        let sync_budget = allocations
+            .iter()
+            .map(|h| bw.bits_in(h.saturating_sub(frame_overhead).as_seconds()))
+            .collect();
+        let hop_latency = config.ring().hop_latency().to_sim_duration();
         Ok(TtpSimulator {
             ttrt,
             allocations,
+            sync_budget,
             frame_overhead,
             async_frame_time,
-            hop_latency: config.ring().hop_latency().to_sim_duration(),
+            hop_latency,
             token_time: config.ring().token_time().to_sim_duration(),
             sync,
             asynchronous,
             trt_started: vec![SimTime::ZERO; stations],
-            token_gen: 0,
+            token_id: 0,
+            walk: None,
+            ready: StationSet::new(stations),
+            // A ring whose hops take no time has no walk to skip.
+            hop_by_hop: hop_latency.is_zero(),
+            events: 0,
             busy_until: SimTime::ZERO,
             rng: StdRng::seed_from_u64(config.seed()),
             queue: EventQueue::new(),
@@ -172,6 +201,16 @@ impl TtpSimulator {
         self.allocations.iter().map(|h| h.as_seconds()).collect()
     }
 
+    /// Moves the token one station per event, as the simulator did before
+    /// it skipped idle walks. Reports are identical either way; tests run
+    /// this slower walk as the oracle of the skipping one.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn hop_by_hop(mut self) -> Self {
+        self.hop_by_hop = true;
+        self
+    }
+
     /// Runs the simulation to the configured horizon and reports.
     #[must_use]
     pub fn run(mut self) -> SimReport {
@@ -188,7 +227,7 @@ impl TtpSimulator {
                 self.schedule(SimTime::ZERO + gap, Event::AsyncArrival(st));
             }
         }
-        self.schedule(SimTime::ZERO, Event::TokenArrive(0, 0));
+        self.release_token(0, SimTime::ZERO);
         if let Some(at) = self
             .config
             .next_token_loss(&mut self.rng, SimTime::ZERO, end)
@@ -197,10 +236,17 @@ impl TtpSimulator {
         }
 
         while let Some((now, event)) = self.queue.pop_until(end) {
+            // A skipping walk's discarded token event stands for no hop:
+            // a loss counts the hop it was on its way to.
+            let live = !matches!(event, Event::TokenArrive(_, id) if id != self.token_id);
+            if live || self.hop_by_hop {
+                self.events += 1;
+            }
             match event {
                 Event::SyncArrival(stream) => {
                     let next = self.sync[stream].arrive(now);
                     self.schedule(next, Event::SyncArrival(stream));
+                    self.traffic_arrived(stream, now);
                 }
                 Event::AsyncArrival(st) => {
                     self.asynchronous[st].arrive(now);
@@ -208,12 +254,13 @@ impl TtpSimulator {
                         .next_gap(&mut self.rng)
                         .expect("active source");
                     self.schedule(now + gap, Event::AsyncArrival(st));
+                    self.traffic_arrived(st, now);
                 }
-                Event::TokenArrive(st, gen) => {
-                    if gen == self.token_gen {
-                        self.token_visit(st, now);
+                Event::TokenArrive(st, _) => {
+                    if live {
+                        self.token_arrive(st, now);
                     }
-                    // Stale generations die silently: that token is gone.
+                    // Discarded ids die silently: that token is gone.
                 }
                 Event::TokenLoss => self.token_loss(now, end),
             }
@@ -226,8 +273,142 @@ impl TtpSimulator {
         self.queue.schedule_ranked(at, event.tie_rank(), event);
     }
 
-    /// Handles one token visit at station `st`, then schedules the arrival
-    /// at the next station.
+    /// The first rotation of `walk`, from `round` on, in which station
+    /// `st` would capture the token with the traffic it holds now: it has
+    /// a synchronous backlog, or asynchronous frames and an early token.
+    /// Until the walk ends, `trt_started[st]` holds the station's TRT at
+    /// the walk's start.
+    fn capture_round(&self, walk: &Walk, st: usize, round: u64) -> Option<u64> {
+        if st < self.sync.len() && self.sync[st].has_backlog() && !self.sync_budget[st].is_zero() {
+            return Some(round);
+        }
+        if self.asynchronous[st].queued() == 0 {
+            return None;
+        }
+        let rotation = walk.rotation();
+        let first = walk.at(walk.first_visit(st));
+        let late = late_passes(self.trt_started[st], first, rotation, self.ttrt)?;
+        if round <= late {
+            Some(late)
+        } else {
+            // Once early, a token passing every `rotation` stays early
+            // only if a rotation is shorter than TTRT.
+            (rotation < self.ttrt).then_some(round)
+        }
+    }
+
+    /// Whether station `st` has traffic a token visit may send.
+    fn has_traffic(&self, st: usize) -> bool {
+        (st < self.sync.len() && self.sync[st].has_backlog() && !self.sync_budget[st].is_zero())
+            || self.asynchronous[st].queued() > 0
+    }
+
+    /// Re-aims the free token's walk when traffic that arrived at station
+    /// `st` at `now` makes it capture the token before the walk's target.
+    fn traffic_arrived(&mut self, st: usize, now: SimTime) {
+        self.ready.set(st, self.has_traffic(st));
+        let Some(walk) = self.walk else { return };
+        if let Some(round) = self.capture_round(&walk, st, walk.next_round(st, now)) {
+            let hop = walk.visit(st, round);
+            if walk.target.is_none_or(|target| hop < target) {
+                self.aim(hop);
+            }
+        }
+    }
+
+    /// Releases the token so that it reaches station `first` at `at`: one
+    /// event per hop for the oracle, else one event at the first station
+    /// that captures it.
+    fn release_token(&mut self, first: usize, at: SimTime) {
+        if self.hop_by_hop {
+            self.schedule(at, Event::TokenArrive(first, self.token_id));
+            return;
+        }
+        let n = self.config.ring().stations();
+        let walk = Walk::new(at, first, n, self.hop_latency);
+        self.walk = Some(walk);
+        let mut target: Option<u64> = None;
+        for st in self.ready.ring_from(first) {
+            if let Some(round) = self.capture_round(&walk, st, 0) {
+                let hop = walk.visit(st, round);
+                target = Some(target.map_or(hop, |t| t.min(hop)));
+                if round == 0 {
+                    break; // stations further on are reached later
+                }
+            }
+        }
+        if let Some(hop) = target {
+            self.aim(hop);
+        }
+    }
+
+    /// Points the walk at `hop` and queues the token's one event there.
+    fn aim(&mut self, hop: u64) {
+        let walk = self.walk.as_mut().expect("the token is walking");
+        walk.target = Some(hop);
+        let (at, st) = (walk.at(hop), walk.station(hop));
+        self.token_id += 1;
+        self.schedule(at, Event::TokenArrive(st, self.token_id));
+    }
+
+    /// The live token reaches station `st`: a walk's passed stations
+    /// first advance their TRTs, then the station is visited.
+    fn token_arrive(&mut self, st: usize, now: SimTime) {
+        if let Some(mut walk) = self.walk.take() {
+            let target = walk.target.expect("the live token event is the target");
+            self.events += walk.pass(target, &mut self.metrics, &mut self.trace);
+            self.pass_trts(&walk, target);
+        }
+        self.token_visit(st, now);
+    }
+
+    /// Advances the TRT of every station that `walk` passed before hop
+    /// `target`, as the hop walk's visits would have.
+    fn pass_trts(&mut self, walk: &Walk, target: u64) {
+        let (ttrt, n) = (self.ttrt, walk.rotation_hops());
+        if target <= n {
+            // One pass each: the visit rule, in a tight loop.
+            let (mut st, mut at) = (walk.station(0), walk.at(0));
+            for _ in 0..target {
+                let trt = &mut self.trt_started[st];
+                *trt = if at.saturating_duration_since(*trt) >= ttrt {
+                    *trt + ttrt
+                } else {
+                    at
+                };
+                st = if st + 1 == self.trt_started.len() {
+                    0
+                } else {
+                    st + 1
+                };
+                at += self.hop_latency;
+            }
+            return;
+        }
+        let rotation = walk.rotation();
+        for j in 0..n {
+            let st = walk.station(j);
+            let passes = (target - 1 - j) / n + 1;
+            self.trt_started[st] =
+                trt_after_passes(self.trt_started[st], walk.at(j), rotation, passes, ttrt);
+        }
+    }
+
+    /// Accounts the hops of a walk that the run's end or a loss cuts
+    /// short: those before `before`, and the hop the token was then on
+    /// its way to, if it lands by `end` (the hop walk pops that arrival,
+    /// discarded after a loss).
+    fn cut_walk(&mut self, before: SimTime, end: SimTime) {
+        if let Some(mut walk) = self.walk.take() {
+            self.events += walk.pass(walk.hops_before(before), &mut self.metrics, &mut self.trace);
+            if walk.at(walk.in_flight()) <= end {
+                self.events += 1;
+            }
+        }
+    }
+
+    /// Handles one token visit at station `st`, then releases the token
+    /// towards the next station.
     fn token_visit(&mut self, st: usize, now: SimTime) {
         self.trace
             .record(now, TraceKind::TokenArrive { station: st });
@@ -253,11 +434,8 @@ impl TtpSimulator {
 
         // --- Synchronous window: up to h_i ----------------------------
         if st < self.sync.len() && self.sync[st].has_backlog() {
-            let h = self.allocations[st];
-            let usable = h.saturating_sub(self.frame_overhead);
             let bw = self.config.ring().bandwidth();
-            let budget_bits = bw.bits_in(usable.as_seconds());
-            let mut remaining_budget = budget_bits;
+            let mut remaining_budget = self.sync_budget[st];
             let mut consumed = Bits::ZERO;
             let mut completions = Vec::new();
             while !remaining_budget.is_zero() && self.sync[st].has_backlog() {
@@ -320,12 +498,14 @@ impl TtpSimulator {
             // Transmitting stations strip the token and emit a fresh one.
             visit_time += self.token_time;
         }
-        self.busy_until = now + visit_time;
-        let next = (st + 1) % self.config.ring().stations();
-        self.schedule(
-            now + visit_time + self.hop_latency,
-            Event::TokenArrive(next, self.token_gen),
+        debug_assert!(
+            self.hop_by_hop || !visit_time.is_zero(),
+            "a skipped walk ends where the token is used"
         );
+        self.busy_until = now + visit_time;
+        self.ready.set(st, self.has_traffic(st));
+        let next = (st + 1) % self.config.ring().stations();
+        self.release_token(next, now + visit_time + self.hop_latency);
     }
 
     /// Handles a token-loss event: if the token is free (not held by a
@@ -339,7 +519,8 @@ impl TtpSimulator {
         if now < self.busy_until {
             return; // token currently held: cannot be lost on the wire
         }
-        self.token_gen = self.token_gen.wrapping_add(1);
+        self.cut_walk(now, end);
+        self.token_id += 1;
         self.metrics.token_losses += 1;
         self.trace.record(now, TraceKind::TokenLost);
         let recovery_at = now + self.config.token_recovery().to_sim_duration();
@@ -347,10 +528,12 @@ impl TtpSimulator {
         for t in &mut self.trt_started {
             *t = recovery_at;
         }
-        self.schedule(recovery_at, Event::TokenArrive(0, self.token_gen));
+        self.release_token(0, recovery_at);
     }
 
     fn finish(mut self, end: SimTime) -> SimReport {
+        // Hops due at `end` itself still happen.
+        self.cut_walk(end + SimDuration::from_picos(1), end);
         #[allow(unused_assignments)]
         let mut trace_dropped = 0u64;
         for (i, s) in self.sync.iter().enumerate() {
@@ -375,7 +558,7 @@ impl TtpSimulator {
             async_waits: self.metrics.async_waits,
             token_losses: self.metrics.token_losses,
             medium_utilization,
-            events: self.queue.events_processed(),
+            events: self.events,
             trace: {
                 let (events, dropped) = self.trace.into_events();
                 trace_dropped = dropped;
