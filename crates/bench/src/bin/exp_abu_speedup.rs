@@ -7,10 +7,11 @@
 //! core count). Because the parallel path consumes the same canonical
 //! SplitMix64 seed stream as the serial one, every row also asserts the
 //! estimates are **bit-identical** — the speedup is free of any numerical
-//! drift. Widths 1/2/4/8 are additionally identity-checked with forced
-//! work stealing even when the host has fewer cores (oversubscribed
-//! pools are slow but must stay exact), so the determinism claim never
-//! narrows to whatever machine ran the bench.
+//! drift. Widths 1/2/4/8 are additionally identity-checked with one-sample
+//! chunks, the most claims the pool's counter can hand out, even when the
+//! host has fewer cores (oversubscribed pools are slow but must stay
+//! exact), so the determinism claim never narrows to whatever machine ran
+//! the bench.
 //!
 //! The estimates run on modified 802.5 at 100 Mbps, whose Theorem 4.1
 //! saturation search is the per-sample work the pool exists to spread:
@@ -64,8 +65,8 @@ fn main() {
     // Warm-up (page in code paths, settle allocator) + reference estimate.
     let reference = estimator.estimate(&analyzer, bw, &mut StdRng::seed_from_u64(opts.seed));
 
-    // Identity matrix: widths 1/2/4/8 (plus the host width), each with
-    // stealing forced on every round, must reproduce the serial estimate
+    // Identity matrix: widths 1/2/4/8 (plus the host width), each with a
+    // pathological one-sample chunk, must reproduce the serial estimate
     // bit for bit even when the host can't run them truly in parallel.
     let max_threads = ringrt_exec::configured_threads();
     let mut identity_widths: Vec<usize> = vec![1, 2, 4, 8];
@@ -74,11 +75,11 @@ fn main() {
         identity_widths.sort_unstable();
     }
     for &threads in &identity_widths {
-        let forced = Pool::new(threads).with_steal_injection(|_, _| true);
-        let stolen = estimator.estimate_parallel(&analyzer, bw, opts.seed, &forced);
+        let fine = Pool::new(threads).with_chunk_size(1);
+        let pooled = estimator.estimate_parallel(&analyzer, bw, opts.seed, &fine);
         assert_eq!(
-            reference, stolen,
-            "forced-steal ABU diverged from serial at {threads} threads"
+            reference, pooled,
+            "one-sample-chunk ABU diverged from serial at {threads} threads"
         );
     }
 
@@ -157,7 +158,9 @@ fn main() {
     println!("# every row is asserted bit-identical to the serial estimate; the speedup");
     println!("# is pure scheduling, not numerical shortcuts. On a single-core host the");
     println!("# ladder collapses to threads=1 and the speedup hovers around 1.0.");
-    println!("# identity additionally verified with forced stealing at widths {identity_widths:?}");
+    println!(
+        "# identity additionally verified with one-sample chunks at widths {identity_widths:?}"
+    );
 }
 
 /// Doubling ladder 1, 2, 4, … capped at — and always including — `max`.

@@ -46,8 +46,12 @@
 //! `SIMULATE` of a fresh 10–50-stream set at 20–50 % utilization — one
 //! request at a time on one connection. It reads the server's `VmHWM`
 //! from `/proc/<pid>/status` at every 10 % of the run and prints the KiB
-//! per request over the last two thirds, and the final `worker_jobs`; it
-//! exits 1 on any non-`OK` reply. 1 500 requests, 300 with `--quick`.
+//! per request over the last two thirds, the final `worker_jobs` and the
+//! server's live threads (the entries of `/proc/<pid>/task`); it exits 1
+//! on any non-`OK` reply. `--requests N` sets the run's length: 1 500
+//! requests by default, 300 with `--quick`. A server twice as fast
+//! serves twice the requests in one perfbench window, so compare builds
+//! at the request counts each serves in that window.
 //!
 //! With `--connections` the binary instead runs the **connection-count
 //! sweep**: the server's event loop is loaded with 1k/10k/50k *idle*
@@ -835,13 +839,14 @@ fn vm_hwm_kib(pid: u32) -> u64 {
 
 /// The memory probe: abu-sim's mix against a `ringrt serve` child, its
 /// peak RSS read at every tenth of the run.
-fn memory_probe(opts: &ExpOptions, server: &str) -> bool {
+fn memory_probe(opts: &ExpOptions, server: &str, requests: Option<usize>) -> bool {
     banner(
         "SERVICE-MEMORY",
         "server peak RSS growth per request under abu-sim's mix, one connection",
         opts,
     );
-    let total = if opts.quick { 300 } else { 1_500 };
+    let total = requests.unwrap_or(if opts.quick { 300 } else { 1_500 });
+    assert!(total >= 10, "--requests must be at least 10");
     let mut child = Command::new(server)
         .args(["serve", "--addr", "127.0.0.1:0"])
         .stdout(Stdio::piped())
@@ -897,13 +902,15 @@ fn memory_probe(opts: &ExpOptions, server: &str) -> bool {
         .find_map(|f| f.strip_prefix("worker_jobs="))
         .unwrap_or("?")
         .to_owned();
+    let threads = std::fs::read_dir(format!("/proc/{pid}/task")).map_or(0, Iterator::count);
     writer.write_all(b"SHUTDOWN\n").expect("send");
     reply.clear();
     let _ = reader.read_line(&mut reply);
     let _ = child.wait();
     println!(
         "# {total} requests in {elapsed:.1} s; VmHWM {} -> {} KiB; {per_request:.3} KiB per \
-         request over requests {}..{}; worker_jobs={jobs}; {errors} non-OK replies",
+         request over requests {}..{}; worker_jobs={jobs}; threads={threads}; {errors} non-OK \
+         replies",
         marks[0].1, last.1, third.0, last.0
     );
     errors == 0
@@ -1107,6 +1114,11 @@ fn main() {
         .iter()
         .position(|a| a == "--server")
         .map(|i| raw.get(i + 1).cloned().expect("--server <ringrt binary>"));
+    let requests = raw.iter().position(|a| a == "--requests").map(|i| {
+        raw.get(i + 1)
+            .and_then(|n| n.parse::<usize>().ok())
+            .expect("--requests N")
+    });
     let connections = raw.iter().any(|a| a == "--connections");
     let mixed = raw.iter().any(|a| a == "--mixed");
     let registry = raw.iter().any(|a| a == "--registry");
@@ -1120,7 +1132,7 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--connections" | "--mixed" | "--writer" | "--registry" | "--memory" => {}
-            "--addr" | "--server" => {
+            "--addr" | "--server" | "--requests" => {
                 args.next();
             }
             _ => filtered.push(arg),
@@ -1135,7 +1147,7 @@ fn main() {
     };
     if memory {
         let server = server.expect("--memory needs --server <ringrt binary>");
-        if !memory_probe(&opts, &server) {
+        if !memory_probe(&opts, &server, requests) {
             std::process::exit(1);
         }
         return;

@@ -24,15 +24,16 @@ use ringrt_units::{Bandwidth, Seconds};
 use ringrt_workload::MessageSetGenerator;
 
 fn main() {
-    let opts = ExpOptions::from_env();
+    let mut opts = ExpOptions::from_env();
+    // Simulation is the expensive leg: use a moderate station count, and
+    // say so in the banner.
+    opts.stations = opts.stations.min(30);
     banner(
         "VALID-SIM",
         "schedulability analysis validated against frame-level simulation",
         &opts,
     );
-
-    // Simulation is the expensive leg: use a moderate station count.
-    let stations = opts.stations.min(30);
+    let stations = opts.stations;
     let sets = if opts.quick { 5 } else { 10 };
     let horizon = Seconds::new(1.5);
     let search = SaturationSearch::with_tolerance(1e-3);

@@ -7,9 +7,8 @@
 //! cacheable in `ringrt-service` regardless of `RINGRT_THREADS`. Randomize
 //! over master seeds, population sizes, and sample counts, and compare the
 //! full `BreakdownEstimate` (mean, CI, extremes, infeasible count) across
-//! pool widths 1, 2, 4, and 8 — including a pool with forced work
-//! stealing on every round, the most schedule-hostile configuration the
-//! sharded pool supports.
+//! pool widths 1, 2, 4, and 8 — including a pool with one-sample chunks,
+//! the most claims the pool's shared counter can interleave.
 
 use proptest::prelude::*;
 
@@ -44,13 +43,10 @@ proptest! {
         let serial =
             estimator.estimate(&analyzer, ring.bandwidth(), &mut StdRng::seed_from_u64(seed));
         for threads in [1, 2, 4, 8] {
-            // Plain pool at the randomized chunk size, then the same pool
-            // with a steal forced on every odd worker's every round.
+            // The randomized chunk size, then one-sample chunks.
             let pools = [
                 Pool::new(threads).with_chunk_size(chunk),
-                Pool::new(threads)
-                    .with_chunk_size(chunk)
-                    .with_steal_injection(|worker, _round| worker % 2 == 1),
+                Pool::new(threads).with_chunk_size(1),
             ];
             for pool in &pools {
                 let pooled =
@@ -83,9 +79,7 @@ proptest! {
         for threads in [1, 2, 4, 8] {
             let pools = [
                 Pool::new(threads).with_chunk_size(chunk),
-                Pool::new(threads)
-                    .with_chunk_size(chunk)
-                    .with_steal_injection(|worker, _round| worker % 2 == 1),
+                Pool::new(threads).with_chunk_size(1),
             ];
             for pool in &pools {
                 let pooled =

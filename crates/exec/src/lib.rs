@@ -1,49 +1,32 @@
 //! The shared parallel execution layer for ringrt's hot paths.
 //!
 //! Every compute-bound loop in the workspace — Monte-Carlo ABU sampling,
-//! service `ABU`/`BATCH` fan-out, experiment sweeps — runs on the same primitive: a **sharded, work-stealing,
-//! scoped pool** built from nothing but `std::thread::scope` and one
-//! atomic word per worker group. There is no persistent thread pool and
-//! no channel machinery: a [`Pool`] is a thread-count policy plus an
-//! arbitration counter, and each [`Pool::map`] call spawns scoped
-//! workers, seeds each with its own contiguous index range (a
-//! shard packed into one `AtomicU64`), and lets idle
-//! workers steal half-ranges from the busiest victim when their own
-//! shard runs dry.
+//! service `ABU` fan-out, experiment sweeps — runs on one primitive: a
+//! [`Pool`] of `threads − 1` long-lived helper threads that work beside
+//! the calling thread. The helpers start on the pool's first parallel
+//! [`Pool::map`] and are joined when the pool is dropped, so no call
+//! spawns a thread.
 //!
-//! Compared to the original single shared cursor, the common case —
-//! evenly priced items — touches only the worker's *own* cache line,
-//! and the uncommon case — one pathologically slow item — rebalances by
-//! splitting the straggler's remaining range instead of serializing
-//! behind it.
+//! A `map` publishes a job. The caller and any idle helper claim chunks
+//! of indices from the job's one atomic counter, and each chunk's results
+//! land in that chunk's slot. When the counter runs out, the caller
+//! withdraws the job, waits for the helpers still inside it, and joins
+//! the slots in index order.
 //!
 //! # Determinism
 //!
-//! `map(n, f)` always returns `f(0), f(1), …, f(n-1)` **in index order**
-//! regardless of thread count, stealing, or scheduling: workers collect
-//! `(start, results)` runs locally and the runs are merge-sorted by
-//! start index before returning. Combined with per-index seed derivation
-//! ([`splitmix64`]) this is what lets `BreakdownEstimator` promise
-//! bit-identical estimates at any thread count — with stealing active.
+//! `map(n, f)` always returns `f(0), f(1), …, f(n-1)` **in index order**,
+//! whatever the thread count or which thread ran which chunk. Combined
+//! with per-index seed derivation ([`splitmix64`]) this is what lets
+//! `BreakdownEstimator` promise bit-identical estimates at any width.
 //!
 //! # Nested parallelism
 //!
-//! A `map` issued from *inside* a pool worker (a huge analytic job
-//! splitting its sample work) is arbitrated against the pool's live
-//! worker count: it may claim only idle slots plus the caller's own
-//! (the caller parks while the scope runs), and when nothing is idle it
-//! degrades to an inline serial loop. Arbitration never blocks waiting
-//! for slots, so nesting can never deadlock — the worst case is serial
-//! execution on the calling thread. Top-level calls arbitrate the same
-//! way, so concurrent `BATCH` fan-out cannot oversubscribe the machine.
-//!
-//! # Affinity
-//!
-//! Workers are spawned affinity-aware: worker *g* is pinned (best
-//! effort, via a thin `sched_setaffinity` FFI shim mirroring
-//! `ringrt-net`'s epoll module) to CPU `g mod ncpus`. Pinning failures
-//! — and non-Linux targets, where the shim reports `Unsupported` — are
-//! silently ignored; the pool is correct unpinned.
+//! A `map` issued from inside another map's item publishes its own job
+//! and works it on the calling thread; helpers that are idle join in.
+//! A caller waits only for helpers inside its own job, and they are
+//! running its items, so nesting cannot deadlock: the worst case is
+//! serial execution on the calling thread.
 //!
 //! # Thread-count policy
 //!
@@ -53,28 +36,19 @@
 //! every parallel path through its serial fallback — CI runs the whole
 //! test suite under `RINGRT_THREADS=1`, `2`, and `4`.
 
-#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-mod affinity;
-mod shard;
-
-use std::cell::Cell;
+use std::any::Any;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 use ringrt_obs::Recorder;
-use shard::RangeShard;
 
 /// Environment variable overriding the worker thread count.
 pub const THREADS_ENV: &str = "RINGRT_THREADS";
-
-thread_local! {
-    /// How many pool scopes enclose the current thread: 0 on ordinary
-    /// threads, ≥ 1 inside a pool worker. Drives nested-map arbitration.
-    static POOL_DEPTH: Cell<usize> = const { Cell::new(0) };
-}
 
 /// SplitMix64's finalizing mix: a bijective avalanche of all 64 bits.
 ///
@@ -116,62 +90,36 @@ pub fn configured_threads() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Cumulative counters for one pool: how much work ran and how it spread
-/// over workers. Cheap relaxed atomics, bumped once per chunk/steal.
+/// Cumulative counters for one pool: how much work ran and how it was
+/// split. Cheap relaxed atomics, bumped once per call or chunk.
 #[derive(Debug, Default)]
 struct PoolCounters {
-    /// `map` invocations that actually spawned threads.
     parallel_runs: AtomicU64,
-    /// `map` invocations served on the calling thread.
     serial_runs: AtomicU64,
-    /// Total items processed.
     items: AtomicU64,
-    /// Total chunks claimed by workers (parallel runs only).
     chunks: AtomicU64,
-    /// Rounds in which a worker went looking for a victim shard.
-    steal_attempts: AtomicU64,
-    /// Steals that actually transferred a half-range.
-    steals_ok: AtomicU64,
-    /// `map` calls issued from inside a worker that fanned out again.
-    nested_splits: AtomicU64,
 }
 
 /// A snapshot of a pool's lifetime counters (see [`Pool::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Configured worker thread count.
+    /// Configured thread count: the caller plus `threads − 1` helpers.
     pub threads: usize,
-    /// `map` calls that fanned out across scoped threads.
+    /// `map` calls published to the helpers.
     pub parallel_runs: u64,
-    /// `map` calls answered serially (1 thread, ≤ 1 item, or no idle
-    /// slots to arbitrate onto).
+    /// `map` calls answered inline (1 thread or ≤ 1 item).
     pub serial_runs: u64,
     /// Items processed across all calls.
     pub items: u64,
     /// Chunks claimed across all parallel calls.
     pub chunks: u64,
-    /// Victim-search rounds (every worker performs at least one as it
-    /// drains — a zero here means no parallel run ever happened).
-    pub steal_attempts: u64,
-    /// Successful half-range transfers between worker shards.
-    pub steals_ok: u64,
-    /// Nested `map` calls that split across idle workers.
-    pub nested_splits: u64,
 }
 
-/// The deterministic steal-injection hook: called once per worker
-/// scheduling round with `(worker_index, round)`; returning `true`
-/// forces that worker to attempt a steal before touching its own shard.
-/// Test-only machinery for driving the take/steal race on demand.
-pub type StealInjector = dyn Fn(usize, u64) -> bool + Send + Sync;
-
-/// A scoped work pool: a thread-count policy plus usage counters and a
-/// live-worker arbitration count.
+/// A work pool: a thread-count policy, usage counters, and `threads − 1`
+/// helper threads started on the first parallel [`Pool::map`].
 ///
-/// Cloning or sharing: the pool is `Sync`; one instance can serve any
-/// number of concurrent `map` calls. Calls arbitrate over the same slot
-/// budget, so simultaneous maps share the machine instead of
-/// oversubscribing it.
+/// The pool is `Sync`; one instance can serve any number of concurrent
+/// `map` calls, which share its helpers.
 ///
 /// # Examples
 ///
@@ -186,29 +134,24 @@ pub struct Pool {
     threads: usize,
     counters: PoolCounters,
     recorder: Arc<Recorder>,
-    /// Worker slots currently reserved by in-flight `map` calls.
-    active: AtomicUsize,
-    /// Pin worker *g* to CPU `g % ncpus` (best effort).
-    affinity: bool,
-    /// Fixed chunk size override (`None` = auto: ~4 claims per worker).
+    /// Fixed chunk size override (`None` = auto: ~4 claims per thread).
     chunk: Option<usize>,
-    steal_injector: Option<Arc<StealInjector>>,
+    helpers: OnceLock<Helpers>,
 }
 
 impl fmt::Debug for Pool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Pool")
             .field("threads", &self.threads)
-            .field("active", &self.active.load(Ordering::Relaxed))
-            .field("affinity", &self.affinity)
             .field("chunk", &self.chunk)
+            .field("helpers_started", &self.helpers.get().is_some())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
 
 impl Pool {
-    /// A pool running up to `threads` workers per `map` call.
+    /// A pool running `map` on the caller plus `threads − 1` helpers.
     ///
     /// # Panics
     ///
@@ -220,10 +163,8 @@ impl Pool {
             threads,
             counters: PoolCounters::default(),
             recorder: Arc::new(Recorder::disabled()),
-            active: AtomicUsize::new(0),
-            affinity: true,
             chunk: None,
-            steal_injector: None,
+            helpers: OnceLock::new(),
         }
     }
 
@@ -237,33 +178,12 @@ impl Pool {
         self
     }
 
-    /// Enables or disables best-effort worker CPU pinning (default on;
-    /// a no-op off Linux or when `sched_setaffinity` fails).
-    #[must_use]
-    pub fn with_affinity(mut self, enabled: bool) -> Self {
-        self.affinity = enabled;
-        self
-    }
-
     /// Overrides the per-claim chunk size (`0` restores the automatic
-    /// policy of roughly four claims per worker). Exists so property
+    /// policy of roughly four claims per thread). Exists so property
     /// tests can sweep pathological chunkings.
     #[must_use]
     pub fn with_chunk_size(mut self, chunk: usize) -> Self {
         self.chunk = (chunk > 0).then_some(chunk);
-        self
-    }
-
-    /// Installs a deterministic steal-injection hook (see
-    /// [`StealInjector`]): a forced-steal schedule for tests that need
-    /// to exercise the take/steal race or prove stealing leaves results
-    /// bit-identical. Production pools leave this unset.
-    #[must_use]
-    pub fn with_steal_injection<F>(mut self, decide: F) -> Self
-    where
-        F: Fn(usize, u64) -> bool + Send + Sync + 'static,
-    {
-        self.steal_injector = Some(Arc::new(decide));
         self
     }
 
@@ -280,7 +200,7 @@ impl Pool {
         Pool::new(configured_threads())
     }
 
-    /// The configured worker count.
+    /// The configured thread count.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
@@ -288,8 +208,7 @@ impl Pool {
 
     /// Lifetime usage counters, read in a single pass. Each field is an
     /// independent monotone counter, so the snapshot is internally
-    /// consistent up to in-flight increments (no torn multi-shard
-    /// reads: every counter lives in one atomic word).
+    /// consistent up to in-flight increments.
     #[must_use]
     pub fn stats(&self) -> PoolStats {
         let c = &self.counters;
@@ -299,31 +218,20 @@ impl Pool {
             serial_runs: c.serial_runs.load(Ordering::Relaxed),
             items: c.items.load(Ordering::Relaxed),
             chunks: c.chunks.load(Ordering::Relaxed),
-            steal_attempts: c.steal_attempts.load(Ordering::Relaxed),
-            steals_ok: c.steals_ok.load(Ordering::Relaxed),
-            nested_splits: c.nested_splits.load(Ordering::Relaxed),
         }
     }
 
     /// Applies `f` to every index in `0..n` and returns the results in
-    /// index order, fanning the work across idle worker slots (up to
-    /// `self.threads()`).
+    /// index order, on the calling thread and the pool's helpers.
     ///
-    /// Work distribution is sharded stealing: each worker is seeded with
-    /// a contiguous range shard and drains it chunk-by-chunk off the
-    /// front; a worker whose shard runs dry steals the upper half of the
-    /// busiest victim's remaining range, banks the excess in its own
-    /// shard (re-stealable), and keeps going. A slow item therefore
-    /// cannot leave the other workers idle behind a static partition,
-    /// and evenly priced items never contend on a shared cursor.
-    ///
-    /// Results are reassembled in index order, making the output
-    /// independent of thread count, stealing, and scheduling.
+    /// Chunks of `(n / (4·threads)).max(1)` indices (or the
+    /// [`Pool::with_chunk_size`] override) are claimed from one atomic
+    /// counter, so a slow item delays only its own chunk.
     ///
     /// # Panics
     ///
-    /// Propagates a panic from `f` (the surrounding scope re-raises it).
-    /// Panics if `n` exceeds `u32::MAX` (ranges are packed per shard).
+    /// Re-raises the first panic of `f`, on the caller, once every chunk
+    /// that was claimed has ended; no chunk is claimed after a panic.
     pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -331,175 +239,54 @@ impl Pool {
     {
         self.counters.items.fetch_add(n as u64, Ordering::Relaxed);
         let _map_span = self.recorder.span("exec", "map");
-        let depth = POOL_DEPTH.with(Cell::get);
-
-        // Arbitrate: claim idle slots (plus the caller's own when the
-        // caller *is* a parked worker). Never waits — zero idle slots
-        // just means an inline serial run, so nesting cannot deadlock.
-        let (workers, reserved) = loop {
-            let cur = self.active.load(Ordering::Acquire);
-            let idle = self.threads.saturating_sub(cur);
-            let budget = if depth > 0 { idle + 1 } else { idle.max(1) };
-            let want = budget.min(n);
-            if want <= 1 {
-                break (1usize, 0usize);
-            }
-            match self.active.compare_exchange_weak(
-                cur,
-                cur + want,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break (want, want),
-                Err(_) => continue,
-            }
-        };
-        if workers <= 1 {
+        if self.threads <= 1 || n <= 1 {
             self.counters.serial_runs.fetch_add(1, Ordering::Relaxed);
             return (0..n).map(f).collect();
         }
-        assert!(u32::try_from(n).is_ok(), "map range exceeds u32::MAX items");
         self.counters.parallel_runs.fetch_add(1, Ordering::Relaxed);
-        if depth > 0 {
-            self.counters.nested_splits.fetch_add(1, Ordering::Relaxed);
+        let chunk = self
+            .chunk
+            .unwrap_or_else(|| (n / (4 * self.threads)).max(1));
+        let job = Job {
+            f: &f,
+            n,
+            chunk,
+            next: AtomicUsize::new(0),
+            slots: (0..n.div_ceil(chunk)).map(|_| Mutex::new(None)).collect(),
+            panic: Mutex::new(None),
+            inside: AtomicUsize::new(0),
+            pool: self,
+        };
+        let helpers = self
+            .helpers
+            .get_or_init(|| Helpers::start(self.threads - 1));
+        let work: &(dyn Work + '_) = &job;
+        // SAFETY: this only erases the borrow's lifetime; the type and the
+        // pointer stay as they are. Helpers reach `job` only through the
+        // queue entry published here, and `withdraw` below removes that
+        // entry and then waits, under the queue's lock, until no helper
+        // is inside the job. Every helper enters and leaves under that
+        // lock, so once `withdraw` returns no thread holds the reference,
+        // and `job` (with `f` and the slots it borrows) outlives every
+        // use. Nothing between here and `withdraw` can unwind: panics of
+        // `f` are caught inside `Work::run`.
+        let work: &'static (dyn Work + 'static) =
+            unsafe { std::mem::transmute::<&(dyn Work + '_), &'static (dyn Work + 'static)>(work) };
+        helpers.publish(work);
+        job.run();
+        helpers.withdraw(work);
+        if let Some(payload) = lock(&job.panic).take() {
+            panic::resume_unwind(payload);
         }
-        let _release = ReleaseSlots(&self.active, reserved);
-
-        let chunk = self.chunk.unwrap_or_else(|| (n / (4 * workers)).max(1));
-        // Balanced static partition seeds the shards; stealing handles
-        // whatever imbalance the items themselves introduce.
-        let shards: Vec<RangeShard> = (0..workers)
-            .map(|g| {
-                let (base, rem) = (n / workers, n % workers);
-                let lo = g * base + g.min(rem);
-                RangeShard::new(lo, lo + base + usize::from(g < rem))
-            })
-            .collect();
-        let ncpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let injector = self.steal_injector.as_deref();
-        let runs: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let (shards, runs, f) = (&shards, &runs, &f);
-            for g in 0..workers {
-                let pin = self.affinity;
-                scope.spawn(move || {
-                    if pin {
-                        // Best effort: failure means the OS scheduler
-                        // keeps placing this worker.
-                        let _ = affinity::pin_current_thread(g % ncpus);
-                    }
-                    POOL_DEPTH.with(|d| d.set(depth + 1));
-                    let mut local: Vec<(usize, Vec<T>)> = Vec::new();
-                    self.worker_loop(g, shards, chunk, injector, f, &mut local);
-                    if !local.is_empty() {
-                        runs.lock()
-                            .expect("exec result buffer poisoned")
-                            .extend(local);
-                    }
-                });
-            }
-        });
-        let mut runs = runs.into_inner().expect("exec result buffer poisoned");
-        runs.sort_unstable_by_key(|(lo, _)| *lo);
         let mut out = Vec::with_capacity(n);
-        for (_, part) in runs {
-            out.extend(part);
+        for slot in job.slots {
+            out.extend(
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("every chunk ran"),
+            );
         }
-        debug_assert_eq!(out.len(), n);
         out
-    }
-
-    /// One worker's schedule: drain own shard off the front; when dry
-    /// (or when the steal injector forces it), split the busiest
-    /// victim's remaining range off the back.
-    fn worker_loop<T, F>(
-        &self,
-        g: usize,
-        shards: &[RangeShard],
-        chunk: usize,
-        injector: Option<&StealInjector>,
-        f: &F,
-        local: &mut Vec<(usize, Vec<T>)>,
-    ) where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let mut round: u64 = 0;
-        loop {
-            round += 1;
-            let forced = injector.is_some_and(|inj| inj(g, round));
-            if !forced {
-                if let Some((lo, hi)) = shards[g].take(chunk) {
-                    self.run_chunk(f, local, lo, hi);
-                    continue;
-                }
-            }
-            // Own shard dry (or a forced-steal round): pick the victim
-            // with the most remaining work. The remaining() reads race
-            // with the victims' own progress — stale choices only cost
-            // an extra round, never correctness.
-            self.counters.steal_attempts.fetch_add(1, Ordering::Relaxed);
-            let victim = shards
-                .iter()
-                .enumerate()
-                .filter(|&(v, _)| v != g)
-                .map(|(v, s)| (s.remaining(), v))
-                .max()
-                .filter(|&(rem, _)| rem > 0)
-                .map(|(_, v)| v);
-            let Some(victim) = victim else {
-                // Nothing stealable. Forced rounds fall back to their
-                // own shard; a genuinely dry worker is done.
-                if let Some((lo, hi)) = shards[g].take(chunk) {
-                    self.run_chunk(f, local, lo, hi);
-                    continue;
-                }
-                break;
-            };
-            if let Some((lo, hi)) = shards[victim].steal_half() {
-                self.counters.steals_ok.fetch_add(1, Ordering::Relaxed);
-                if shards[g].remaining() == 0 {
-                    // Bank everything past the first chunk in our own
-                    // (empty, hence inert) shard so other idle workers
-                    // can re-steal from us.
-                    let split = (lo + chunk).min(hi);
-                    if split < hi {
-                        shards[g].put(split, hi);
-                    }
-                    self.run_chunk(f, local, lo, split);
-                } else {
-                    // Forced steal while our shard still holds work: the
-                    // banked-slot invariant (put only into an empty
-                    // shard) forbids banking, so run the range inline.
-                    let mut cur = lo;
-                    while cur < hi {
-                        let end = (cur + chunk).min(hi);
-                        self.run_chunk(f, local, cur, end);
-                        cur = end;
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_chunk<T, F>(&self, f: &F, local: &mut Vec<(usize, Vec<T>)>, lo: usize, hi: usize)
-    where
-        F: Fn(usize) -> T,
-    {
-        self.counters.chunks.fetch_add(1, Ordering::Relaxed);
-        let _chunk_span = self.recorder.span("exec", "chunk");
-        local.push((lo, (lo..hi).map(f).collect()));
-    }
-}
-
-/// Panic-safe release of arbitration slots: runs even when a worker
-/// panic unwinds out of the scope, so a poisoned `map` cannot leak
-/// reserved width and wedge later calls into serial mode.
-struct ReleaseSlots<'a>(&'a AtomicUsize, usize);
-
-impl Drop for ReleaseSlots<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(self.1, Ordering::AcqRel);
     }
 }
 
@@ -509,9 +296,178 @@ impl Default for Pool {
     }
 }
 
+impl Drop for Pool {
+    fn drop(&mut self) {
+        if let Some(helpers) = self.helpers.take() {
+            helpers.stop();
+        }
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A published `map` call, as the helpers see it.
+trait Work: Sync {
+    /// Claims and runs chunks until none are left.
+    fn run(&self);
+    /// Whether a chunk is left to claim.
+    fn has_work(&self) -> bool;
+    /// The helpers currently inside [`Work::run`], changed only under the
+    /// queue's lock.
+    fn inside(&self) -> &AtomicUsize;
+}
+
+/// One `map` call's state, on the caller's stack.
+struct Job<'a, T, F> {
+    f: &'a F,
+    n: usize,
+    chunk: usize,
+    /// The first index not yet claimed.
+    next: AtomicUsize,
+    /// Each chunk's results, in index order.
+    slots: Vec<Mutex<Option<Vec<T>>>>,
+    /// The first panic of `f`.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    inside: AtomicUsize,
+    pool: &'a Pool,
+}
+
+impl<T, F> Work for Job<'_, T, F>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    fn run(&self) {
+        loop {
+            let lo = self.next.fetch_add(self.chunk, Ordering::Relaxed);
+            if lo >= self.n {
+                return;
+            }
+            let hi = (lo + self.chunk).min(self.n);
+            self.pool.counters.chunks.fetch_add(1, Ordering::Relaxed);
+            let _chunk_span = self.pool.recorder.span("exec", "chunk");
+            match panic::catch_unwind(AssertUnwindSafe(|| (lo..hi).map(self.f).collect())) {
+                Ok(part) => *lock(&self.slots[lo / self.chunk]) = Some(part),
+                Err(payload) => {
+                    // Claim nothing more; the caller re-raises the panic.
+                    self.next.store(self.n, Ordering::Relaxed);
+                    lock(&self.panic).get_or_insert(payload);
+                    return;
+                }
+            }
+        }
+    }
+
+    fn has_work(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.n
+    }
+
+    fn inside(&self) -> &AtomicUsize {
+        &self.inside
+    }
+}
+
+/// The helper threads and the queue of published jobs they serve.
+struct Helpers {
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+struct Shared {
+    queue: Mutex<Queue>,
+    /// Signalled when a job is published or the pool stops.
+    published: Condvar,
+    /// Signalled when a helper leaves a job.
+    left: Condvar,
+}
+
+struct Queue {
+    jobs: Vec<&'static (dyn Work + 'static)>,
+    stop: bool,
+}
+
+impl Helpers {
+    fn start(count: usize) -> Self {
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(Queue {
+                jobs: Vec::new(),
+                stop: false,
+            }),
+            published: Condvar::new(),
+            left: Condvar::new(),
+        });
+        let threads = (0..count)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("ringrt-exec-{i}"))
+                    .spawn(move || shared.serve())
+                    .expect("spawn an exec helper thread")
+            })
+            .collect();
+        Helpers { shared, threads }
+    }
+
+    fn publish(&self, job: &'static (dyn Work + 'static)) {
+        lock(&self.shared.queue).jobs.push(job);
+        self.shared.published.notify_all();
+    }
+
+    /// Removes `job` from the queue and waits until no helper is inside it.
+    fn withdraw(&self, job: &'static (dyn Work + 'static)) {
+        let mut queue = lock(&self.shared.queue);
+        queue.jobs.retain(|j| !std::ptr::addr_eq(*j, job));
+        while job.inside().load(Ordering::Relaxed) > 0 {
+            queue = self
+                .shared
+                .left
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn stop(self) {
+        lock(&self.shared.queue).stop = true;
+        self.shared.published.notify_all();
+        for thread in self.threads {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Shared {
+    /// A helper's life: run whichever published job has chunks left,
+    /// sleep when none has, return when the pool stops.
+    fn serve(&self) {
+        let mut queue = lock(&self.queue);
+        loop {
+            if queue.stop {
+                return;
+            }
+            let Some(&job) = queue.jobs.iter().find(|job| job.has_work()) else {
+                queue = self
+                    .published
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            job.inside().fetch_add(1, Ordering::Relaxed);
+            drop(queue);
+            job.run();
+            queue = lock(&self.queue);
+            job.inside().fetch_sub(1, Ordering::Relaxed);
+            self.left.notify_all();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::time::Duration;
 
     #[test]
     fn map_preserves_index_order() {
@@ -533,33 +489,48 @@ mod tests {
 
     #[test]
     fn map_actually_uses_multiple_threads() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
         let pool = Pool::new(4);
         let ids = Mutex::new(HashSet::new());
-        // Enough items that the four workers all claim at least one chunk;
-        // a short sleep keeps the first worker from draining everything
-        // before the others start.
+        // A short sleep per item keeps the caller from draining every
+        // chunk before a helper wakes.
         pool.map(64, |_| {
-            std::thread::sleep(std::time::Duration::from_micros(200));
+            std::thread::sleep(Duration::from_micros(200));
             ids.lock().unwrap().insert(std::thread::current().id());
         });
         assert!(ids.lock().unwrap().len() > 1, "expected fan-out");
     }
 
     #[test]
+    fn helpers_start_once_and_serve_every_later_map() {
+        let pool = Pool::new(3);
+        let helpers = Mutex::new(HashSet::new());
+        let caller = std::thread::current().id();
+        for _ in 0..20 {
+            pool.map(16, |_| {
+                std::thread::sleep(Duration::from_micros(100));
+                let id = std::thread::current().id();
+                if id != caller {
+                    helpers.lock().unwrap().insert(id);
+                }
+            });
+        }
+        // Twenty maps, and never more than the two helpers started once.
+        assert!(helpers.lock().unwrap().len() <= 2, "{helpers:?}");
+        assert_eq!(pool.stats().parallel_runs, 20);
+    }
+
+    #[test]
     fn uneven_item_costs_rebalance() {
-        // One pathologically slow item must not serialize the rest: the
-        // other workers drain their shards and then steal the slow
-        // worker's banked remainder out from under it.
+        // One slow item delays only its own chunk: the other threads
+        // claim the rest from the counter meanwhile.
         let pool = Pool::new(4);
         let out = pool.map(32, |i| {
             if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
+                std::thread::sleep(Duration::from_millis(20));
             }
             i
         });
-        assert_eq!(out.len(), 32);
+        assert_eq!(out, (0..32).collect::<Vec<_>>());
     }
 
     #[test]
@@ -570,68 +541,46 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.threads, 2);
         assert_eq!(s.items, 10);
-        assert_eq!(s.parallel_runs + s.serial_runs, 2);
+        assert_eq!((s.parallel_runs, s.serial_runs), (1, 1));
+        assert_eq!(s.chunks, 10, "auto chunks of (10 / 8).max(1) items");
     }
 
     #[test]
-    fn every_parallel_run_ends_in_a_victim_search() {
-        // A worker only exits after one failed steal round, so a
-        // parallel map always contributes at least `workers` attempts.
-        let pool = Pool::new(3);
-        let _ = pool.map(300, |i| i);
-        let s = pool.stats();
-        if s.parallel_runs == 1 {
-            assert!(s.steal_attempts >= 3, "{s:?}");
+    fn nested_maps_finish_and_match_serial() {
+        for threads in [2, 4] {
+            let pool = &Pool::new(threads);
+            let out = pool.map(6, |i| {
+                std::thread::sleep(Duration::from_millis(1));
+                pool.map(8, move |j| pool.map(3, move |k| i * 100 + j * 10 + k))
+            });
+            let serial: Vec<Vec<Vec<usize>>> = (0..6)
+                .map(|i| {
+                    (0..8)
+                        .map(|j| (0..3).map(|k| i * 100 + j * 10 + k).collect())
+                        .collect()
+                })
+                .collect();
+            assert_eq!(out, serial, "threads={threads}");
         }
     }
 
     #[test]
-    fn forced_steals_transfer_work_and_preserve_results() {
-        // Worker 1 is forced to steal every round; worker 0 is slow
-        // enough that its shard is still populated when the steal lands.
-        let pool = Pool::new(2).with_steal_injection(|g, _round| g == 1);
-        let out = pool.map(16, |i| {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            i * 7
+    fn maps_from_four_threads_at_once_match_serial() {
+        let pool = Pool::new(3);
+        let f = |salt: u64| move |i: usize| splitmix64(salt ^ i as u64);
+        std::thread::scope(|scope| {
+            for salt in 0..4u64 {
+                let pool = &pool;
+                scope.spawn(move || {
+                    for round in 0..25 {
+                        let n = 50 + round * 7;
+                        let serial: Vec<u64> = (0..n).map(f(salt)).collect();
+                        assert_eq!(pool.map(n, f(salt)), serial, "salt {salt} round {round}");
+                    }
+                });
+            }
         });
-        assert_eq!(out, (0..16).map(|i| i * 7).collect::<Vec<_>>());
-        let s = pool.stats();
-        assert!(s.steals_ok >= 1, "forced schedule must steal: {s:?}");
-    }
-
-    #[test]
-    fn nested_map_splits_across_idle_workers() {
-        let pool = Pool::new(4);
-        // Outer width 2 leaves two idle slots; each inner map may claim
-        // idle slots + the parked caller's own.
-        let out = pool.map(2, |i| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            pool.map(8, move |j| i * 100 + j)
-        });
-        assert_eq!(out[0], (0..8).collect::<Vec<_>>());
-        assert_eq!(out[1], (0..8).map(|j| 100 + j).collect::<Vec<_>>());
-        // At least one of the inner maps should have found idle width.
-        assert!(pool.stats().nested_splits >= 1, "{:?}", pool.stats());
-    }
-
-    #[test]
-    fn nested_map_on_a_saturated_pool_runs_serial_not_deadlocked() {
-        let pool = Pool::new(2);
-        // Outer map claims both slots; inner maps see zero idle slots
-        // plus their own parked one → inline serial. Completion at all
-        // is the deadlock-freedom assertion.
-        let out = pool.map(2, |i| pool.map(64, move |j| i * 1000 + j).len());
-        assert_eq!(out, vec![64, 64]);
-    }
-
-    #[test]
-    fn arbitration_releases_slots_between_runs() {
-        let pool = Pool::new(4);
-        let _ = pool.map(64, |i| i);
-        let _ = pool.map(64, |i| i);
-        // Both runs saw a fully idle pool, so both fanned out.
-        assert_eq!(pool.stats().parallel_runs, 2, "{:?}", pool.stats());
-        assert_eq!(pool.active.load(Ordering::Relaxed), 0);
+        assert_eq!(pool.stats().parallel_runs, 100);
     }
 
     #[test]
@@ -654,6 +603,10 @@ mod tests {
         let ran_on = pool.map(4, |_| std::thread::current().id());
         assert!(ran_on.iter().all(|&id| id == caller));
         assert_eq!(pool.stats().serial_runs, 1);
+        assert!(
+            pool.helpers.get().is_none(),
+            "a serial pool starts no thread"
+        );
     }
 
     #[test]
@@ -720,16 +673,66 @@ mod tests {
     }
 
     #[test]
-    fn panic_in_worker_propagates_and_releases_slots() {
-        let pool = Pool::new(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.map(8, |i| {
+    fn a_panic_reaches_the_caller_after_every_claimed_chunk_ends() {
+        let pool = Pool::new(4).with_chunk_size(1);
+        let (started, ended) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.map(64, |i| {
+                started.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(2));
                 assert!(i != 5, "boom");
+                ended.fetch_add(1, Ordering::SeqCst);
                 i
             })
         }));
-        assert!(result.is_err());
-        // The slot guard ran during unwinding: the pool is not wedged.
-        assert_eq!(pool.active.load(Ordering::Relaxed), 0);
+        let payload = result.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+        // Every item that started, bar the one that panicked, ended
+        // before `map` returned, and claiming stopped at the panic.
+        let (started, ended) = (started.into_inner(), ended.into_inner());
+        assert_eq!(ended + 1, started);
+        assert!(started < 64, "{started} items ran after the panic");
+        // The pool still serves.
+        assert_eq!(pool.map(8, |i| i), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn dropping_a_pool_joins_its_helpers() {
+        use std::sync::atomic::AtomicBool;
+
+        /// Set when the thread that holds it exits.
+        struct OnExit(Arc<AtomicBool>);
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static EXIT: std::cell::RefCell<Option<OnExit>> = const { std::cell::RefCell::new(None) };
+        }
+
+        let pool = Pool::new(3);
+        let caller = std::thread::current().id();
+        let flags = Mutex::new(Vec::new());
+        pool.map(64, |_| {
+            std::thread::sleep(Duration::from_micros(300));
+            if std::thread::current().id() != caller {
+                EXIT.with(|exit| {
+                    exit.borrow_mut().get_or_insert_with(|| {
+                        let flag = Arc::new(AtomicBool::new(false));
+                        flags.lock().unwrap().push(Arc::clone(&flag));
+                        OnExit(flag)
+                    });
+                });
+            }
+        });
+        let flags = flags.into_inner().unwrap();
+        assert!(!flags.is_empty(), "a helper ran items");
+        assert!(flags.iter().all(|f| !f.load(Ordering::SeqCst)));
+        drop(pool);
+        assert!(
+            flags.iter().all(|f| f.load(Ordering::SeqCst)),
+            "every helper exited before drop returned"
+        );
     }
 }

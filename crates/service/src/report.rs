@@ -100,6 +100,7 @@ pub(crate) struct Snapshot<'a> {
     exec: PoolStats,
     trace: RecorderStats,
     hits: (u64, u64),
+    threads: usize,
 }
 
 impl<'a> Snapshot<'a> {
@@ -110,8 +111,15 @@ impl<'a> Snapshot<'a> {
             exec: s.exec.stats(),
             trace: s.recorder.stats(),
             hits: s.metrics.hit_fast_totals(),
+            threads: live_threads(),
         }
     }
+}
+
+/// The process's live threads: the entries of `/proc/self/task`, read
+/// only when a reply renders; 0 where that directory does not exist.
+fn live_threads() -> usize {
+    std::fs::read_dir("/proc/self/task").map_or(0, Iterator::count)
 }
 
 fn load(counter: &AtomicU64) -> f64 {
@@ -194,18 +202,15 @@ pub(crate) const SCALARS: &[Scalar] = &[
     gauge("inflight", "ringrt_inflight", "Jobs currently executing on workers.", |x| load(&x.s.inflight)),
     gauge("exec_threads", "ringrt_exec_threads", "Width of the shared intra-request execution pool.",
         |x| x.exec.threads as f64),
-    counter("exec_parallel_runs", "ringrt_exec_parallel_runs_total", "Pool maps that fanned out across workers.",
+    counter("exec_parallel_runs", "ringrt_exec_parallel_runs_total", "Pool maps shared with the pool's helper threads.",
         |x| x.exec.parallel_runs as f64),
     counter("exec_serial_runs", "ringrt_exec_serial_runs_total", "Pool maps that ran inline on the caller.",
         |x| x.exec.serial_runs as f64),
     counter("exec_items", "ringrt_exec_items_total", "Items mapped through the pool.", |x| x.exec.items as f64),
-    counter("exec_chunks", "ringrt_exec_chunks_total", "Chunks claimed by pool workers.", |x| x.exec.chunks as f64),
-    counter("exec_steal_attempts", "ringrt_exec_steal_attempts_total", "Victim searches by idle pool workers.",
-        |x| x.exec.steal_attempts as f64),
-    counter("exec_steals_ok", "ringrt_exec_steals_ok_total", "Victim searches that transferred work.",
-        |x| x.exec.steals_ok as f64),
-    counter("exec_nested_splits", "ringrt_exec_nested_splits_total", "Nested maps that split across idle workers.",
-        |x| x.exec.nested_splits as f64),
+    counter("exec_chunks", "ringrt_exec_chunks_total", "Chunks claimed by the caller and the pool's helpers.",
+        |x| x.exec.chunks as f64),
+    gauge("threads", "ringrt_threads", "Live threads of the server process (0 where /proc is absent).",
+        |x| x.threads as f64),
     gauge("max_conns", "ringrt_max_conns", "Configured open-connection cap; 0 means the loop's table bound.",
         |x| x.s.config.max_conns as f64),
     gauge("cluster", "ringrt_cluster_id", "Journal lineage identity; 0 until a primary stamps it.",
