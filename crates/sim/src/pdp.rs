@@ -300,9 +300,11 @@ impl PdpSimulator {
             self.bid[st] = bid;
         }
         if let (Some(bid), Some(walk)) = (bid, self.walk) {
-            let hop = walk.visit(st, walk.next_round(st, now));
-            if bid <= self.token_level && walk.target.is_none_or(|target| hop < target) {
-                self.aim(hop);
+            if bid <= self.token_level {
+                let hop = walk.visit(st, walk.next_round(st, now));
+                if walk.target.is_none_or(|target| hop < target) {
+                    self.aim(hop);
+                }
             }
         }
     }
@@ -398,16 +400,10 @@ impl PdpSimulator {
         }
     }
 
-    /// Accounts the hops of a walk that the run's end or a loss cuts
-    /// short: those before `before`, and the hop the token was then on
-    /// its way to, if it lands by `end` (the hop walk pops that arrival,
-    /// discarded after a loss).
+    /// Accounts the walk a loss or the run's end cuts short at `before`.
     fn cut_walk(&mut self, before: SimTime, end: SimTime) {
-        if let Some(mut walk) = self.walk.take() {
-            self.events += walk.pass(walk.hops_before(before), &mut self.metrics, &mut self.trace);
-            if walk.at(walk.in_flight()) <= end {
-                self.events += 1;
-            }
+        if let Some(walk) = self.walk.take() {
+            self.events += walk.cut(before, end, &mut self.metrics, &mut self.trace);
         }
     }
 

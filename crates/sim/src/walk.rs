@@ -97,12 +97,6 @@ impl Walk {
         self.first_visit(station) + round * self.stations as u64
     }
 
-    /// The first hop not yet accounted for: the token is on its way to
-    /// this hop's station.
-    pub fn in_flight(&self) -> u64 {
-        self.passed
-    }
-
     /// Accounts every hop below `upto`, and below the target: each is one
     /// model event, each visit of station 0 marks a rotation, and each
     /// writes its token-arrival record in time order. Returns the number
@@ -134,6 +128,22 @@ impl Walk {
         });
         self.passed = upto;
         upto - from
+    }
+
+    /// Ends a walk that a token loss or the run's end cuts short at
+    /// `before`: accounts the hops before it, and returns their number,
+    /// plus one for the hop the token was then on its way to if that hop
+    /// lands by `end` (the hop walk pops that arrival, discarded after a
+    /// loss).
+    pub fn cut(
+        mut self,
+        before: SimTime,
+        end: SimTime,
+        metrics: &mut MetricsCollector,
+        trace: &mut TraceRecorder,
+    ) -> u64 {
+        let passed = self.pass(self.hops_before(before), metrics, trace);
+        passed + u64::from(self.at(self.passed) <= end)
     }
 }
 
