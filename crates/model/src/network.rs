@@ -208,8 +208,8 @@ impl RingConfig {
     }
 
     /// Per-hop latency between adjacent stations: spacing propagation plus
-    /// one station's bit delay. Used by the hop-by-hop simulator; `n` hops
-    /// equal the walk time `WT` exactly.
+    /// one station's bit delay. The simulators move the token by this much
+    /// per station; `n` hops equal the walk time `WT` exactly.
     #[must_use]
     pub fn hop_latency(&self) -> Seconds {
         Seconds::new(self.station_spacing_m / self.propagation_speed_m_s())

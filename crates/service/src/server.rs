@@ -3195,7 +3195,7 @@ mod tests {
         await_idle_workers(&server, 4);
         // A worker is back on the idle stack before its reply goes out,
         // so each next request finds it on top. An ABU fans out on the
-        // exec pool's scoped threads in between, which must not disturb
+        // exec pool's helper thread in between, which must not disturb
         // the choice of worker.
         for k in 0..30 {
             let line = if k % 5 == 2 {

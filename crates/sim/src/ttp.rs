@@ -258,7 +258,7 @@ impl TtpSimulator {
                     if gen == self.token_gen {
                         self.token_arrive(st, now);
                     }
-                    // Discarded ids die silently: that token is gone.
+                    // Stale generations die silently: that token is gone.
                 }
                 Event::TokenLoss => self.token_loss(now, end),
             }

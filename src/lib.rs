@@ -11,7 +11,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`units`] | `ringrt-units` | `Seconds`, `Bits`, `Bandwidth`, integer `SimTime` |
-//! | [`exec`] | `ringrt-exec` | scoped work pool, `RINGRT_THREADS`, SplitMix64 seed derivation |
+//! | [`exec`] | `ringrt-exec` | work pool with long-lived helper threads, `RINGRT_THREADS`, SplitMix64 seed derivation |
 //! | [`model`] | `ringrt-model` | message sets, ring configuration, frame formats |
 //! | [`analysis`] | `ringrt-core` | Theorem 4.1 (PDP), Theorem 5.1 (TTP), RM machinery |
 //! | [`workload`] | `ringrt-workload` | random and scenario message-set generators |
