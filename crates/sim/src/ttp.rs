@@ -277,7 +277,7 @@ impl TtpSimulator {
     /// Until the walk ends, `trt_started[st]` holds the station's TRT at
     /// the walk's start.
     fn capture_round(&self, walk: &Walk, st: usize, round: u64) -> Option<u64> {
-        if st < self.sync.len() && self.sync[st].has_backlog() && !self.sync_budget[st].is_zero() {
+        if self.sync_ready(st) {
             return Some(round);
         }
         if self.asynchronous[st].queued() == 0 {
@@ -295,10 +295,15 @@ impl TtpSimulator {
         }
     }
 
+    /// Whether station `st` has a synchronous backlog its allocation lets
+    /// a visit send.
+    fn sync_ready(&self, st: usize) -> bool {
+        st < self.sync.len() && self.sync[st].has_backlog() && !self.sync_budget[st].is_zero()
+    }
+
     /// Whether station `st` has traffic a token visit may send.
     fn has_traffic(&self, st: usize) -> bool {
-        (st < self.sync.len() && self.sync[st].has_backlog() && !self.sync_budget[st].is_zero())
-            || self.asynchronous[st].queued() > 0
+        self.sync_ready(st) || self.asynchronous[st].queued() > 0
     }
 
     /// Re-aims the free token's walk when traffic that arrived at station
