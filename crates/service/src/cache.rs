@@ -19,7 +19,9 @@
 //! hash picks the shard, so shard choice and LRU order depend only on the
 //! sequence of keys and a client can mirror the cache (perfbench's
 //! `cached=` check does). An entry is one allocation — the key bytes
-//! followed by the body — in a slab linked into a recency list by `u32`
+//! followed by the body, whose ` name=` of each known field and whole
+//! known values are one byte each (see [`pack_body`]) — in a slab linked
+//! into a recency list by `u32`
 //! slot numbers, so a hit's refresh and an eviction are O(1) whatever the
 //! capacity: the event loop inserts after every `CHECK` it answers
 //! itself, and `--cache-entries 262144` must not make that a scan. Each
@@ -212,13 +214,117 @@ impl CacheKey {
     }
 }
 
+/// The field names of the reply bodies the engine renders: a stored body
+/// keeps each ` name=` of these as one byte. A field missing here is
+/// stored as its text, so the list only needs to be complete to be small.
+const FIELDS: [&str; 19] = [
+    "cmd",
+    "protocol",
+    "mbps",
+    "stations",
+    "streams",
+    "utilization",
+    "schedulable",
+    "scale",
+    "breakdown_util",
+    "seconds",
+    "seed",
+    "completed",
+    "deadline_misses",
+    "medium_utilization",
+    "events",
+    "samples",
+    "abu_mean",
+    "abu_ci95",
+    "infeasible_sets",
+];
+
+/// Whole field values that recur in reply bodies, each stored as one byte.
+const VALUES: [&str; 10] = [
+    "check",
+    "saturation",
+    "simulate",
+    "abu",
+    "802.5",
+    "modified",
+    "fddi",
+    "true",
+    "false",
+    "nan",
+];
+
+/// The first codes of [`FIELDS`] and [`VALUES`] in a stored body, and the
+/// escape that keeps a non-ASCII byte of the body literal.
+const FIELD: u8 = 0x80;
+const VALUE: u8 = 0xc0;
+const ESCAPE: u8 = 0xff;
+const _: () = assert!(FIELDS.len() <= (VALUE - FIELD) as usize);
+const _: () = assert!(VALUES.len() <= (ESCAPE - VALUE) as usize);
+
+/// Appends `body` to `out` as it is stored: ` name=` of a field in
+/// [`FIELDS`] and a whole value in [`VALUES`] as one code byte each,
+/// other ASCII as it is, and any other byte behind an [`ESCAPE`]. A reply
+/// body, `OK name=value …`, keeps about a third of its bytes.
+fn pack_body(body: &str, out: &mut Vec<u8>) {
+    fn literal(out: &mut Vec<u8>, text: &str) {
+        for &b in text.as_bytes() {
+            if b >= FIELD {
+                out.push(ESCAPE);
+            }
+            out.push(b);
+        }
+    }
+    fn code(words: &[&str], word: &str) -> Option<u8> {
+        words.iter().position(|&w| w == word).map(|i| i as u8)
+    }
+    let mut pieces = body.split(' ');
+    literal(out, pieces.next().unwrap_or_default());
+    for piece in pieces {
+        let field = piece
+            .split_once('=')
+            .and_then(|(name, value)| Some((code(&FIELDS, name)?, value)));
+        match field {
+            Some((name, value)) => {
+                out.push(FIELD + name);
+                match code(&VALUES, value) {
+                    Some(value) => out.push(VALUE + value),
+                    None => literal(out, value),
+                }
+            }
+            None => {
+                out.push(b' ');
+                literal(out, piece);
+            }
+        }
+    }
+}
+
+/// The body that [`pack_body`] stored as `packed`.
+fn unpack_body(packed: &[u8]) -> String {
+    let mut out = Vec::with_capacity(2 * packed.len());
+    let mut bytes = packed.iter().copied();
+    while let Some(b) = bytes.next() {
+        match b {
+            ESCAPE => out.extend(bytes.next()),
+            VALUE.. => out.extend_from_slice(VALUES[usize::from(b - VALUE)].as_bytes()),
+            FIELD.. => {
+                out.push(b' ');
+                out.extend_from_slice(FIELDS[usize::from(b - FIELD)].as_bytes());
+                out.push(b'=');
+            }
+            _ => out.push(b),
+        }
+    }
+    String::from_utf8(out).expect("a stored body unpacks to the UTF-8 it was")
+}
+
 /// End of a shard's recency list.
 const NIL: u32 = u32::MAX;
 
 /// One cached entry and its place in its shard's recency list.
 #[derive(Debug)]
 struct Node {
-    /// The key's bytes, then the body's.
+    /// The key's bytes, then the body's as [`pack_body`] stores them.
     data: Box<[u8]>,
     key_len: u32,
     /// The key's hash, so an eviction need not rehash it.
@@ -231,9 +337,11 @@ struct Node {
 
 impl Node {
     fn new(key: &CacheKey, body: &str) -> Node {
-        let mut data = Vec::with_capacity(key.bytes.len() + body.len());
-        data.extend_from_slice(&key.bytes);
-        data.extend_from_slice(body.as_bytes());
+        let mut packed = Vec::with_capacity(body.len());
+        pack_body(body, &mut packed);
+        // One allocation of the exact size: shrinking a larger one would
+        // leave a hole beside every entry the cache keeps.
+        let data = [key.bytes.as_slice(), &packed].concat();
         Node {
             data: data.into_boxed_slice(),
             key_len: u32::try_from(key.bytes.len()).expect("a key under 4 GiB"),
@@ -247,8 +355,8 @@ impl Node {
         &self.data[..self.key_len as usize]
     }
 
-    fn body(&self) -> &str {
-        std::str::from_utf8(&self.data[self.key_len as usize..]).expect("bodies are UTF-8")
+    fn body(&self) -> String {
+        unpack_body(&self.data[self.key_len as usize..])
     }
 }
 
@@ -317,7 +425,7 @@ impl Shard {
             return None;
         }
         self.touch(i);
-        Some(self.node(i).body().to_owned())
+        Some(self.node(i).body())
     }
 
     /// Stores `body` under `key`; returns whether the oldest entry was
@@ -485,7 +593,7 @@ impl ResultCache {
                 while i != NIL {
                     let node = &shard.nodes[i as usize];
                     assert_eq!(shard.index.get(&node.hash), Some(&i), "index disagrees");
-                    out.push((node.key().to_vec(), node.body().to_owned()));
+                    out.push((node.key().to_vec(), node.body()));
                     i = node.newer;
                 }
                 let mut back = 0;
@@ -863,6 +971,84 @@ mod tests {
             two.insert(key, format!("{i}"));
         }
         assert_eq!(one.recency(), two.recency());
+    }
+
+    fn packed(body: &str) -> Vec<u8> {
+        let mut out = Vec::new();
+        pack_body(body, &mut out);
+        out
+    }
+
+    #[test]
+    fn every_engine_body_is_stored_in_under_half_its_bytes_and_unpacks_unchanged() {
+        use crate::engine::{execute, execute_abu};
+        use crate::protocol::Request;
+        use ringrt_exec::Pool;
+        let lines = [
+            "CHECK mbps=16 set=20,20000;50,60000 protocol=modified",
+            "CHECK mbps=1 set=10,60000;10,60000 protocol=802.5",
+            "SATURATION mbps=100 set=20,20000;50,60000 protocol=fddi",
+            "SATURATION mbps=16 set=20,20000 stations=9",
+            "SIMULATE mbps=4 set=20,4000;40,8000 seconds=0.2 seed=18446744073709551615",
+            "ABU mbps=100 stations=8 samples=20 seed=5 protocol=fddi",
+        ];
+        for line in lines {
+            let body = match parse_request(line).unwrap() {
+                Request::Analysis(req) => execute(&req),
+                Request::Abu(req) => execute_abu(&req, &Pool::serial()),
+                other => panic!("not an analysis request: {other:?}"),
+            };
+            assert!(body.starts_with("OK"), "{body}");
+            let stored = packed(&body);
+            assert_eq!(unpack_body(&stored), body);
+            assert!(
+                2 * stored.len() < body.len(),
+                "{line}: {} bytes",
+                stored.len()
+            );
+        }
+    }
+
+    #[test]
+    fn any_text_unpacks_to_itself() {
+        for body in [
+            "",
+            " ",
+            "OK",
+            "cmd=abu",
+            "OK cmd=",
+            "OK  cmd=abu  ",
+            "OK cmd==abu seed=1=2 =true true",
+            "OK ring=lab\u{e9} protocol=fddi",
+            "OK \u{80}\u{ff} cmd=\u{1f600}",
+        ] {
+            assert_eq!(unpack_body(&packed(body)), body);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Text built from field names, values, separators and
+        /// non-ASCII characters unpacks to itself.
+        #[test]
+        fn random_text_unpacks_to_itself(
+            words in proptest::collection::vec(0usize..FIELDS.len() + VALUES.len() + 6, 0..40),
+        ) {
+            let body: String = words
+                .iter()
+                .map(|&w| {
+                    FIELDS
+                        .iter()
+                        .chain(&VALUES)
+                        .chain(&[" ", "=", "0.5", "\u{e9}", "\u{ff}", "x"])
+                        .nth(w)
+                        .copied()
+                        .unwrap()
+                })
+                .collect();
+            assert_eq!(unpack_body(&packed(&body)), body);
+        }
     }
 
     #[test]
