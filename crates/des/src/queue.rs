@@ -168,38 +168,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pops the earlier of the queue's next event and `held`, one event a
-    /// model keeps outside the queue with its tie rank, if it is due at
-    /// or before `deadline`. A model whose most frequent event is always
-    /// the only one of its kind saves the queue's push and pop this way;
-    /// the clock and the order are as if `held` had been scheduled with
-    /// [`EventQueue::schedule_ranked`], given that no queued event has
-    /// its time and rank.
-    pub fn pop_until_with(
-        &mut self,
-        deadline: SimTime,
-        held: &mut Option<(SimTime, u8, E)>,
-    ) -> Option<(SimTime, E)> {
-        if let Some(&(time, rank, _)) = held.as_ref() {
-            let first = self
-                .heap
-                .peek()
-                .is_none_or(|next| (time, rank) < (next.time, next.rank));
-            if first && time <= deadline {
-                assert!(
-                    time >= self.now,
-                    "a held event at {time} is before the current time {}",
-                    self.now
-                );
-                let (_, _, event) = held.take().expect("checked above");
-                self.now = time;
-                self.popped += 1;
-                return Some((time, event));
-            }
-        }
-        self.pop_until(deadline)
-    }
-
     /// Discards all pending events without advancing the clock.
     pub fn clear(&mut self) {
         self.heap.clear();
@@ -261,39 +229,6 @@ mod tests {
                 "late b"
             ]
         );
-    }
-
-    #[test]
-    fn a_held_event_pops_in_its_place() {
-        let mut q = EventQueue::new();
-        q.schedule_ranked(SimTime::from_picos(5), 0, "queued, rank 0");
-        q.schedule_ranked(SimTime::from_picos(5), 2, "queued, rank 2");
-        q.schedule_ranked(SimTime::from_picos(9), 0, "queued later");
-        let mut held = Some((SimTime::from_picos(5), 1, "held, rank 1"));
-        let end = SimTime::from_picos(100);
-        let mut order = Vec::new();
-        while let Some((t, e)) = q.pop_until_with(end, &mut held) {
-            order.push(e);
-            assert_eq!(q.now(), t);
-            if e == "queued, rank 2" {
-                held = Some((SimTime::from_picos(7), 3, "held again"));
-            }
-        }
-        assert_eq!(
-            order,
-            [
-                "queued, rank 0",
-                "held, rank 1",
-                "queued, rank 2",
-                "held again",
-                "queued later"
-            ]
-        );
-        assert_eq!(q.events_processed(), 5);
-        // Past the deadline the held event stays held.
-        let mut late = Some((SimTime::from_picos(200), 0, "late"));
-        assert!(q.pop_until_with(end, &mut late).is_none());
-        assert!(late.is_some());
     }
 
     #[test]

@@ -263,18 +263,18 @@ impl Pool {
         let work: &(dyn Work + '_) = &job;
         // SAFETY: this only erases the borrow's lifetime; the type and the
         // pointer stay as they are. Helpers reach `job` only through the
-        // queue entry published here, and `withdraw` below removes that
-        // entry and then waits, under the queue's lock, until no helper
-        // is inside the job. Every helper enters and leaves under that
-        // lock, so once `withdraw` returns no thread holds the reference,
-        // and `job` (with `f` and the slots it borrows) outlives every
-        // use. Nothing between here and `withdraw` can unwind: panics of
-        // `f` are caught inside `Work::run`.
+        // queue entry published here. The `Published` guard, declared
+        // after `job` and so dropped before it, also on unwind, removes
+        // that entry and then waits, under the queue's lock, until no
+        // helper is inside the job. A helper enters under that lock and
+        // leaves through a guard that takes it, also on unwind, so once
+        // the wait ends no thread holds the reference, and `job` (with
+        // `f` and the slots it borrows) outlives every use.
         let work: &'static (dyn Work + 'static) =
             unsafe { std::mem::transmute::<&(dyn Work + '_), &'static (dyn Work + 'static)>(work) };
-        helpers.publish(work);
+        let published = helpers.publish(work);
         job.run();
-        helpers.withdraw(work);
+        drop(published);
         if let Some(payload) = lock(&job.panic).take() {
             panic::resume_unwind(payload);
         }
@@ -410,21 +410,13 @@ impl Helpers {
         Helpers { shared, threads }
     }
 
-    fn publish(&self, job: &'static (dyn Work + 'static)) {
+    /// Queues `job` for the helpers until the returned guard drops.
+    fn publish(&self, job: &'static (dyn Work + 'static)) -> Published<'_> {
         lock(&self.shared.queue).jobs.push(job);
         self.shared.published.notify_all();
-    }
-
-    /// Removes `job` from the queue and waits until no helper is inside it.
-    fn withdraw(&self, job: &'static (dyn Work + 'static)) {
-        let mut queue = lock(&self.shared.queue);
-        queue.jobs.retain(|j| !std::ptr::addr_eq(*j, job));
-        while job.inside().load(Ordering::Relaxed) > 0 {
-            queue = self
-                .shared
-                .left
-                .wait(queue)
-                .unwrap_or_else(PoisonError::into_inner);
+        Published {
+            shared: &self.shared,
+            job,
         }
     }
 
@@ -434,6 +426,42 @@ impl Helpers {
         for thread in self.threads {
             let _ = thread.join();
         }
+    }
+}
+
+/// A published job: dropping it removes the job from the queue and waits
+/// until no helper is inside it.
+struct Published<'a> {
+    shared: &'a Shared,
+    job: &'static (dyn Work + 'static),
+}
+
+impl Drop for Published<'_> {
+    fn drop(&mut self) {
+        let mut queue = lock(&self.shared.queue);
+        queue.jobs.retain(|j| !std::ptr::addr_eq(*j, self.job));
+        while self.job.inside().load(Ordering::Relaxed) > 0 {
+            queue = self
+                .shared
+                .left
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A helper inside a job: dropping it leaves the job under the queue's
+/// lock and wakes the caller waiting for that.
+struct Inside<'a> {
+    shared: &'a Shared,
+    job: &'static (dyn Work + 'static),
+}
+
+impl Drop for Inside<'_> {
+    fn drop(&mut self) {
+        let _queue = lock(&self.shared.queue);
+        self.job.inside().fetch_sub(1, Ordering::Relaxed);
+        self.shared.left.notify_all();
     }
 }
 
@@ -454,11 +482,11 @@ impl Shared {
                 continue;
             };
             job.inside().fetch_add(1, Ordering::Relaxed);
+            let inside = Inside { shared: self, job };
             drop(queue);
             job.run();
+            drop(inside);
             queue = lock(&self.queue);
-            job.inside().fetch_sub(1, Ordering::Relaxed);
-            self.left.notify_all();
         }
     }
 }
@@ -693,6 +721,37 @@ mod tests {
         assert_eq!(ended + 1, started);
         assert!(started < 64, "{started} items ran after the panic");
         // The pool still serves.
+        assert_eq!(pool.map(8, |i| i), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panic_outside_the_items_still_withdraws_the_job() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        /// A panic payload whose first drop panics.
+        struct Bomb;
+        static ARMED: AtomicBool = AtomicBool::new(true);
+        impl Drop for Bomb {
+            fn drop(&mut self) {
+                assert!(!ARMED.swap(false, Ordering::SeqCst), "a payload's drop");
+            }
+        }
+
+        // Both items panic at once, on the caller and on the helper. The
+        // second payload is dropped outside `catch_unwind`, and its drop
+        // panics on whichever thread that is.
+        let pool = Pool::new(2).with_chunk_size(1);
+        let both = Barrier::new(2);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.map(2, |_| {
+                both.wait();
+                panic::panic_any(Bomb);
+            })
+        }));
+        assert!(result.is_err());
+        assert!(!ARMED.load(Ordering::SeqCst), "the second drop ran");
+        // The job was withdrawn, and the pool still serves.
         assert_eq!(pool.map(8, |i| i), (0..8).collect::<Vec<_>>());
     }
 

@@ -22,9 +22,10 @@ const ASYNC_RANK: usize = usize::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    /// The free token arrives at a station (tagged with its generation so
-    /// that tokens invalidated by a loss are discarded in flight).
-    TokenArrive(usize, u32),
+    /// The free token arrives at a station (tagged with the token event's
+    /// id, so that an arrival superseded by a re-aimed walk or invalidated
+    /// by a loss is discarded in flight).
+    TokenArrive(usize, u64),
     /// A station finishes one frame's effective medium occupancy.
     FrameDone(usize),
     /// A synchronous stream releases its next message.
@@ -104,13 +105,11 @@ pub struct PdpSimulator {
     asynchronous: Vec<AsyncTraffic>,
     /// Current free-token priority level (capture needs `rank ≤ level`).
     token_level: usize,
-    /// Generation of the live token; stale arrivals are discarded.
-    token_gen: u32,
+    /// Id of the one live token event; arrivals with another id are
+    /// discarded.
+    token_id: u64,
     /// The free token's walk to the station that captures it.
     walk: Option<Walk>,
-    /// With the walk skipped, the token's one pending event (its capture,
-    /// or the end of its frame), held outside the queue.
-    token_event: Option<(SimTime, u8, Event)>,
     /// Move the token one station per event instead (the test oracle).
     hop_by_hop: bool,
     /// Each station's bid, and the index of pending bids by rank.
@@ -161,9 +160,8 @@ impl PdpSimulator {
                 bw.as_bps(),
             ),
             token_level: ASYNC_RANK,
-            token_gen: 0,
+            token_id: 0,
             walk: None,
-            token_event: None,
             // A ring whose hops take no time has no walk to skip.
             hop_by_hop: hop_latency.is_zero(),
             bid: vec![None; stations],
@@ -236,8 +234,13 @@ impl PdpSimulator {
             self.schedule(at, Event::TokenLoss);
         }
 
-        while let Some((now, event)) = self.queue.pop_until_with(end, &mut self.token_event) {
-            self.events += 1;
+        while let Some((now, event)) = self.queue.pop_until(end) {
+            // A skipping walk's discarded token event stands for no hop:
+            // a loss counts the hop it was on its way to.
+            let live = !matches!(event, Event::TokenArrive(_, id) if id != self.token_id);
+            if live || self.hop_by_hop {
+                self.events += 1;
+            }
             match event {
                 Event::SyncArrival(stream) => {
                     let next = self.sync[stream].arrive(now);
@@ -252,8 +255,8 @@ impl PdpSimulator {
                     self.schedule(now + gap, Event::AsyncArrival(st));
                     self.bid_changed(st, now);
                 }
-                Event::TokenArrive(st, gen) => {
-                    if gen == self.token_gen {
+                Event::TokenArrive(st, _) => {
+                    if live {
                         self.token_arrive(st, now);
                     }
                 }
@@ -355,7 +358,7 @@ impl PdpSimulator {
     /// first station that captures it.
     fn release_token(&mut self, first: usize, at: SimTime) {
         if self.hop_by_hop {
-            self.schedule(at, Event::TokenArrive(first, self.token_gen));
+            self.schedule(at, Event::TokenArrive(first, self.token_id));
             return;
         }
         let walk = Walk::new(at, first, self.config.ring().stations(), self.hop_latency);
@@ -365,18 +368,18 @@ impl PdpSimulator {
         }
     }
 
-    /// Points the walk at `hop` and holds the token's one event there.
+    /// Points the walk at `hop` and queues the token's one event there.
     fn aim(&mut self, hop: u64) {
         let walk = self.walk.as_mut().expect("the token is walking");
         walk.target = Some(hop);
         let (at, st) = (walk.at(hop), walk.station(hop));
-        let event = Event::TokenArrive(st, self.token_gen);
-        self.token_event = Some((at, event.tie_rank(), event));
+        self.token_id += 1;
+        self.schedule(at, Event::TokenArrive(st, self.token_id));
     }
 
     fn token_arrive(&mut self, st: usize, now: SimTime) {
         if let Some(mut walk) = self.walk.take() {
-            let target = walk.target.expect("the held token event is the target");
+            let target = walk.target.expect("the live token event is the target");
             self.events += walk.pass(target, &mut self.metrics, &mut self.trace);
         }
         self.trace
@@ -392,18 +395,16 @@ impl PdpSimulator {
             let next = (st + 1) % self.config.ring().stations();
             self.schedule(
                 now + self.hop_latency,
-                Event::TokenArrive(next, self.token_gen),
+                Event::TokenArrive(next, self.token_id),
             );
         }
     }
 
-    /// Accounts the walk a loss or the run's end cuts short at `before`,
-    /// and drops the token's held event.
+    /// Accounts the walk a loss or the run's end cuts short at `before`.
     fn cut_walk(&mut self, before: SimTime, end: SimTime) {
         if let Some(walk) = self.walk.take() {
             self.events += walk.cut(before, end, &mut self.metrics, &mut self.trace);
         }
-        self.token_event = None;
     }
 
     /// Handles a token-loss event: a free token vanishes and the active
@@ -417,7 +418,7 @@ impl PdpSimulator {
             return; // a station holds the ring: no free token to lose
         }
         self.cut_walk(now, end);
-        self.token_gen = self.token_gen.wrapping_add(1);
+        self.token_id += 1;
         self.metrics.token_losses += 1;
         self.trace.record(now, TraceKind::TokenLost);
         self.token_level = ASYNC_RANK; // regenerated tokens start unreserved
@@ -470,12 +471,7 @@ impl PdpSimulator {
         }
         let occupancy = tx_time.max(self.theta);
         self.busy_until = now + occupancy;
-        let done = Event::FrameDone(st);
-        if self.hop_by_hop {
-            self.schedule(now + occupancy, done);
-        } else {
-            self.token_event = Some((now + occupancy, done.tie_rank(), done));
-        }
+        self.schedule(now + occupancy, Event::FrameDone(st));
     }
 
     fn frame_done(&mut self, st: usize, now: SimTime) {

@@ -17,9 +17,10 @@ use crate::{SimConfig, SimError, SimReport, TraceKind};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    /// The token arrives at a station (tagged with its generation so that
-    /// tokens invalidated by a loss are discarded in flight).
-    TokenArrive(usize, u32),
+    /// The token arrives at a station (tagged with the token event's id,
+    /// so that an arrival superseded by a re-aimed walk or invalidated by
+    /// a loss is discarded in flight).
+    TokenArrive(usize, u64),
     /// A synchronous stream releases its next message.
     SyncArrival(usize),
     /// An asynchronous frame is queued at a station.
@@ -76,14 +77,11 @@ pub struct TtpSimulator {
     asynchronous: Vec<AsyncTraffic>,
     /// TRT restart instant per station.
     trt_started: Vec<SimTime>,
-    /// Generation of the live token; arrivals from older generations are
-    /// stale (the token was lost while they were in flight).
-    token_gen: u32,
+    /// Id of the one live token event; arrivals with another id are
+    /// discarded (superseded by a re-aimed walk, or lost in flight).
+    token_id: u64,
     /// The free token's walk to the station that captures it.
     walk: Option<Walk>,
-    /// With the walk skipped, the token's one pending arrival (at the
-    /// station that captures it), held outside the queue.
-    token_event: Option<(SimTime, u8, Event)>,
     /// Stations with traffic the token may pick up: a synchronous backlog
     /// it can send, or queued asynchronous frames.
     ready: StationSet,
@@ -176,9 +174,8 @@ impl TtpSimulator {
             sync,
             asynchronous,
             trt_started: vec![SimTime::ZERO; stations],
-            token_gen: 0,
+            token_id: 0,
             walk: None,
-            token_event: None,
             ready: StationSet::new(stations),
             // A ring whose hops take no time has no walk to skip.
             hop_by_hop: hop_latency.is_zero(),
@@ -238,8 +235,13 @@ impl TtpSimulator {
             self.schedule(at, Event::TokenLoss);
         }
 
-        while let Some((now, event)) = self.queue.pop_until_with(end, &mut self.token_event) {
-            self.events += 1;
+        while let Some((now, event)) = self.queue.pop_until(end) {
+            // A skipping walk's discarded token event stands for no hop:
+            // a loss counts the hop it was on its way to.
+            let live = !matches!(event, Event::TokenArrive(_, id) if id != self.token_id);
+            if live || self.hop_by_hop {
+                self.events += 1;
+            }
             match event {
                 Event::SyncArrival(stream) => {
                     let next = self.sync[stream].arrive(now);
@@ -254,8 +256,8 @@ impl TtpSimulator {
                     self.schedule(now + gap, Event::AsyncArrival(st));
                     self.traffic_arrived(st, now);
                 }
-                Event::TokenArrive(st, gen) => {
-                    if gen == self.token_gen {
+                Event::TokenArrive(st, _) => {
+                    if live {
                         self.token_arrive(st, now);
                     }
                     // Stale generations die silently: that token is gone.
@@ -324,7 +326,7 @@ impl TtpSimulator {
     /// that captures it.
     fn release_token(&mut self, first: usize, at: SimTime) {
         if self.hop_by_hop {
-            self.schedule(at, Event::TokenArrive(first, self.token_gen));
+            self.schedule(at, Event::TokenArrive(first, self.token_id));
             return;
         }
         let n = self.config.ring().stations();
@@ -345,20 +347,20 @@ impl TtpSimulator {
         }
     }
 
-    /// Points the walk at `hop` and holds the token's one event there.
+    /// Points the walk at `hop` and queues the token's one event there.
     fn aim(&mut self, hop: u64) {
         let walk = self.walk.as_mut().expect("the token is walking");
         walk.target = Some(hop);
         let (at, st) = (walk.at(hop), walk.station(hop));
-        let event = Event::TokenArrive(st, self.token_gen);
-        self.token_event = Some((at, event.tie_rank(), event));
+        self.token_id += 1;
+        self.schedule(at, Event::TokenArrive(st, self.token_id));
     }
 
     /// The live token reaches station `st`: a walk's passed stations
     /// first advance their TRTs, then the station is visited.
     fn token_arrive(&mut self, st: usize, now: SimTime) {
         if let Some(mut walk) = self.walk.take() {
-            let target = walk.target.expect("the held token event is the target");
+            let target = walk.target.expect("the live token event is the target");
             self.events += walk.pass(target, &mut self.metrics, &mut self.trace);
             self.pass_trts(&walk, target);
         }
@@ -397,13 +399,11 @@ impl TtpSimulator {
         }
     }
 
-    /// Accounts the walk a loss or the run's end cuts short at `before`,
-    /// and drops the token's held event.
+    /// Accounts the walk a loss or the run's end cuts short at `before`.
     fn cut_walk(&mut self, before: SimTime, end: SimTime) {
         if let Some(walk) = self.walk.take() {
             self.events += walk.cut(before, end, &mut self.metrics, &mut self.trace);
         }
-        self.token_event = None;
     }
 
     /// Handles one token visit at station `st`, then releases the token
@@ -519,7 +519,7 @@ impl TtpSimulator {
             return; // token currently held: cannot be lost on the wire
         }
         self.cut_walk(now, end);
-        self.token_gen = self.token_gen.wrapping_add(1);
+        self.token_id += 1;
         self.metrics.token_losses += 1;
         self.trace.record(now, TraceKind::TokenLost);
         let recovery_at = now + self.config.token_recovery().to_sim_duration();
