@@ -370,28 +370,8 @@ impl TtpSimulator {
     /// Advances the TRT of every station that `walk` passed before hop
     /// `target`, as the hop walk's visits would have.
     fn pass_trts(&mut self, walk: &Walk, target: u64) {
-        let (ttrt, n) = (self.ttrt, walk.rotation_hops());
-        if target <= n {
-            // One pass each: the visit rule, in a tight loop.
-            let (mut st, mut at) = (walk.station(0), walk.at(0));
-            for _ in 0..target {
-                let trt = &mut self.trt_started[st];
-                *trt = if at.saturating_duration_since(*trt) >= ttrt {
-                    *trt + ttrt
-                } else {
-                    at
-                };
-                st = if st + 1 == self.trt_started.len() {
-                    0
-                } else {
-                    st + 1
-                };
-                at += self.hop_latency;
-            }
-            return;
-        }
-        let rotation = walk.rotation();
-        for j in 0..n {
+        let (ttrt, n, rotation) = (self.ttrt, walk.rotation_hops(), walk.rotation());
+        for j in 0..n.min(target) {
             let st = walk.station(j);
             let passes = (target - 1 - j) / n + 1;
             self.trt_started[st] =
