@@ -38,6 +38,7 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::engine::{REPLY_FIELDS, REPLY_VALUES};
 use crate::protocol::{AbuRequest, AnalysisRequest, CommandKind};
 
 /// Number of independently locked shards. Power of two, comfortably above
@@ -214,57 +215,19 @@ impl CacheKey {
     }
 }
 
-/// The field names of the reply bodies the engine renders: a stored body
-/// keeps each ` name=` of these as one byte. A field missing here is
-/// stored as its text, so the list only needs to be complete to be small.
-const FIELDS: [&str; 19] = [
-    "cmd",
-    "protocol",
-    "mbps",
-    "stations",
-    "streams",
-    "utilization",
-    "schedulable",
-    "scale",
-    "breakdown_util",
-    "seconds",
-    "seed",
-    "completed",
-    "deadline_misses",
-    "medium_utilization",
-    "events",
-    "samples",
-    "abu_mean",
-    "abu_ci95",
-    "infeasible_sets",
-];
-
-/// Whole field values that recur in reply bodies, each stored as one byte.
-const VALUES: [&str; 10] = [
-    "check",
-    "saturation",
-    "simulate",
-    "abu",
-    "802.5",
-    "modified",
-    "fddi",
-    "true",
-    "false",
-    "nan",
-];
-
-/// The first codes of [`FIELDS`] and [`VALUES`] in a stored body, and the
-/// escape that keeps a non-ASCII byte of the body literal.
+/// The first codes of [`REPLY_FIELDS`] and [`REPLY_VALUES`] in a stored
+/// body, and the escape that keeps a non-ASCII byte of the body literal.
 const FIELD: u8 = 0x80;
 const VALUE: u8 = 0xc0;
 const ESCAPE: u8 = 0xff;
-const _: () = assert!(FIELDS.len() <= (VALUE - FIELD) as usize);
-const _: () = assert!(VALUES.len() <= (ESCAPE - VALUE) as usize);
+const _: () = assert!(REPLY_FIELDS.len() <= (VALUE - FIELD) as usize);
+const _: () = assert!(REPLY_VALUES.len() <= (ESCAPE - VALUE) as usize);
 
 /// Appends `body` to `out` as it is stored: ` name=` of a field in
-/// [`FIELDS`] and a whole value in [`VALUES`] as one code byte each,
-/// other ASCII as it is, and any other byte behind an [`ESCAPE`]. A reply
-/// body, `OK name=value …`, keeps about a third of its bytes.
+/// [`REPLY_FIELDS`] and a whole value in [`REPLY_VALUES`] as one code
+/// byte each, other ASCII as it is, and any other byte behind an
+/// [`ESCAPE`]. A reply body, `OK name=value …`, keeps about a third of
+/// its bytes.
 fn pack_body(body: &str, out: &mut Vec<u8>) {
     fn literal(out: &mut Vec<u8>, text: &str) {
         for &b in text.as_bytes() {
@@ -282,11 +245,11 @@ fn pack_body(body: &str, out: &mut Vec<u8>) {
     for piece in pieces {
         let field = piece
             .split_once('=')
-            .and_then(|(name, value)| Some((code(&FIELDS, name)?, value)));
+            .and_then(|(name, value)| Some((code(&REPLY_FIELDS, name)?, value)));
         match field {
             Some((name, value)) => {
                 out.push(FIELD + name);
-                match code(&VALUES, value) {
+                match code(&REPLY_VALUES, value) {
                     Some(value) => out.push(VALUE + value),
                     None => literal(out, value),
                 }
@@ -306,10 +269,10 @@ fn unpack_body(packed: &[u8]) -> String {
     while let Some(b) = bytes.next() {
         match b {
             ESCAPE => out.extend(bytes.next()),
-            VALUE.. => out.extend_from_slice(VALUES[usize::from(b - VALUE)].as_bytes()),
+            VALUE.. => out.extend_from_slice(REPLY_VALUES[usize::from(b - VALUE)].as_bytes()),
             FIELD.. => {
                 out.push(b' ');
-                out.extend_from_slice(FIELDS[usize::from(b - FIELD)].as_bytes());
+                out.extend_from_slice(REPLY_FIELDS[usize::from(b - FIELD)].as_bytes());
                 out.push(b'=');
             }
             _ => out.push(b),
@@ -1033,14 +996,14 @@ mod tests {
         /// non-ASCII characters unpacks to itself.
         #[test]
         fn random_text_unpacks_to_itself(
-            words in proptest::collection::vec(0usize..FIELDS.len() + VALUES.len() + 6, 0..40),
+            words in proptest::collection::vec(0usize..REPLY_FIELDS.len() + REPLY_VALUES.len() + 6, 0..40),
         ) {
             let body: String = words
                 .iter()
                 .map(|&w| {
-                    FIELDS
+                    REPLY_FIELDS
                         .iter()
-                        .chain(&VALUES)
+                        .chain(&REPLY_VALUES)
                         .chain(&[" ", "=", "0.5", "\u{e9}", "\u{ff}", "x"])
                         .nth(w)
                         .copied()

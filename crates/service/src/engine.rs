@@ -19,6 +19,47 @@ use ringrt_workload::MessageSetGenerator;
 
 use crate::protocol::{AbuRequest, AnalysisRequest, CommandKind};
 
+/// The field names of the reply bodies rendered here. The result cache
+/// stores each ` name=` of these as one byte (see `cache::pack_body`); a
+/// field missing here is stored as its text, so the list only needs to
+/// be complete to keep cache entries small.
+pub(crate) const REPLY_FIELDS: [&str; 19] = [
+    "cmd",
+    "protocol",
+    "mbps",
+    "stations",
+    "streams",
+    "utilization",
+    "schedulable",
+    "scale",
+    "breakdown_util",
+    "seconds",
+    "seed",
+    "completed",
+    "deadline_misses",
+    "medium_utilization",
+    "events",
+    "samples",
+    "abu_mean",
+    "abu_ci95",
+    "infeasible_sets",
+];
+
+/// Whole field values that recur in the reply bodies rendered here; the
+/// result cache stores each as one byte.
+pub(crate) const REPLY_VALUES: [&str; 10] = [
+    "check",
+    "saturation",
+    "simulate",
+    "abu",
+    "802.5",
+    "modified",
+    "fddi",
+    "true",
+    "false",
+    "nan",
+];
+
 /// The reply prefix every analysis command shares.
 fn header(req: &AnalysisRequest, bw: Bandwidth, stations: usize) -> String {
     format!(
@@ -168,6 +209,26 @@ mod tests {
         match parse_request(line).unwrap() {
             Request::Analysis(a) => execute(&a),
             other => panic!("not an analysis request: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reply_fields_name_every_field_rendered_here() {
+        let bodies = [
+            exec("CHECK mbps=16 set=20,20000;50,60000 protocol=modified"),
+            exec("SATURATION mbps=100 set=20,20000;50,60000 protocol=fddi"),
+            exec("SIMULATE mbps=4 set=20,4000;40,8000 seconds=0.2"),
+            match parse_request("ABU mbps=100 stations=8 samples=20 seed=5").unwrap() {
+                Request::Abu(req) => execute_abu(&req, &Pool::serial()),
+                other => panic!("not an ABU request: {other:?}"),
+            },
+        ];
+        for body in &bodies {
+            let fields = body.strip_prefix("OK ").expect("an OK reply");
+            for field in fields.split(' ') {
+                let (name, _) = field.split_once('=').expect("name=value");
+                assert!(REPLY_FIELDS.contains(&name), "{name} in {body}");
+            }
         }
     }
 
