@@ -19,10 +19,10 @@
 //! hash picks the shard, so shard choice and LRU order depend only on the
 //! sequence of keys and a client can mirror the cache (perfbench's
 //! `cached=` check does). An entry is one allocation — the key bytes
-//! followed by the body, whose ` name=` of each known field and whole
-//! known values are one byte each (see [`pack_body`]) — in a slab linked
-//! into a recency list by `u32`
-//! slot numbers, so a hit's refresh and an eviction are O(1) whatever the
+//! followed by the body, whose ` name=` of each field and each whole
+//! value in the engine's reply tables are one byte each (`pack_body`) —
+//! in a slab linked into a recency list by `u32` slot numbers, so a
+//! hit's refresh and an eviction are O(1) whatever the
 //! capacity: the event loop inserts after every `CHECK` it answers
 //! itself, and `--cache-entries 262144` must not make that a scan. Each
 //! shard's index maps the key's hash to the entry's slot through the
